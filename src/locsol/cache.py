@@ -18,7 +18,9 @@ from pathlib import Path
 
 from .errors import CacheCorrupt
 
-CACHE_VERSION = "locsol-cache-1"
+# Changes whenever the meaning of a key does.  Version 2 labels the unit
+# classes at p not dividing k by power residues instead of table indices.
+CACHE_VERSION = "locsol-cache-2"
 
 
 def _canonical(obj) -> str:

@@ -6,11 +6,13 @@ whether sum a_i x_i^k = 0 has a nontrivial p-adic zero depends only on
 that reduction: valuations, unit-class tables, normal forms under the
 scaling/twist/permutation group, and the coarse I/II/III pattern tags.
 
-Unit classes are represented two ways.  For small moduli an explicit
-coset table is built (needed by the cell enumerations downstream).  For
-a large prime p with gcd(p, k) = 1 the class of u is labelled by the
-power residue pow(u, (p-1)//d, p) with d = gcd(k, p-1), which avoids
-ever materializing O(p) state.
+Unit classes are labelled two ways, both exact.  For every p not
+dividing k the label of u is the power residue pow(u, (p-1)//d, p) with
+d = gcd(k, p-1): O(log p) work and no stored state, whatever the size of
+p.  For p | k the label is the index into an explicit coset table mod
+p^(2*v_p(k)+1), which is tiny.  The cell enumerations (symbols, class
+representatives, orbits) index classes through the explicit tables for
+every p, guarded by TABLE_LIMIT.
 """
 
 from __future__ import annotations
@@ -130,28 +132,34 @@ def build_unit_class_table(p: int, k: int) -> UnitClassTable:
 def class_label(u: int, p: int, k: int) -> int:
     """Canonical label of the k-th power class of the unit u.
 
-    For gcd(p, k) = 1 the label is the power residue symbol
-    pow(u, (p-1)//d, p), d = gcd(k, p-1); units share a label exactly
-    when their ratio is a k-th power.  For p | k the label is the index
-    into the explicit coset table.
+    For p not dividing k the label is the power residue symbol
+    pow(u, (p-1)//d, p), d = gcd(k, p-1), for every size of p.  For
+    p | k it is the index into the explicit coset table mod
+    p^(2*v_p(k)+1).  Either way, two units share a label exactly when
+    their ratio is a k-th power in Z_p.
     """
-    if k % p == 0 or p**class_precision(p, k) <= TABLE_LIMIT:
+    if k % p == 0:
         return build_unit_class_table(p, k).class_of(u)
-    d = gcd(k, p - 1)
-    u %= p
-    if u == 0:
-        raise PreconditionViolated(f"{u} is not a unit mod {p}")
-    return pow(u, (p - 1) // d, p)
+    return _power_residue(u, p, k)
 
 
 def is_kth_power_unit(u: int, p: int, k: int) -> bool:
     """Whether the unit u is a k-th power in Z_p (exact)."""
-    if k % p == 0 or p**class_precision(p, k) <= TABLE_LIMIT:
+    if k % p == 0:
         return build_unit_class_table(p, k).is_kth_power(u)
-    d = gcd(k, p - 1)
+    return _power_residue(u, p, k) == 1
+
+
+def _power_residue(u: int, p: int, k: int) -> int:
+    """pow(u, (p-1)//d, p) with d = gcd(k, p-1), for p not dividing k.
+
+    A unit is a k-th power in Z_p iff its residue mod p is one (Hensel,
+    as p does not divide k), iff that residue is a d-th power, iff this
+    power residue is 1; the map is a homomorphism, so it labels cosets.
+    """
     if u % p == 0:
         raise PreconditionViolated(f"{u} is not a unit mod {p}")
-    return pow(u, (p - 1) // d, p) == 1
+    return pow(u, (p - 1) // gcd(k, p - 1), p)
 
 
 @dataclass(frozen=True)

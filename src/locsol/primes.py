@@ -12,6 +12,10 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _TRIAL_DIVISION_LIMIT = 10**12
 
+# Memo bound for factor(): a survey meets a new coefficient with almost
+# every draw, so an unbounded cache would grow with the run.
+FACTOR_CACHE_SIZE = 65_536
+
 
 def is_prime(m: int) -> bool:
     """Deterministic Miller-Rabin, exact for every int this package meets."""
@@ -60,7 +64,7 @@ def next_prime(m: int) -> int:
     return q
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
 def factor(m: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of m >= 1 as sorted (prime, exponent) pairs."""
     if m < 1:

@@ -36,6 +36,8 @@ from .primes import is_prime, prime_divisors, primes_below
 
 DP_MODULUS_CAP = 10**8
 _ROOT_SCAN_LIMIT = 3000
+# Memo bound for _value_sets(), one entry per (p, k, coefficient residue).
+VALUE_SETS_CACHE_SIZE = 4_096
 
 _VERDICTS: dict[tuple, str] = {}
 
@@ -80,7 +82,7 @@ def dump_verdicts() -> dict[tuple, str]:
 # --- congruence dynamic program ---------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=VALUE_SETS_CACHE_SIZE)
 def _value_sets(p: int, k: int, m_star: int, a_mod: int):
     """Values a*t^k mod p^m_star, split by whether t is a unit.
 
@@ -209,7 +211,8 @@ def _curve_count_decisive(p: int, d: int) -> bool:
     return slack > 0 and slack * slack > genus_twice * genus_twice * p
 
 
-def _group_pair_solution(p: int, k: int, members):
+def _power_pair(p: int, k: int, members):
+    """First (s, t, w) with w = -u_t/u_s a k-th power mod p, or None."""
     euler = (p - 1) // gcd(k, p - 1)
     for s in range(len(members)):
         for t in range(s + 1, len(members)):
@@ -217,7 +220,7 @@ def _group_pair_solution(p: int, k: int, members):
             idx_t, u_t = members[t]
             w = (-u_t) * pow(u_s, -1, p) % p
             if pow(w, euler, p) == 1:
-                return {idx_s: _kth_root_mod(w, k, p), idx_t: 1}
+                return idx_s, idx_t, w
     return None
 
 
@@ -273,19 +276,29 @@ def _group_subset_solution(p: int, k: int, members):
     raise PreconditionViolated("subset walk ended without a first element")
 
 
-def _group_solution(p: int, k: int, members):
-    """All-unit zero mod p of sum u_i y_i^k over a nonempty subset."""
+def _group_solution(p: int, k: int, members, want_witness: bool):
+    """All-unit zero mod p of sum u_i y_i^k over a nonempty subset.
+
+    Returns (soluble, zero), the zero as {index: y} only when a witness
+    is wanted: k-th roots are taken just to build one.
+    """
     if len(members) < 2:
-        return None
-    pair = _group_pair_solution(p, k, members)
+        return False, None
+    pair = _power_pair(p, k, members)
     if pair is not None:
-        return pair
+        if not want_witness:
+            return True, None
+        idx_s, idx_t, w = pair
+        return True, {idx_s: _kth_root_mod(w, k, p), idx_t: 1}
     if len(members) == 2:
-        return None
+        return False, None
     d = gcd(k, p - 1)
     if p > _ROOT_SCAN_LIMIT and _curve_count_decisive(p, d):
-        return _group_curve_solution(p, k, members)
-    return _group_subset_solution(p, k, members)
+        if not want_witness:
+            return True, None
+        return True, _group_curve_solution(p, k, members)
+    solution = _group_subset_solution(p, k, members)
+    return solution is not None, solution
 
 
 def _refine_group_witness(nf: NormalForm, solution: dict[int, int]):
@@ -326,8 +339,8 @@ def _decide_scaled(nf: NormalForm, want_witness: bool):
         e = valuation(a, p)
         groups.setdefault(e, []).append((i, a // p**e))
     for e in sorted(groups):
-        solution = _group_solution(p, k, groups[e])
-        if solution is not None:
+        soluble, solution = _group_solution(p, k, groups[e], want_witness)
+        if soluble:
             if not want_witness:
                 return True, None
             return True, _refine_group_witness(nf, solution)

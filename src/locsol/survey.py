@@ -22,7 +22,8 @@ from random import Random
 
 from .errors import DegenerateInput, PreconditionViolated, ResourceBound
 from .padic import CoefficientVector
-from .solubility import decide_qp, decide_real, relevant_primes
+from .solubility import (decide_qp, decide_real, dump_verdicts,
+                         load_verdicts, relevant_primes)
 
 SAMPLE_CHUNK = 10_000
 EXHAUSTIVE_CAP = 2_000_000
@@ -59,16 +60,24 @@ def is_everywhere_soluble(entries: tuple[int, ...], k: int) -> bool:
     return decide_everywhere_local(vec).overall
 
 
-def _sample_chunk(task) -> int:
+def _sample_chunk(task) -> tuple[int, dict[tuple, str]]:
+    """Soluble count of one chunk and the verdicts it added to the cache.
+
+    A worker process returns its verdicts so that the parent's cache,
+    and any --cache-dir saved from it, keeps what the workers computed.
+    """
     n, k, height, seed, chunk_index, count = task
     rng = Random(seed * 1_000_003 + chunk_index)
     lo, hi = -(height - 1), height - 1
+    known = dump_verdicts()
     soluble = 0
     for _ in range(count):
         entries = tuple(rng.randint(lo, hi) for _ in range(n + 1))
         if is_everywhere_soluble(entries, k):
             soluble += 1
-    return soluble
+    added = {key: status for key, status in dump_verdicts().items()
+             if key not in known}
+    return soluble, added
 
 
 def survey_box(n: int, k: int, height: int, *, mode: str = "exhaustive",
@@ -114,9 +123,13 @@ def survey_box(n: int, k: int, height: int, *, mode: str = "exhaustive",
         chunk_index += 1
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            soluble = sum(pool.map(_sample_chunk, tasks))
+            results = list(pool.map(_sample_chunk, tasks))
     else:
-        soluble = sum(_sample_chunk(t) for t in tasks)
+        results = [_sample_chunk(t) for t in tasks]
+    soluble = 0
+    for count, added in results:
+        soluble += count
+        load_verdicts(added)
     return SurveyReport(n=n, k=k, height=height, mode=mode, seed=seed,
                         total=sample_count, soluble=soluble,
                         ref_lo=ref_lo, ref_hi=ref_hi)

@@ -58,23 +58,25 @@ def test_merge_discards_corrupt_history(tmp_path):
 
 
 def test_stale_version_lines_are_skipped(tmp_path):
-    store = CacheStore(tmp_path)
-    store.write("verdicts", [({"p": 2}, {"status": "current"})])
-    path = tmp_path / "verdicts.jsonl"
-    line = json.loads(path.read_text())
-    # a valid line from an older format must be ignored, not fatal
     import hashlib
-    old = {"version": "locsol-cache-0", "key": {"p": 99},
-           "payload": {"status": "ancient"}}
-    body = json.dumps({"version": old["version"], "key": old["key"],
-                       "payload": old["payload"]},
-                      sort_keys=True, separators=(",", ":"))
-    old["checksum"] = hashlib.sha256(body.encode()).hexdigest()
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(old, sort_keys=True, separators=(",", ":"))
-                 + "\n")
-    assert store.read("verdicts") == [({"p": 2}, {"status": "current"})]
-    assert line["version"] == CACHE_VERSION
+    # valid lines from older formats must be ignored, not fatal; version 1
+    # keys label classes differently, so reading them would be wrong
+    for version in ("locsol-cache-0", "locsol-cache-1"):
+        store = CacheStore(tmp_path / version)
+        store.write("verdicts", [({"p": 2}, {"status": "current"})])
+        path = tmp_path / version / "verdicts.jsonl"
+        line = json.loads(path.read_text())
+        old = {"version": version, "key": {"p": 99},
+               "payload": {"status": "ancient"}}
+        body = json.dumps({"version": old["version"], "key": old["key"],
+                           "payload": old["payload"]},
+                          sort_keys=True, separators=(",", ":"))
+        old["checksum"] = hashlib.sha256(body.encode()).hexdigest()
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(old, sort_keys=True, separators=(",", ":"))
+                     + "\n")
+        assert store.read("verdicts") == [({"p": 2}, {"status": "current"})]
+        assert line["version"] == CACHE_VERSION != version
 
 
 def test_verdict_adapters_round_trip(tmp_path):

@@ -89,7 +89,7 @@ def test_power_detection_matches_sympy(p, k):
 
 
 def test_class_label_large_prime_path():
-    # above the explicit-table limit the power-residue label is used
+    # the power-residue label needs no table, even above the table limit
     p = 1_000_003
     assert class_label(1, p, 2) == 1
     assert class_label(4, p, 2) == 1
@@ -97,6 +97,24 @@ def test_class_label_large_prime_path():
     assert squares == {1}
     with pytest.raises(ResourceBound):
         build_unit_class_table(p, 2)
+
+
+def test_power_residue_labels_agree_with_tables():
+    # the explicit coset table is the reference partition for p not | k
+    from locsol.primes import primes_below
+    for p in primes_below(60):
+        for k in range(2, 7):
+            if k % p == 0:
+                continue
+            table = build_unit_class_table(p, k)
+            units = [u for u in range(1, table.modulus) if u % p]
+            labels = {u: class_label(u, p, k) for u in units}
+            for u in units:
+                assert is_kth_power_unit(u, p, k) == table.is_kth_power(u)
+                for w in units:
+                    assert ((labels[u] == labels[w])
+                            == (table.class_of(u) == table.class_of(w))), \
+                        (p, k, u, w)
 
 
 def test_coefficient_vector_validation():

@@ -46,6 +46,51 @@ def test_witnesses_satisfy_their_certificates():
         check_witness(verdict, p, k)
 
 
+def test_no_class_table_in_the_decision_path():
+    from locsol.padic import build_unit_class_table
+    a = vec((3, -5, 7, 10_007 * 11))
+    build_unit_class_table.cache_clear()
+    normalize(a, 10_007)
+    classify_type(a, 10_007)
+    decide_qp(a, 10_007, use_cache=False)
+    decide_qp(a, 10_007, with_witness=True, use_cache=False)
+    assert build_unit_class_table.cache_info().misses == 0
+
+
+def test_no_kth_root_without_a_witness(monkeypatch):
+    from locsol import solubility
+
+    class RootTaken(Exception):
+        pass
+
+    def refuse(value, k, p):
+        raise RootTaken((value, k, p))
+
+    p = 9973
+    g = next(g for g in range(2, p) if pow(g, (p - 1) // 3, p) != 1)
+    cases = [((1, -4, 5), 2, 13),             # pair -(-4)/1 = 2^2
+             ((1, g, g * g % p), 3, p)]       # no pair; curve count decides
+    monkeypatch.setattr(solubility, "_kth_root_mod", refuse)
+    for entries, k, q in cases:
+        verdict = decide_qp(vec(entries, k), q, use_cache=False)
+        assert verdict.status == "soluble" and verdict.witness is None
+        with pytest.raises(RootTaken):
+            decide_qp(vec(entries, k), q, with_witness=True, use_cache=False)
+    monkeypatch.undo()
+    for entries, k, q in cases:
+        verdict = decide_qp(vec(entries, k), q, with_witness=True,
+                            use_cache=False)
+        assert verdict.status == "soluble"
+        check_witness(verdict, q, k)
+
+
+def test_memo_caches_are_bounded():
+    from locsol.primes import factor
+    from locsol.solubility import _value_sets
+    assert factor.cache_info().maxsize is not None
+    assert _value_sets.cache_info().maxsize is not None
+
+
 def test_trivial_zero_coefficient():
     verdict = decide_qp(vec((1, 0, 3)), 5)
     assert verdict.status == "soluble-trivially"

@@ -6,6 +6,7 @@ import pytest
 from locsol.errors import (DegenerateInput, PreconditionViolated,
                            ResourceBound)
 from locsol.product import rho_loc_interval
+from locsol.solubility import clear_caches, dump_verdicts
 from locsol.survey import (CSV_COLUMNS, convergence_sweep,
                            is_everywhere_soluble, survey_box, write_csv)
 
@@ -47,9 +48,14 @@ def test_sampling_is_deterministic_and_chunk_stable():
 
 def test_parallel_jobs_do_not_change_counts():
     kw = dict(mode="sample", sample_count=25_000, seed=11)
+    clear_caches()
     serial = survey_box(3, 2, 30, jobs=1, **kw)
+    serial_keys = set(dump_verdicts())
+    clear_caches()
     parallel = survey_box(3, 2, 30, jobs=2, **kw)
     assert serial.soluble == parallel.soluble
+    # the workers' verdicts reach the parent's cache (and so --cache-dir)
+    assert serial_keys and set(dump_verdicts()) == serial_keys
 
 
 def test_sample_proportion_lands_near_the_certified_interval():
