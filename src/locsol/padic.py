@@ -53,12 +53,16 @@ def class_precision(p: int, k: int) -> int:
 
 
 def certificate_exponent(p: int, k: int) -> int:
-    """Congruence level at which a unit-coordinate solution certifies.
+    """Congruence level m* of a witness on the reduced form.
 
     With reduced coefficient valuations in [0, k), the derivative
     k*a_i*x_i^(k-1) at a unit coordinate has valuation at most
-    v_p(k) + k - 1, so solving the form mod p^(2*(v_p(k)+k-1)+1) with a
-    unit coordinate leaves room for Newton iteration to converge.
+    v_p(k) + k - 1, so a zero of the reduced form mod p^m*,
+    m* = 2*(v_p(k)+k-1)+1, with a unit coordinate lifts by Newton
+    iteration.  The decision works mod p^(2*v_p(k)+1), one valuation
+    layer r at a time; the zero it finds on the layer form G_r is lifted
+    to G_r = 0 mod p^(m*-r), which makes the reduced form vanish mod
+    p^m* (see locsol.solubility).
     """
     v = valuation(k, p) if k % p == 0 else 0
     return 2 * (v + k - 1) + 1
@@ -249,6 +253,11 @@ def normalize(a: CoefficientVector, p: int) -> NormalForm:
     """
     if not is_prime(p):
         raise PreconditionViolated(f"not a prime: {p}")
+    return _normalize(a, p)
+
+
+def _normalize(a: CoefficientVector, p: int) -> NormalForm:
+    """normalize() for a p the caller has already checked to be prime."""
     if a.has_zero_entry:
         raise DegenerateInput("cannot reduce a zero coefficient")
     k = a.k

@@ -1,26 +1,35 @@
 """Exact solubility of diagonal forms over Q_p and R.
 
-Two independent routes decide sum a_i x_i^k = 0 over Q_p:
+Write the reduced entries of sum a_i x_i^k = 0 as p^e_i * u_i with e_i
+in [0, k) and let tau = v_p(k).  For each valuation r that occurs, in
+increasing order, the derived form
 
-* "dp": a congruence dynamic program mod p^(2*(v_p(k)+k-1)+1) over
-  bitset-encoded sum sets, tracking whether a unit coordinate has been
-  used.  Works for every p, including p | k.
+    G_r = sum_{e_i >= r} p^(e_i-r) u_i y_i^k
+        + sum_{e_i < r} p^(e_i-r+k) u_i y_i^k
 
-* "scale": for gcd(p, k) = 1, a nontrivial zero exists iff some set of
-  coordinates sharing a reduced valuation admits an all-unit zero mod p
-  (minimal-valuation terms must cancel, and a unit derivative lets
-  Newton iteration lift).  Pairs reduce to a power-residue test; larger
-  sets use a point count on a smooth plane curve when it is decisive,
-  and an exact subset-sum walk mod p otherwise.
+is tested for a zero mod p^(2*tau+1) with a unit y_j on a coordinate
+where e_j = r (the Davenport-Lewis contraction).  The form has a
+nontrivial zero over Q_p iff some layer passes: a primitive zero divided
+by its smallest term valuation gives one, and since dG_r/dy_j has
+valuation tau, Newton iteration in y_j lifts one back.
 
-Both produce checkable witnesses: a vector mod p^m with a unit
-coordinate on which the reduced form vanishes deeply enough for Newton
-iteration to converge.  Verdicts are cached by the (exponent, class)
-signature, which determines solubility.
+The test is a bitset walk over Z/p^(2*tau+1) that carries a flag for
+"a layer-r unit has been used".  Route "dp" runs it on every layer.
+Route "scale" (gcd(p, k) = 1, so the walk is mod p over the layer's
+units) first tries two shortcuts: a pair -u_t/u_s that is a k-th power
+mod p, and a point count on a smooth plane curve when it is decisive.
+
+A soluble verdict can carry a witness: the layer zero y is Newton-lifted
+until G_r(y) = 0 mod p^(m*-r), m* = certificate_exponent(p, k), and
+mapped back by x_i = y_i (e_i >= r), x_i = p*y_i (e_i < r), so that the
+reduced form vanishes at x mod p^m* with a unit coordinate.  Verdicts
+are cached by the (exponent, class) signature, which determines
+solubility.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -28,18 +37,28 @@ from math import gcd
 
 from .errors import (ClassificationMismatch, DegenerateInput,
                      PreconditionViolated, ResourceBound)
-from .padic import (CoefficientVector, NormalForm, build_unit_class_table,
-                    cell_of_entries, cell_orbit, cell_representative,
-                    certificate_exponent, normalize, symbol_alphabet,
-                    valuation)
+from .padic import (CoefficientVector, NormalForm, _normalize,
+                    build_unit_class_table, cell_of_entries, cell_orbit,
+                    cell_representative, certificate_exponent,
+                    symbol_alphabet, valuation)
 from .primes import is_prime, prime_divisors, primes_below
 
-DP_MODULUS_CAP = 10**8
+# Most modulus x value-set entries one layer walk may cost.
+WALK_WORK_CAP = 10**10
 _ROOT_SCAN_LIMIT = 3000
-# Memo bound for _value_sets(), one entry per (p, k, coefficient residue).
+# Memo bound for _value_sets(), one entry per (p, k, coefficient residue),
+# and for _value_count().
 VALUE_SETS_CACHE_SIZE = 4_096
+# Only walks up to this modulus use the memo, which keeps it small.  A
+# larger set (p not dividing k on the walk mod p) is rebuilt: building it
+# costs about as much as walking it.
+VALUE_SETS_MEMO_MODULUS = 128
+# Verdict memo bound; when full, the oldest entry in insertion order goes.
+VERDICT_CACHE_SIZE = 65_536
 
-_VERDICTS: dict[tuple, str] = {}
+# An OrderedDict pops its oldest entry in O(1); next(iter(d)) on a plain
+# dict skips every slot deleted since its last resize.
+_VERDICTS: OrderedDict[tuple, str] = OrderedDict()
 
 
 @dataclass(frozen=True)
@@ -69,119 +88,150 @@ def clear_caches() -> None:
     """Drop all memoized verdicts and value tables (mainly for tests)."""
     _VERDICTS.clear()
     _value_sets.cache_clear()
+    _value_count.cache_clear()
+
+
+def _remember(key: tuple, status: str) -> None:
+    if key not in _VERDICTS and len(_VERDICTS) >= VERDICT_CACHE_SIZE:
+        _VERDICTS.popitem(last=False)
+    _VERDICTS[key] = status
 
 
 def load_verdicts(items: dict[tuple, str]) -> None:
-    _VERDICTS.update(items)
+    for key, status in items.items():
+        _remember(key, status)
 
 
 def dump_verdicts() -> dict[tuple, str]:
     return dict(_VERDICTS)
 
 
-# --- congruence dynamic program ---------------------------------------------
+# --- the walk on one layer --------------------------------------------------
 
 
 @lru_cache(maxsize=VALUE_SETS_CACHE_SIZE)
-def _value_sets(p: int, k: int, m_star: int, a_mod: int):
-    """Values a*t^k mod p^m_star, split by whether t is a unit.
+def _value_sets(p: int, k: int, level: int, c: int):
+    """Values c*t^k mod p^level, split by whether t is a unit.
 
     Returns (unit, nonunit, all) dicts mapping each attainable value to
-    the smallest t attaining it, for witness recovery.
+    a t attaining it, for witness recovery.
     """
-    modulus = p**m_star
+    modulus = p**level
     unit_vals: dict[int, int] = {}
     nonunit_vals: dict[int, int] = {}
-    all_vals: dict[int, int] = {}
     for t in range(modulus):
-        val = a_mod * pow(t, k, modulus) % modulus
-        bucket = nonunit_vals if t % p == 0 else unit_vals
-        if val not in bucket:
-            bucket[val] = t
-        if val not in all_vals:
-            all_vals[val] = t
-    return unit_vals, nonunit_vals, all_vals
+        val = c * pow(t, k, modulus) % modulus
+        (nonunit_vals if t % p == 0 else unit_vals).setdefault(val, t)
+    return unit_vals, nonunit_vals, nonunit_vals | unit_vals
 
 
-def _rotate(bits: int, shift: int, size: int, mask: int) -> int:
-    if bits == 0 or shift == 0:
-        return bits
-    return ((bits << shift) | (bits >> (size - shift))) & mask
+def _unit_power_count(p: int, k: int, c: int) -> int:
+    """Number of k-th powers among the units mod p^c, c >= 1."""
+    order = p**(c - 1) * (p - 1)
+    if p == 2 and c >= 3:  # the units mod 2^c are C_2 x C_(2^(c-2))
+        return order // (gcd(k, 2) * gcd(k, 2**(c - 2)))
+    return order // gcd(k, order)
+
+
+@lru_cache(maxsize=VALUE_SETS_CACHE_SIZE)
+def _value_count(p: int, k: int, room: int) -> int:
+    """len(_value_sets(p, k, level, c)[2]) without building it.
+
+    With c = p^s * unit and room = level - s the values are t^k mod
+    p^room up to a unit: zero, and for each j with jk < room the k-th
+    powers of units mod p^(room-jk), times p^(jk).
+    """
+    return 1 + sum(_unit_power_count(p, k, room - j * k)
+                   for j in range((room - 1) // k + 1))
 
 
 def _shift_union(bits: int, values, size: int, mask: int) -> int:
+    """Union of the cyclic rotations of a size-bit set by each value.
+
+    Rotating by v is taking bits [size, 2*size) of (bits twice over) << v,
+    so the shifts are OR-ed first and cut out once.
+    """
+    if not bits:
+        return 0
+    doubled = bits | bits << size
     out = 0
     for v in values:
-        out |= _rotate(bits, v, size, mask)
-    return out
+        out |= doubled << v
+    return out >> size & mask
 
 
-def _decide_dp(nf: NormalForm, want_witness: bool):
-    """Exact decision mod p^m_star with a used-a-unit flag.
+def _walk(p: int, k: int, level: int, coeffs, layer, want_witness: bool):
+    """Zero mod p^level of sum c_i y_i^k with a unit y_j, j in layer.
 
-    State: bitsets over Z/p^m_star of attainable partial sums, one for
-    "some coordinate so far is a unit" and one for "none is".  Accepting
-    means 0 is attainable with a unit used; the witness walks stored
-    per-step states backwards through exemplar tables.
+    State: bitsets over Z/p^level of attainable partial sums, one for
+    "a layer unit has been used" and one for "not yet".  Returns
+    (found, y); y is recovered by walking the stored states backwards.
     """
-    p, k = nf.p, nf.k
-    m_star = nf.certificate_exponent
-    modulus = p**m_star
-    if modulus > DP_MODULUS_CAP:
+    q = p**level
+    steps = [(i, c % q) for i, c in enumerate(coeffs) if c % q]
+    work = q * sum(_value_count(p, k, level - valuation(c, p))
+                   for _, c in steps)
+    if work > WALK_WORK_CAP:
         raise ResourceBound(
-            f"dp route needs bitsets of {modulus} bits", required=modulus)
-    mask = (1 << modulus) - 1
-    coeffs = [a % modulus for a in nf.reduced_entries]
-    tables = [_value_sets(p, k, m_star, a) for a in coeffs]
-    with_unit, without_unit = 0, 1
+            f"walk mod {p}^{level} needs about {work} bit operations",
+            required=work)
+    mask = (1 << q) - 1
+    memo = q <= VALUE_SETS_MEMO_MODULUS
+    sets = _value_sets if memo else _value_sets.__wrapped__
+    tables = [sets(p, k, level, c) for _, c in steps]
+    used, unused = 0, 1
     history = []
-    for unit_vals, nonunit_vals, all_vals in tables:
-        history.append((with_unit, without_unit))
-        nxt_with = (_shift_union(with_unit, all_vals, modulus, mask)
-                    | _shift_union(without_unit, unit_vals, modulus, mask))
-        nxt_without = _shift_union(without_unit, nonunit_vals, modulus, mask)
-        with_unit, without_unit = nxt_with, nxt_without
-    if not with_unit & 1:
+    for (i, _), (unit, nonunit, every) in zip(steps, tables):
+        history.append((used, unused))
+        if i in layer:
+            used, unused = (_shift_union(used, every, q, mask)
+                            | _shift_union(unused, unit, q, mask),
+                            _shift_union(unused, nonunit, q, mask))
+        else:
+            used, unused = (_shift_union(used, every, q, mask),
+                            _shift_union(unused, every, q, mask))
+    if not used & 1:
         return False, None
     if not want_witness:
         return True, None
-    witness = [0] * len(coeffs)
-    target = 0
-    in_unit_register = True
-    for i in range(len(coeffs) - 1, -1, -1):
-        unit_vals, nonunit_vals, all_vals = tables[i]
-        prev_with, prev_without = history[i]
-        moved = False
-        if in_unit_register:
-            for val, t in all_vals.items():
-                if (prev_with >> ((target - val) % modulus)) & 1:
-                    witness[i] = t
-                    target = (target - val) % modulus
-                    moved = True
-                    break
-            if not moved:
-                for val, t in unit_vals.items():
-                    if (prev_without >> ((target - val) % modulus)) & 1:
-                        witness[i] = t
-                        target = (target - val) % modulus
-                        in_unit_register = False
-                        moved = True
-                        break
+    y = [0] * len(coeffs)
+    target, flag = 0, True
+    for (i, _), (unit, nonunit, every), (prev_used, prev_unused) in zip(
+            reversed(steps), reversed(tables), reversed(history)):
+        if i not in layer:
+            options = ((every, prev_used if flag else prev_unused, flag),)
+        elif flag:
+            options = ((every, prev_used, True), (unit, prev_unused, False))
         else:
-            for val, t in nonunit_vals.items():
-                if (prev_without >> ((target - val) % modulus)) & 1:
-                    witness[i] = t
-                    target = (target - val) % modulus
-                    moved = True
-                    break
-        if not moved:
-            raise PreconditionViolated("dp witness walk lost its trail")
-    if in_unit_register or target != 0:
-        raise PreconditionViolated("dp witness walk ended off the start state")
-    return True, tuple(witness)
+            options = ((nonunit, prev_unused, False),)
+        y[i], target, flag = next(
+            (t, (target - v) % q, f) for values, prev, f in options
+            for v, t in values.items() if prev >> ((target - v) % q) & 1)
+    if flag or target:
+        raise PreconditionViolated("walk witness ended off the start state")
+    return True, y
 
 
-# --- scaled route for gcd(p, k) = 1 -----------------------------------------
+def _lift(p: int, k: int, tau: int, level: int, coeffs, y, lead: int):
+    """Newton-lift y[lead] until sum c_i y_i^k = 0 mod p^level.
+
+    The derivative k*c_lead*y_lead^(k-1) has valuation tau and the
+    residual starts at valuation at least 2*tau + 1, so each step
+    divides both by p^tau before inverting.
+    """
+    q = p**(level + tau)
+    target = p**level
+    for _ in range(level + 2):
+        g = sum(c * pow(t, k, q) for c, t in zip(coeffs, y)) % q
+        if g % target == 0:
+            return y
+        d = k * coeffs[lead] * pow(y[lead], k - 1, q) % q
+        step = (g // p**tau) * pow(d // p**tau, -1, target)
+        y[lead] = (y[lead] - step) % target
+    raise PreconditionViolated("witness lift failed to converge")
+
+
+# --- shortcuts for gcd(p, k) = 1 ---------------------------------------------
 
 
 def _kth_root_mod(value: int, k: int, p: int) -> int:
@@ -235,52 +285,12 @@ def _group_curve_solution(p: int, k: int, members):
     raise PreconditionViolated("guaranteed curve point not found")
 
 
-def _group_subset_solution(p: int, k: int, members):
-    """Exact all-unit subset-sum walk mod p with witness recovery."""
-    mask = (1 << p) - 1
-    tables = []
-    for _, u in members:
-        um = u % p
-        vals: dict[int, int] = {}
-        for y in range(1, p):
-            v = um * pow(y, k, p) % p
-            if v not in vals:
-                vals[v] = y
-        tables.append(vals)
-    reach = 0
-    history = []
-    for vals in tables:
-        history.append(reach)
-        nxt = reach
-        for v in vals:
-            nxt |= _rotate(reach, v, p, mask) | (1 << v)
-        reach = nxt
-    if not reach & 1:
-        return None
-    solution: dict[int, int] = {}
-    target = 0
-    for i in range(len(members) - 1, -1, -1):
-        prev, vals = history[i], tables[i]
-        if (prev >> target) & 1:
-            continue
-        if target in vals:
-            solution[members[i][0]] = vals[target]
-            return solution
-        for v, y in vals.items():
-            if (prev >> ((target - v) % p)) & 1:
-                solution[members[i][0]] = y
-                target = (target - v) % p
-                break
-        else:
-            raise PreconditionViolated("subset walk lost its trail")
-    raise PreconditionViolated("subset walk ended without a first element")
+def _shortcut(p: int, k: int, members, want_witness: bool):
+    """Decide an all-unit layer mod p without a walk, or return None.
 
-
-def _group_solution(p: int, k: int, members, want_witness: bool):
-    """All-unit zero mod p of sum u_i y_i^k over a nonempty subset.
-
-    Returns (soluble, zero), the zero as {index: y} only when a witness
-    is wanted: k-th roots are taken just to build one.
+    members are the (index, unit) pairs of the layer.  Returns
+    (soluble, zero), the zero as {index: y} only when a witness is
+    wanted: k-th roots are taken just to build one.
     """
     if len(members) < 2:
         return False, None
@@ -292,58 +302,49 @@ def _group_solution(p: int, k: int, members, want_witness: bool):
         return True, {idx_s: _kth_root_mod(w, k, p), idx_t: 1}
     if len(members) == 2:
         return False, None
-    d = gcd(k, p - 1)
-    if p > _ROOT_SCAN_LIMIT and _curve_count_decisive(p, d):
+    if p > _ROOT_SCAN_LIMIT and _curve_count_decisive(p, gcd(k, p - 1)):
         if not want_witness:
             return True, None
         return True, _group_curve_solution(p, k, members)
-    solution = _group_subset_solution(p, k, members)
-    return solution is not None, solution
+    return None
 
 
-def _refine_group_witness(nf: NormalForm, solution: dict[int, int]):
-    """Newton-polish one coordinate so the group sum vanishes mod p^m."""
+# --- layer by layer ---------------------------------------------------------
+
+
+def _decide_layers(nf: NormalForm, want_witness: bool, shortcuts: bool):
+    """Test the layers G_r in increasing r (see the module docstring).
+
+    A witness is the zero y of the first soluble layer, lifted until
+    G_r(y) = 0 mod p^(m*-r) and mapped back to x with F(x) = p^r G_r(y).
+    """
     p, k = nf.p, nf.k
-    m_star = nf.certificate_exponent
-    modulus = p**m_star
-    idxs = sorted(solution)
-    units = {}
-    for i in idxs:
-        e = valuation(nf.reduced_entries[i], p)
-        units[i] = nf.reduced_entries[i] // p**e
-    lead = idxs[0]
-    y = {i: solution[i] % modulus for i in idxs}
-
-    def group_sum():
-        return sum(units[i] * pow(y[i], k, modulus) for i in idxs) % modulus
-
-    for _ in range(m_star + 4):
-        val = group_sum()
-        if val == 0:
-            break
-        deriv = k * units[lead] * pow(y[lead], k - 1, modulus) % modulus
-        y[lead] = (y[lead] - val * pow(deriv, -1, modulus)) % modulus
-    else:
-        raise PreconditionViolated("witness refinement failed to converge")
-    witness = [0] * (nf.source.n + 1)
-    for i in idxs:
-        witness[i] = y[i]
-    return tuple(witness)
-
-
-def _decide_scaled(nf: NormalForm, want_witness: bool):
-    p = nf.p
-    k = nf.k
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for i, a in enumerate(nf.reduced_entries):
-        e = valuation(a, p)
-        groups.setdefault(e, []).append((i, a // p**e))
-    for e in sorted(groups):
-        soluble, solution = _group_solution(p, k, groups[e], want_witness)
-        if soluble:
-            if not want_witness:
-                return True, None
-            return True, _refine_group_witness(nf, solution)
+    tau = valuation(k, p) if k % p == 0 else 0
+    exps = [valuation(a, p) for a in nf.reduced_entries]
+    units = [a // p**e for a, e in zip(nf.reduced_entries, exps)]
+    for r in sorted(set(exps)):
+        coeffs = [u * p**(e - r if e >= r else e - r + k)
+                  for e, u in zip(exps, units)]
+        layer = [i for i, e in enumerate(exps) if e == r]
+        decided = None
+        if shortcuts:
+            decided = _shortcut(p, k, [(i, units[i]) for i in layer],
+                                want_witness)
+        if decided is None:
+            soluble, y = _walk(p, k, 2 * tau + 1, coeffs, set(layer),
+                               want_witness)
+        else:
+            soluble, zero = decided
+            y = zero and [zero.get(i, 0) for i in range(len(exps))]
+        if not soluble:
+            continue
+        if not want_witness:
+            return True, None
+        lead = next(i for i in layer if y[i] % p)
+        m_star = nf.certificate_exponent
+        y = _lift(p, k, tau, m_star - r, coeffs, y, lead)
+        return True, tuple((t if e >= r else p * t) % p**m_star
+                           for e, t in zip(exps, y))
     return False, None
 
 
@@ -380,20 +381,17 @@ def decide_qp(a: CoefficientVector, p: int, *, route: str = "auto",
         chosen = "scale" if gcd(p, a.k) == 1 else "dp"
     if chosen == "scale" and gcd(p, a.k) != 1:
         raise PreconditionViolated("scale route requires gcd(p, k) = 1")
-    nf = normalize(a, p)
+    nf = _normalize(a, p)
     key = (p, a.k, nf.signature)
     cached = _VERDICTS.get(key) if use_cache else None
     if cached is not None and (cached == "insoluble" or not with_witness):
         return SolubilityVerdict(
             place=p, status=cached, witness_form=nf.reduced_entries,
             certificate_level=nf.certificate_exponent, route="cache")
-    if chosen == "dp":
-        soluble, witness = _decide_dp(nf, with_witness)
-    else:
-        soluble, witness = _decide_scaled(nf, with_witness)
+    soluble, witness = _decide_layers(nf, with_witness, chosen == "scale")
     status = "soluble" if soluble else "insoluble"
     if use_cache:
-        _VERDICTS[key] = status
+        _remember(key, status)
     if witness is not None:
         _check_witness(nf, witness)
     return SolubilityVerdict(

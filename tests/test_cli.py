@@ -21,16 +21,18 @@ def test_decide_insoluble_at_two(capsys):
 
 
 def test_decide_soluble_with_checkable_witness(capsys):
-    code, out, _ = run(capsys, "decide", "-k", "2", "-p", "2",
-                       "--format", "json", "1", "1", "3")
-    assert code == 0
-    rec = json.loads(out)
-    assert rec["status"] == "soluble"
-    level = rec["certificate_level"]
-    total = sum(a * w**2 for a, w in zip(rec["witness_form"],
-                                         rec["witness"]))
-    assert total % 2**level == 0
-    assert any(w % 2 for w in rec["witness"])
+    for k, p, coefficients in ((2, 2, ("1", "1", "3")),
+                               (5, 5, ("1", "2", "3", "4", "6"))):
+        code, out, _ = run(capsys, "decide", "-k", str(k), "-p", str(p),
+                           "--format", "json", *coefficients)
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["status"] == "soluble"
+        level = rec["certificate_level"]
+        total = sum(a * w**k for a, w in zip(rec["witness_form"],
+                                             rec["witness"]))
+        assert total % p**level == 0
+        assert any(w % p for w in rec["witness"])
 
 
 def test_decide_no_witness_flag(capsys):

@@ -1,9 +1,10 @@
 from random import Random
+from time import perf_counter
 
 import pytest
 
-from locsol.errors import (DegenerateInput, PreconditionViolated,
-                           ResourceBound)
+from locsol.errors import (DegenerateInput, OracleOverflow,
+                           PreconditionViolated, ResourceBound)
 from locsol.oracle import decide_by_lifting
 from locsol.padic import CoefficientVector, classify_type, normalize
 from locsol.solubility import (clear_caches, decide_everywhere_local,
@@ -39,7 +40,10 @@ def test_catalogue_spot_checks():
 def test_witnesses_satisfy_their_certificates():
     cases = [((1, 5, 2), 2, 2), ((1, 1, 3), 2, 2), ((1, 1, 1), 3, 3),
              ((1, -4, 10), 2, 5), ((3, 5, 7, 11), 2, 7),
-             ((1, 1, 1), 2, 3079), ((2, 9, 6, 12), 3, 3)]
+             ((1, 1, 1), 2, 3079), ((2, 9, 6, 12), 3, 3),
+             # quintic and septic forms at p = k, walked mod p^3
+             ((1, 2, 3, 4, 6), 5, 5), ((1, 1, 2, 3, 7), 5, 5),
+             ((1, 2, 3, 4, 5, 6), 7, 7), ((1, 1, 2, 3, 4), 7, 7)]
     for entries, k, p in cases:
         verdict = decide_qp(vec(entries, k), p, with_witness=True)
         assert verdict.is_soluble
@@ -84,11 +88,55 @@ def test_no_kth_root_without_a_witness(monkeypatch):
         check_witness(verdict, q, k)
 
 
-def test_memo_caches_are_bounded():
+def test_memo_caches_are_bounded(monkeypatch):
+    from locsol import solubility
     from locsol.primes import factor
-    from locsol.solubility import _value_sets
+    from locsol.solubility import _value_count, _value_sets, load_verdicts
     assert factor.cache_info().maxsize is not None
     assert _value_sets.cache_info().maxsize is not None
+    assert _value_count.cache_info().maxsize is not None
+    clear_caches()
+    bound = solubility.VERDICT_CACHE_SIZE
+    load_verdicts({(2, 2, ((0, i),)): "soluble" for i in range(bound + 10)})
+    stored = dump_verdicts()
+    assert len(stored) == bound
+    assert (2, 2, ((0, 0),)) not in stored          # oldest went first
+    assert (2, 2, ((0, bound + 9),)) in stored
+    monkeypatch.setattr(solubility, "VERDICT_CACHE_SIZE", 3)
+    clear_caches()
+    for entries in ((1, 1, 1), (1, 1, 3), (1, 5, 2), (1, 2, 3), (1, 3, 7)):
+        decide_qp(vec(entries), 2)
+        assert len(dump_verdicts()) <= 3
+    assert len(dump_verdicts()) == 3
+    clear_caches()
+    # a walk mod 673 (above VALUE_SETS_MEMO_MODULUS) rebuilds its sets
+    decide_qp(vec((1, 1, 1)), 673, route="dp", use_cache=False)
+    assert _value_sets.cache_info().currsize == 0
+    decide_qp(vec((1, 1, 1)), 2, route="dp", use_cache=False)
+    assert _value_sets.cache_info().currsize > 0
+
+
+def test_primality_checked_once_per_decision(monkeypatch):
+    from locsol import padic, solubility
+    from locsol.primes import is_prime
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return is_prime(p)
+
+    cases = [((1, 1, 1), 2, 2), ((1, 2, 3), 2, 5), ((1, 2, 4), 3, 3),
+             ((3, 5, 7, 11), 2, 7)]
+    for entries, k, p in cases:              # build the class tables first
+        decide_qp(vec(entries, k), p, use_cache=False)
+    monkeypatch.setattr(solubility, "is_prime", counting)
+    monkeypatch.setattr(padic, "is_prime", counting)
+    for entries, k, p in cases:
+        calls.clear()
+        decide_qp(vec(entries, k), p, with_witness=True, use_cache=False)
+        assert calls == [p], (entries, k, p)
+    with pytest.raises(PreconditionViolated):
+        normalize(vec((1, 1, 1)), 9)
 
 
 def test_trivial_zero_coefficient():
@@ -106,8 +154,31 @@ def test_route_validation():
         decide_qp(vec((1, 1, 1)), 2, route="nonsense")
     with pytest.raises(PreconditionViolated):
         decide_qp(vec((1, 1, 1)), 6)
-    with pytest.raises(ResourceBound):
-        decide_qp(vec((1, 1, 1)), 673, route="dp", use_cache=False)
+    # the walk at p not dividing k is mod p, so p = 673 is now cheap; a
+    # walk mod 100,003 is refused from its work estimate before any work
+    from locsol.solubility import WALK_WORK_CAP
+    start = perf_counter()
+    with pytest.raises(ResourceBound) as info:
+        decide_qp(vec((1, 1, 1)), 100_003, route="dp", use_cache=False)
+    assert perf_counter() - start < 1.0
+    assert info.value.required > WALK_WORK_CAP
+    assert decide_qp(vec((1, 1, 1)), 673, route="dp",
+                     use_cache=False).is_soluble
+
+
+def test_walk_work_estimate_counts_value_sets():
+    from locsol.padic import valuation
+    from locsol.solubility import _value_count, _value_sets
+    for p in (2, 3, 5, 7):
+        for k in range(2, 10):
+            for level in (1, 3, 5, 7):
+                if p**level > 3000:
+                    continue
+                for c in (1, p, p * p, 2 if p == 3 else 3):
+                    if c % p**level:
+                        room = level - valuation(c, p)
+                        assert (_value_count(p, k, room)
+                                == len(_value_sets(p, k, level, c)[2]))
 
 
 def test_routes_agree_randomized():
@@ -269,6 +340,22 @@ def test_everywhere_local_matches_oracle_on_small_vectors():
             if v.place == "real":
                 continue
             assert decide_by_lifting(entries, k, v.place) == v.is_soluble
+    # p | k beyond the catalogued cubics: quartics at 2, quintics at 5
+    for k, p in ((4, 2), (5, 5)):
+        checked = 0
+        while checked < 25:
+            entries = tuple(rng.choice((-1, 1)) * p**rng.choice((0, 0, 1))
+                            * rng.randint(1, 9) for _ in range(3))
+            try:
+                reference = decide_by_lifting(entries, k, p)
+            except OracleOverflow:
+                continue
+            verdict = decide_qp(vec(entries, k), p, with_witness=True,
+                                use_cache=False)
+            assert verdict.is_soluble == reference, (entries, k, p)
+            if reference:
+                check_witness(verdict, p, k)
+            checked += 1
 
 
 def test_verify_classification_requires_known_regime():
