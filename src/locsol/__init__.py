@@ -7,7 +7,7 @@ densities over all places.  Everything numeric is exact rational
 arithmetic; floating point appears only in rendered output.
 """
 
-from .density import (Density, generic_sum, kappa, rho_infinity,
+from .density import (Density, generic_sum, kappa, rho_infinity, rho_p,
                       rho_p_closed_form, rho_p_exact)
 from .errors import (CacheCorrupt, ClassificationMismatch, DegenerateInput,
                      DivergentTail, LocsolError, OracleOverflow,
@@ -35,6 +35,6 @@ __all__ = [
     "classify_type", "convergence_sweep", "decide_everywhere_local",
     "decide_qp", "decide_real", "decimalize", "generic_sum", "kappa",
     "normalize", "relevant_primes", "rho_infinity", "rho_loc_interval",
-    "rho_p_closed_form", "rho_p_exact", "survey_box", "tail_hypothesis",
-    "valuation", "verify_classification",
+    "rho_p", "rho_p_closed_form", "rho_p_exact", "survey_box",
+    "tail_hypothesis", "valuation", "verify_classification",
 ]

@@ -16,12 +16,12 @@ import sys
 
 from . import cache as cache_mod
 from . import solubility
-from .density import generic_sum, rho_infinity, rho_p_closed_form, rho_p_exact
-from .errors import LocsolError, UnsupportedPair
+from .density import (generic_sum, rho_infinity, rho_p, rho_p_closed_form,
+                      rho_p_exact)
+from .errors import LocsolError
 from .padic import CoefficientVector, classify_type, normalize
 from .product import decimalize, rho_loc_interval
-from .solubility import (decide_everywhere_local, decide_qp, decide_real,
-                         relevant_primes)
+from .solubility import decide_everywhere_local, decide_qp, decide_real
 from .survey import convergence_sweep, survey_box, write_csv
 from .verification import run_suite
 
@@ -64,7 +64,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rho.add_argument("--loc", action="store_true",
                        help="certified enclosure of the all-places product")
     p_rho.add_argument("--route", default="auto",
-                       choices=("auto", "closed", "enum", "generic"))
+                       choices=("auto", "closed", "enum", "generic"),
+                       help="auto: the closed form for k = 2, 3 (n >= 2), "
+                            "else the generic sum away from pathological "
+                            "primes, else enumeration")
     p_rho.add_argument("--cutoff", type=int, default=10**4,
                        help="prime cutoff for --loc (default 10000)")
     p_rho.add_argument("--digits", type=int, default=6,
@@ -174,18 +177,8 @@ def _cmd_decide(args, store) -> int:
     return 0 if report.overall else 1
 
 
-def _density_for(args):
-    n, k, p = args.n, args.k, args.p
-    if args.route == "closed":
-        return rho_p_closed_form(n, k, p)
-    if args.route == "enum":
-        return rho_p_exact(n, k, p)
-    if args.route == "generic":
-        return generic_sum(n, k, p)
-    try:
-        return rho_p_closed_form(n, k, p)
-    except UnsupportedPair:
-        return rho_p_exact(n, k, p)
+_DENSITY_ROUTES = {"auto": rho_p, "closed": rho_p_closed_form,
+                   "enum": rho_p_exact, "generic": generic_sum}
 
 
 def _cmd_rho(args, store) -> int:
@@ -209,7 +202,7 @@ def _cmd_rho(args, store) -> int:
     if args.infinity:
         dens = rho_infinity(args.n, args.k)
     elif args.p is not None:
-        dens = _density_for(args)
+        dens = _DENSITY_ROUTES[args.route](args.n, args.k, args.p)
     else:
         print("rho needs one of -p, --infinity, --loc", file=sys.stderr)
         return USAGE_EXIT

@@ -8,23 +8,27 @@ k, unit class) symbol, so the density is a finite exact sum of cell
 measures, and for small (n, k) it collapses to published closed forms.
 
 Three routes are exposed and cross-checked by tests: direct cell
-enumeration, the closed forms, and a symmetric generic sum valid away
-from finitely many pathological primes.
+enumeration, the closed forms, and a symmetric generic sum.  rho_p is
+the one dispatcher between them, in a fixed order: the recorded closed
+form when k is 2 or 3 and n >= 2 (at every p, p | k included); else the
+generic sum when p is not pathological for k (solubility.is_pathological,
+where the sum is exact); else enumeration.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import comb, factorial, gcd
 
 from .errors import (DegenerateInput, PreconditionViolated, ResourceBound,
                      UnsupportedPair)
-from .padic import (CoefficientVector, build_unit_class_table,
-                    cell_representative, symbol_alphabet)
+from .padic import (CoefficientVector, all_cells, build_unit_class_table,
+                    cell_representative)
 from .primes import is_prime
-from .solubility import decide_qp
+from .solubility import decide_qp, is_pathological
 
 ENUMERATION_CELL_CAP = 10**7
 
@@ -50,11 +54,13 @@ class Density:
         }
 
 
-def _validate(n: int, k: int) -> None:
+def _validate(n: int, k: int, p: int | None = None) -> None:
     if n < 1:
         raise DegenerateInput(f"need n >= 1, got {n}")
     if k < 2:
         raise DegenerateInput(f"need k >= 2, got {k}")
+    if p is not None and not is_prime(p):
+        raise PreconditionViolated(f"not a prime: {p}")
 
 
 def kappa(n: int, k: int, p: int) -> Fraction:
@@ -68,40 +74,33 @@ def power_ratio(p: int, k: int) -> Fraction:
     return Fraction((p - 1) * p**(k - 1), p**k - 1)
 
 
-def symbol_measure(p: int, k: int, exponent: int) -> Fraction:
-    """Mass of one (exponent, class) symbol; uniform across classes."""
-    table = build_unit_class_table(p, k)
-    return power_ratio(p, k) / (table.class_count * p**exponent)
-
-
 def cell_measure(cell: tuple[tuple[int, int], ...], p: int, k: int
                  ) -> Fraction:
-    """Mass of the multiset cell: multinomial times symbol masses."""
-    counts: dict[tuple[int, int], int] = {}
-    for symbol in cell:
-        counts[symbol] = counts.get(symbol, 0) + 1
+    """Mass of the multiset cell of m = n+1 symbols (e_i, class):
+
+        multinomial * q^m / (d^m * p^(sum e_i)),
+
+    with q = power_ratio(p, k) the conditioned unit mass and d the
+    number of unit classes, each class carrying an equal share.
+    """
     weight = factorial(len(cell))
-    for c in counts.values():
+    for c in Counter(cell).values():
         weight //= factorial(c)
-    mass = Fraction(weight)
-    for e, _ in cell:
-        mass *= symbol_measure(p, k, e)
-    return mass
+    m = len(cell)
+    d = build_unit_class_table(p, k).class_count
+    return Fraction(weight * ((p - 1) * p**(k - 1))**m,
+                    ((p**k - 1) * d)**m * p**sum(e for e, _ in cell))
 
 
-def all_cells(p: int, k: int, n: int):
-    return combinations_with_replacement(symbol_alphabet(p, k), n + 1)
+def rho_p_exact(n: int, k: int, p: int) -> Density:
+    """Density at p by deciding one representative per cell.  Exact.
 
-
-def rho_p_exact(n: int, k: int, p: int, *, cap: int = ENUMERATION_CELL_CAP,
-                use_cache: bool = True) -> Density:
-    """Density at p by deciding one representative per cell.  Exact."""
-    _validate(n, k)
-    if not is_prime(p):
-        raise PreconditionViolated(f"not a prime: {p}")
+    Refuses with ResourceBound past ENUMERATION_CELL_CAP cells.
+    """
+    _validate(n, k, p)
     table = build_unit_class_table(p, k)
     cell_count = comb(k * table.class_count + n, n + 1)
-    if cell_count > cap:
+    if cell_count > ENUMERATION_CELL_CAP:
         raise ResourceBound(
             f"cell enumeration needs {cell_count} cells", required=cell_count)
     total = Fraction(0)
@@ -110,7 +109,7 @@ def rho_p_exact(n: int, k: int, p: int, *, cap: int = ENUMERATION_CELL_CAP,
         mass = cell_measure(cell, p, k)
         total += mass
         vec = CoefficientVector(cell_representative(cell, p, k), k)
-        if decide_qp(vec, p, use_cache=use_cache).is_soluble:
+        if decide_qp(vec, p).is_soluble:
             soluble += mass
     if total != 1:
         raise PreconditionViolated("cell masses failed to sum to 1")
@@ -119,9 +118,7 @@ def rho_p_exact(n: int, k: int, p: int, *, cap: int = ENUMERATION_CELL_CAP,
 
 def rho_p_closed_form(n: int, k: int, p: int) -> Density:
     """Recorded exact formulas; k in {2, 3} and n >= 2 only."""
-    _validate(n, k)
-    if not is_prime(p):
-        raise PreconditionViolated(f"not a prime: {p}")
+    _validate(n, k, p)
     if n < 2:
         raise UnsupportedPair(f"no recorded formula for n = {n}")
     q = power_ratio(p, k)
@@ -164,35 +161,50 @@ def rho_p_closed_form(n: int, k: int, p: int) -> Density:
     return Density(n=n, k=k, place=p, value=value, route="closed-form")
 
 
-def generic_sum(n: int, k: int, p: int) -> Density:
-    """Symmetric-sum density bound for gcd(p, k) = 1.
+def generic_terms(n: int, k: int):
+    """The (r, w) of each term of the generic sum: for r pairs, every
+    disjoint K (size r) and L (size n+1-2r) in {0, ..., k-1} gives
+    w = 2 wt(K) + wt(L)."""
+    for r in range(max(n - k + 1, 0), min((n + 1) // 2, k) + 1):
+        for pair_exps in combinations(range(k), r):
+            rest = [e for e in range(k) if e not in pair_exps]
+            for single_exps in combinations(rest, n + 1 - 2 * r):
+                yield r, 2 * sum(pair_exps) + sum(single_exps)
 
-    1 - (n+1)! q^(n+1) sum over r of (1/2 - 1/(2d))^r times the sum of
-    p^(-2 wt(K) - wt(L)) over disjoint subsets K (size r) and L (size
-    n+1-2r) of {0, ..., k-1}, with d = gcd(p-1, k).  Equality with the
-    true density holds once p >= (k-1)(k-2) or d = 1; below that it is
-    an upper bound.
+
+def generic_sum(n: int, k: int, p: int) -> Density:
+    """Symmetric-sum density for gcd(p, k) = 1.
+
+    1 - (n+1)! q^(n+1) times the sum over generic_terms of
+    (1/2 - 1/(2d))^r p^-w, with d = gcd(p-1, k): cells with at most two
+    coordinates per valuation, each pair insoluble unless -v/u is a k-th
+    power for its units u, v.  It equals the true density exactly when
+    three units at one valuation always have a zero, i.e. when p is not
+    pathological for k (solubility.is_pathological); at a pathological p
+    it is only an upper bound.
     """
-    _validate(n, k)
-    if not is_prime(p):
-        raise PreconditionViolated(f"not a prime: {p}")
+    _validate(n, k, p)
     if gcd(p, k) != 1:
         raise PreconditionViolated("generic sum requires gcd(p, k) = 1")
     d = gcd(p - 1, k)
     q = power_ratio(p, k)
-    r_lo = max(n - k + 1, 0)
-    r_hi = min((n + 1) // 2, k)
-    total = Fraction(0)
-    for r in range(r_lo, r_hi + 1):
-        inner = Fraction(0)
-        for pair_exps in combinations(range(k), r):
-            rest = [e for e in range(k) if e not in pair_exps]
-            wk = 2 * sum(pair_exps)
-            for single_exps in combinations(rest, n + 1 - 2 * r):
-                inner += Fraction(1, p**(wk + sum(single_exps)))
-        total += Fraction(d - 1, 2 * d)**r * inner
+    pair = Fraction(d - 1, 2 * d)
+    total = sum((pair**r / p**w for r, w in generic_terms(n, k)),
+                Fraction(0))
     value = 1 - factorial(n + 1) * q**(n + 1) * total
     return Density(n=n, k=k, place=p, value=value, route="generic-sum")
+
+
+def rho_p(n: int, k: int, p: int) -> Density:
+    """Exact density at p by the first route that applies, in order:
+    the closed form (k in {2, 3}, n >= 2), the generic sum (p not
+    pathological for k), enumeration."""
+    if k in (2, 3) and n >= 2:
+        return rho_p_closed_form(n, k, p)
+    _validate(n, k, p)
+    if not is_pathological(p, k):
+        return generic_sum(n, k, p)
+    return rho_p_exact(n, k, p)
 
 
 def rho_infinity(n: int, k: int) -> Density:

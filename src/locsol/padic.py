@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import gcd
 
 from .errors import DegenerateInput, PreconditionViolated, ResourceBound
@@ -336,6 +337,11 @@ def classify_type(a: CoefficientVector, p: int) -> str | None:
 def symbol_alphabet(p: int, k: int) -> list[tuple[int, int]]:
     table = build_unit_class_table(p, k)
     return [(e, c) for e in range(k) for c in range(table.class_count)]
+
+
+def all_cells(p: int, k: int, n: int):
+    """Every cell of n+1 symbols, as sorted tuples, in a fixed order."""
+    return combinations_with_replacement(symbol_alphabet(p, k), n + 1)
 
 
 def cell_of_entries(entries: tuple[int, ...], p: int, k: int

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import factorial
 
-from .density import generic_sum, rho_infinity, rho_p_closed_form, rho_p_exact
+from .density import generic_terms, rho_infinity, rho_p
 from .errors import DegenerateInput, DivergentTail, PreconditionViolated
-from .primes import next_prime, prime_divisors, primes_below
+from .primes import next_prime, primes_below
+from .solubility import pathological_primes
 
 
 @dataclass(frozen=True)
@@ -45,24 +46,15 @@ _STORED_TAILS = {
 }
 
 
-def pathological_primes(k: int) -> list[int]:
-    """Primes where the generic density formulas can fail: divisors of k
-    and small primes below (k-1)(k-2) with gcd(p-1, k) > 1."""
-    out = set(prime_divisors(k))
-    for p in primes_below((k - 1) * (k - 2)):
-        if gcd(p - 1, k) > 1:
-            out.add(p)
-    return sorted(out)
-
-
 def tail_hypothesis(n: int, k: int) -> TailBound:
     """A proven coefficient for the tail of the density product.
 
     k in {2, 3} uses constants read off the closed forms.  Other k get a
-    coarse but sound bound from the generic sum, valid from the first
-    prime past both (k-1)(k-2) and k: each term p^-w is split off the
-    minimal weight s and the remainder bounded at p_min, while the
-    class-count factor (1/2 - 1/(2d))^r is bounded by d <= k.
+    coarse but sound bound from the generic sum, which is exact from
+    p_min on, the first prime past the pathological primes of k: each
+    term p^-w is split off the minimal weight s and the remainder
+    bounded at p_min, while the pair factor (1/2 - 1/(2d))^r is bounded
+    by d <= k.
     """
     if n < 2 or k < 2:
         raise DegenerateInput(f"need n >= 2 and k >= 2, got ({n}, {k})")
@@ -76,25 +68,15 @@ def tail_hypothesis(n: int, k: int) -> TailBound:
         if n in (3, 4, 5):
             return _STORED_TAILS[(n, 3)]
         return TailBound(Fraction(0), 2, 2)
-    p_min = next_prime(max((k - 1) * (k - 2), k + 1) - 1)
-    from itertools import combinations
-    from math import factorial
-    weights = []
-    r_lo = max(n - k + 1, 0)
-    r_hi = min((n + 1) // 2, k)
-    for r in range(r_lo, r_hi + 1):
-        for pair_exps in combinations(range(k), r):
-            rest = [e for e in range(k) if e not in pair_exps]
-            for single_exps in combinations(rest, n + 1 - 2 * r):
-                weights.append((r, 2 * sum(pair_exps) + sum(single_exps)))
+    p_min = next_prime(max(pathological_primes(k)))
+    weights = list(generic_terms(n, k))
     if not weights:
         return TailBound(Fraction(0), 2, p_min)
     s = min(w for _, w in weights)
     if s < 2:
         raise DivergentTail(f"tail exponent {s} does not converge")
-    constant = Fraction(0)
-    for r, w in weights:
-        constant += Fraction(k - 1, 2 * k)**r * Fraction(1, p_min**(w - s))
+    constant = sum((Fraction(k - 1, 2 * k)**r / p_min**(w - s)
+                    for r, w in weights), Fraction(0))
     return TailBound(factorial(n + 1) * constant, s, p_min)
 
 
@@ -145,12 +127,11 @@ class CertifiedInterval:
         }
 
 
-def rho_loc_interval(n: int, k: int, cutoff: int = 10**4, *,
-                     use_cache: bool = True) -> CertifiedInterval:
+def rho_loc_interval(n: int, k: int, cutoff: int = 10**4
+                     ) -> CertifiedInterval:
     """Enclose rho_loc(n, k) = rho_infinity * prod_p rho_p exactly.
 
-    Primes below the cutoff contribute exact factors (pathological ones
-    by cell enumeration, the rest by closed form or generic sum); the
+    Primes below the cutoff contribute exact factors from rho_p; the
     tail past the cutoff is bounded by tail_hypothesis.  Requires
     n >= 2; for n = 2 the result is the exact point [0, 0].
     """
@@ -163,8 +144,7 @@ def rho_loc_interval(n: int, k: int, cutoff: int = 10**4, *,
                                  finite_lo=zero, finite_hi=zero,
                                  real_factor=real, tail=None)
     tail = tail_hypothesis(n, k)
-    bad = pathological_primes(k)
-    if cutoff <= max(bad + [tail.p_min, 2]):
+    if cutoff <= max(*pathological_primes(k), tail.p_min, 2):
         raise PreconditionViolated(
             f"cutoff {cutoff} does not clear the pathological primes")
     penalty = tail.constant * Fraction(
@@ -174,12 +154,7 @@ def rho_loc_interval(n: int, k: int, cutoff: int = 10**4, *,
             f"cutoff {cutoff} is too small for the tail constant")
     num, den = 1, 1
     for p in primes_below(cutoff):
-        if p in bad:
-            factor = rho_p_exact(n, k, p, use_cache=use_cache).value
-        elif k in (2, 3):
-            factor = rho_p_closed_form(n, k, p).value
-        else:
-            factor = generic_sum(n, k, p).value
+        factor = rho_p(n, k, p).value
         num *= factor.numerator
         den *= factor.denominator
     finite_hi = Fraction(num, den)

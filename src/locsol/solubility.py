@@ -32,15 +32,13 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from math import gcd
 
 from .errors import (ClassificationMismatch, DegenerateInput,
                      PreconditionViolated, ResourceBound)
-from .padic import (CoefficientVector, NormalForm, _normalize,
+from .padic import (CoefficientVector, NormalForm, _normalize, all_cells,
                     build_unit_class_table, cell_of_entries, cell_orbit,
-                    cell_representative, certificate_exponent,
-                    symbol_alphabet, valuation)
+                    cell_representative, certificate_exponent, valuation)
 from .primes import is_prime, prime_divisors, primes_below
 
 # Most modulus x value-set entries one layer walk may cost.
@@ -415,25 +413,41 @@ def decide_real(a: CoefficientVector) -> SolubilityVerdict:
                              route="sign")
 
 
+def is_pathological(p: int, k: int) -> bool:
+    """Whether three units at one valuation can fail to have a zero at p.
+
+    For p not dividing k the units u, v, w feed the smooth plane curve
+    u X^d + v Y^d + w Z^d, d = gcd(p-1, k), whose d-th power values match
+    the k-th power values exactly.  Once p + 1 > (d-1)(d-2) sqrt(p) the
+    Hasse-Weil bound forces a point, and it lifts through the unit
+    gradient; squaring keeps the comparison exact.  Every p | k counts.
+    """
+    if k % p == 0:
+        return True
+    d = gcd(p - 1, k)
+    genus_twice = (d - 1) * (d - 2)
+    return genus_twice > 0 and (p + 1) ** 2 <= genus_twice**2 * p
+
+
+def pathological_primes(k: int) -> list[int]:
+    """The primes where is_pathological holds, all below ((k-1)(k-2))^2
+    or at most k.  Away from them the generic density sum is exact."""
+    bound = max(((k - 1) * (k - 2)) ** 2, k + 1)
+    return [p for p in primes_below(bound) if is_pathological(p, k)]
+
+
 def relevant_primes(a: CoefficientVector) -> list[int]:
     """Finite places where insolubility is possible (n >= 2, no zeros).
 
-    Outside this set p divides neither k nor any coefficient, so three
-    unit coefficients feed the smooth plane curve u X^d + v Y^d + w Z^d
-    with d = gcd(p-1, k), which matches the k-th power values exactly.
-    Once p + 1 > (d-1)(d-2) sqrt(p) the point-count lower bound forces a
-    zero, and any zero lifts through the unit gradient.  Primes failing
-    that inequality (all below ((k-1)(k-2))^2) stay in the test set.
+    Outside this set p divides no coefficient, so all n+1 >= 3
+    coefficients are units at valuation 0, and p is not pathological
+    for k, so they have a zero (see is_pathological).
     """
     if a.n < 2:
         raise PreconditionViolated("needs at least three coefficients")
     if a.has_zero_entry:
         raise DegenerateInput("zero coefficient present")
-    out = set(prime_divisors(a.k))
-    for p in primes_below(((a.k - 1) * (a.k - 2)) ** 2):
-        genus_twice = (gcd(p - 1, a.k) - 1) * (gcd(p - 1, a.k) - 2)
-        if genus_twice > 0 and (p + 1) ** 2 <= genus_twice**2 * p:
-            out.add(p)
+    out = set(pathological_primes(a.k))
     for x in a.entries:
         out.update(prime_divisors(x))
     return sorted(out)
@@ -512,13 +526,9 @@ class ClassificationReport:
     detail: str
 
 
-def _all_cells(p: int, k: int, n: int):
-    return list(combinations_with_replacement(symbol_alphabet(p, k), n + 1))
-
-
 def _decided_cells(p: int, k: int, n: int) -> dict[tuple, bool]:
     out = {}
-    for cell in _all_cells(p, k, n):
+    for cell in all_cells(p, k, n):
         vec = CoefficientVector(cell_representative(cell, p, k), k)
         out[cell] = decide_qp(vec, p).is_soluble
     return out

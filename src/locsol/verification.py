@@ -22,11 +22,11 @@ from random import Random
 from time import perf_counter
 
 from .cache import CacheStore, load_verdicts
-from .density import (all_cells, cell_measure, generic_sum, kappa,
-                      rho_p_closed_form, rho_p_exact)
+from .density import (cell_measure, generic_sum, kappa, rho_p_closed_form,
+                      rho_p_exact)
 from .errors import CacheCorrupt, ClassificationMismatch, OracleOverflow
 from .oracle import decide_by_lifting
-from .padic import CoefficientVector
+from .padic import CoefficientVector, all_cells
 from .product import decimalize, rho_loc_interval
 from .solubility import decide_qp, verify_classification
 from .survey import survey_box

@@ -89,11 +89,13 @@ def test_rho_enum_route_json(capsys):
 
 
 def test_rho_auto_falls_back_to_enumeration(capsys):
-    # no recorded formula for k = 5: auto should enumerate instead
-    code, out, _ = run(capsys, "rho", "-n", "2", "-k", "5", "-p", "7",
-                       "--format", "json")
-    assert code == 0
-    assert json.loads(out)["route"] == "enumeration"
+    # no recorded formula for k = 5: auto takes the generic sum at p = 7
+    # (gcd(5, 6) = 1) and enumerates at the pathological p = 11
+    for p, route in (("7", "generic-sum"), ("11", "enumeration")):
+        code, out, _ = run(capsys, "rho", "-n", "2", "-k", "5", "-p", p,
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["route"] == route
 
 
 def test_rho_infinity(capsys):

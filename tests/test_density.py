@@ -2,11 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from locsol.density import (all_cells, cell_measure, generic_sum, kappa,
-                            power_ratio, rho_infinity, rho_p_closed_form,
+from locsol.density import (cell_measure, generic_sum, kappa, power_ratio,
+                            rho_infinity, rho_p, rho_p_closed_form,
                             rho_p_exact)
 from locsol.errors import (DegenerateInput, PreconditionViolated,
                            ResourceBound, UnsupportedPair)
+from locsol.padic import all_cells
+from locsol.primes import primes_below
+from locsol.solubility import pathological_primes
 
 F = Fraction
 
@@ -42,6 +45,38 @@ def test_exact_enumeration_reproduces_pathological_values():
         assert d.route == "enumeration"
 
 
+def test_closed_form_at_p_dividing_k_matches_enumeration():
+    # rho_p takes the closed form at p | k too; for n >= 4 it reads 1
+    for k, p in ((3, 3), (2, 2)):
+        for n in (4, 5, 6):
+            assert rho_p_closed_form(n, k, p).value == 1
+            assert rho_p_exact(n, k, p).value == 1, (n, k, p)
+
+
+def test_rho_p_is_exact_at_every_small_prime():
+    # (2,4,13), (2,4,29) and (2,6,31) are where the generic sum is only
+    # an upper bound; an enumeration answer is rho_p_exact by itself
+    for n in (1, 2):
+        for k in (4, 6):
+            for p in primes_below(32):
+                got = rho_p(n, k, p)
+                if p in pathological_primes(k):
+                    assert got.route == "enumeration", (n, k, p)
+                else:
+                    assert got.value == rho_p_exact(n, k, p).value, \
+                        (n, k, p)
+
+
+def test_rho_p_route_order():
+    assert rho_p(2, 3, 3).route == "closed-form"
+    assert rho_p(4, 2, 2).route == "closed-form"
+    assert rho_p(3, 4, 7).route == "generic-sum"
+    assert rho_p(1, 2, 3).route == "generic-sum"
+    assert rho_p(1, 2, 2).route == "enumeration"
+    with pytest.raises(PreconditionViolated):
+        rho_p(2, 4, 9)
+
+
 def test_saturated_dimensions_give_one():
     assert rho_p_closed_form(4, 2, 5).value == 1
     assert rho_p_closed_form(7, 2, 3).value == 1
@@ -59,11 +94,13 @@ def test_three_routes_agree_on_small_grid():
 
 
 def test_generic_sum_dominates_below_threshold():
-    # p = 3 < (k-1)(k-2) for k = 4: only an upper bound there
-    exact = rho_p_exact(3, 4, 3).value
-    generic = generic_sum(3, 4, 3).value
-    assert generic >= exact
-    # past the threshold the sum is exact again
+    # p = 13 is pathological for k = 4 (x^4 + y^4 + 2z^4 has no zero
+    # there): the sum is only an upper bound, and a strict one
+    exact = rho_p_exact(3, 4, 13).value
+    generic = generic_sum(3, 4, 13).value
+    assert generic > exact
+    # at p = 3 (d = 2) and p = 7 (d = 2) the sum is exact
+    assert generic_sum(3, 4, 3).value == rho_p_exact(3, 4, 3).value
     assert generic_sum(3, 4, 7).value == rho_p_exact(3, 4, 7).value
 
 

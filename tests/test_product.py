@@ -7,8 +7,8 @@ from locsol.errors import (DegenerateInput, DivergentTail,
                            PreconditionViolated)
 from locsol.primes import primes_below
 from locsol.product import (CertifiedInterval, TailBound, decimalize,
-                            pathological_primes, rho_loc_interval,
-                            tail_hypothesis)
+                            rho_loc_interval, tail_hypothesis)
+from locsol.solubility import pathological_primes
 
 F = Fraction
 
@@ -38,14 +38,17 @@ def test_tail_constants_audit_against_closed_forms():
 
 
 def test_generic_tail_for_quartics():
+    # the generic sum is exact only past 29, the last pathological prime
     tail = tail_hypothesis(3, 4)
     assert tail.exponent == 2
-    assert tail.p_min == 7
+    assert tail.p_min == 31
     assert 1 < tail.constant < 40
     tail = tail_hypothesis(4, 4)
     assert tail.exponent == 4
-    assert tail.p_min == 7
+    assert tail.p_min == 31
     assert tail.constant > 0
+    for n in (3, 4):
+        assert tail_hypothesis(n, 4).p_min > max(pathological_primes(4))
 
 
 def test_divergent_plane_case():
@@ -60,8 +63,14 @@ def test_divergent_plane_case():
 def test_pathological_primes():
     assert pathological_primes(2) == [2]
     assert pathological_primes(3) == [3]
-    assert pathological_primes(4) == [2, 3, 5]
-    assert pathological_primes(6) == [2, 3, 5, 7, 11, 13, 17, 19]
+    # k = 4: p | k and the p = 1 mod 4 with (p+1)^2 <= 36p; 13 is one
+    # (x^4 + y^4 + 2z^4 has no zero mod 13)
+    assert pathological_primes(4) == [2, 5, 13, 17, 29]
+    # k = 6: 2, 3 and the p = 1 mod 3 with (p+1)^2 <= 400p, up to 397
+    six = pathological_primes(6)
+    assert six[:2] == [2, 3] and six[-1] == 397
+    assert all(p % 3 == 1 for p in six[2:])
+    assert 31 in six and 5 not in six
 
 
 def test_interval_nesting_and_positivity():

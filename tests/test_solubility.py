@@ -9,7 +9,8 @@ from locsol.oracle import decide_by_lifting
 from locsol.padic import CoefficientVector, classify_type, normalize
 from locsol.solubility import (clear_caches, decide_everywhere_local,
                                decide_qp, decide_real, dump_verdicts,
-                               relevant_primes, verify_classification)
+                               pathological_primes, relevant_primes,
+                               verify_classification)
 
 
 def vec(entries, k=2):
@@ -291,6 +292,14 @@ def test_relevant_primes_worked_examples():
         relevant_primes(vec((1, 2)))
     with pytest.raises(DegenerateInput):
         relevant_primes(vec((1, 0, 2)))
+
+
+def test_quartic_obstruction_at_thirteen():
+    # fourth powers mod 13 are {0, 1, 3, 9}, and no a + b + 2c with a, b,
+    # c among them vanishes unless all three do: x^4 + y^4 + 2z^4 has no
+    # nontrivial zero over Q_13, which p < (k-1)(k-2) would miss
+    assert decide_qp(vec((1, 1, 2), 4), 13).status == "insoluble"
+    assert 13 in pathological_primes(4)
 
 
 def test_relevant_primes_complete_against_scan():
