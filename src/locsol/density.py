@@ -28,7 +28,7 @@ from .errors import (DegenerateInput, PreconditionViolated, ResourceBound,
 from .padic import (CoefficientVector, all_cells, build_unit_class_table,
                     cell_representative)
 from .primes import is_prime
-from .solubility import decide_qp, is_pathological
+from .solubility import _decide_qp, is_pathological
 
 ENUMERATION_CELL_CAP = 10**7
 
@@ -109,7 +109,7 @@ def rho_p_exact(n: int, k: int, p: int) -> Density:
         mass = cell_measure(cell, p, k)
         total += mass
         vec = CoefficientVector(cell_representative(cell, p, k), k)
-        if decide_qp(vec, p).is_soluble:
+        if _decide_qp(vec, p).is_soluble:
             soluble += mass
     if total != 1:
         raise PreconditionViolated("cell masses failed to sum to 1")

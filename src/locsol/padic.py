@@ -3,16 +3,25 @@
 Over Z_p a nonzero coefficient splits as p^e * u with u a unit, and
 whether sum a_i x_i^k = 0 has a nontrivial p-adic zero depends only on
 (e mod k, class of u modulo k-th powers of units).  This module supplies
-that reduction: valuations, unit-class tables, normal forms under the
-scaling/twist/permutation group, and the coarse I/II/III pattern tags.
+that reduction: valuations, unit-class tables, the signature, normal
+forms under the scaling/twist/permutation group, and the coarse I/II/III
+pattern tags.
 
-Unit classes are labelled two ways, both exact.  For every p not
-dividing k the label of u is the power residue pow(u, (p-1)//d, p) with
-d = gcd(k, p-1): O(log p) work and no stored state, whatever the size of
-p.  For p | k the label is the index into an explicit coset table mod
-p^(2*v_p(k)+1), which is tiny.  The cell enumerations (symbols, class
-representatives, orbits) index classes through the explicit tables for
-every p, guarded by TABLE_LIMIT.
+Unit classes are labelled by one rule, kept in _labeller, with two
+exact branches.  For every p not dividing k the label of u is the power
+residue pow(u, (p-1)//d, p) with d = gcd(k, p-1): O(log p) work and no
+stored state, whatever the size of p.  For p | k the label is the index
+into an explicit coset table mod p^(2*v_p(k)+1), which is tiny.  The
+cell enumerations (symbols, class representatives, orbits) index
+classes through the explicit tables for every p, guarded by TABLE_LIMIT.
+
+signature(entries, p, k) is the sorted tuple of (reduced exponent,
+class label) pairs, the exponents being v_p mod k less their minimum.
+It is what determines Q_p-solubility, and what the verdict cache is
+keyed by.  It takes one pass over the entries (_split) and builds no
+reduced vector, residues, group element or permutation; normalize()
+takes its exponents and labels from the same pass, so
+normalize(a, p).signature == signature(a.entries, p, a.k) always.
 """
 
 from __future__ import annotations
@@ -27,6 +36,8 @@ from .primes import is_prime
 
 # Largest p^precision for which an explicit coset table is built.
 TABLE_LIMIT = 200_000
+# Memo bound for build_unit_class_table(), one table per (p, k).
+CLASS_TABLE_CACHE_SIZE = 256
 
 
 def valuation(x: int, p: int) -> int:
@@ -129,7 +140,7 @@ class UnitClassTable:
         return self.class_of(self.class_reps[i] * self.class_reps[j])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CLASS_TABLE_CACHE_SIZE)
 def build_unit_class_table(p: int, k: int) -> UnitClassTable:
     return UnitClassTable(p, k)
 
@@ -143,28 +154,66 @@ def class_label(u: int, p: int, k: int) -> int:
     p^(2*v_p(k)+1).  Either way, two units share a label exactly when
     their ratio is a k-th power in Z_p.
     """
-    if k % p == 0:
-        return build_unit_class_table(p, k).class_of(u)
-    return _power_residue(u, p, k)
+    if u % p == 0:
+        raise PreconditionViolated(f"{u} is not a unit mod {p}")
+    return _labeller(p, k)(u)
 
 
 def is_kth_power_unit(u: int, p: int, k: int) -> bool:
     """Whether the unit u is a k-th power in Z_p (exact)."""
-    if k % p == 0:
-        return build_unit_class_table(p, k).is_kth_power(u)
-    return _power_residue(u, p, k) == 1
+    return class_label(u, p, k) == class_label(1, p, k)
 
 
-def _power_residue(u: int, p: int, k: int) -> int:
-    """pow(u, (p-1)//d, p) with d = gcd(k, p-1), for p not dividing k.
+def _labeller(p: int, k: int):
+    """The class-label function of units at (p, k); see class_label.
 
-    A unit is a k-th power in Z_p iff its residue mod p is one (Hensel,
-    as p does not divide k), iff that residue is a d-th power, iff this
-    power residue is 1; the map is a homomorphism, so it labels cosets.
+    For p not dividing k: a unit is a k-th power in Z_p iff its residue
+    mod p is one (Hensel, as p does not divide k), iff that residue is a
+    d-th power, iff the power residue is 1; the map is a homomorphism,
+    so it labels cosets.
     """
-    if u % p == 0:
-        raise PreconditionViolated(f"{u} is not a unit mod {p}")
-    return pow(u, (p - 1) // gcd(k, p - 1), p)
+    if k % p == 0:
+        return build_unit_class_table(p, k).class_of
+    euler = (p - 1) // gcd(k, p - 1)
+    return lambda u: pow(u, euler, p)
+
+
+def _split(entries, p: int, k: int) -> tuple[list[int], list[int]]:
+    """v_p(x) and the class label of the unit x / p^v_p(x), per entry.
+
+    The one pass that signature() and normalize() share.
+    """
+    label = _labeller(p, k)
+    vals, labels = [], []
+    for x in entries:
+        if x == 0:
+            raise DegenerateInput("cannot reduce a zero coefficient")
+        v = 0
+        while x % p == 0:
+            x //= p
+            v += 1
+        vals.append(v)
+        labels.append(label(x))
+    return vals, labels
+
+
+def signature(entries, p: int, k: int) -> tuple[tuple[int, int], ...]:
+    """Sorted (reduced exponent, class label) pairs of nonzero entries.
+
+    Equal to normalize(CoefficientVector(entries, k), p).signature, but
+    built without the normal form.
+    """
+    if not is_prime(p):
+        raise PreconditionViolated(f"not a prime: {p}")
+    return _signature(CoefficientVector(entries, k).entries, p, k)
+
+
+def _signature(entries, p: int, k: int) -> tuple[tuple[int, int], ...]:
+    """signature() for a prime p and a degree k >= 2 checked by the caller."""
+    vals, labels = _split(entries, p, k)
+    exps = [v % k for v in vals]
+    low = min(exps)
+    return tuple(sorted(zip([e - low for e in exps], labels)))
 
 
 @dataclass(frozen=True)
@@ -259,21 +308,17 @@ def normalize(a: CoefficientVector, p: int) -> NormalForm:
 
 def _normalize(a: CoefficientVector, p: int) -> NormalForm:
     """normalize() for a p the caller has already checked to be prime."""
-    if a.has_zero_entry:
-        raise DegenerateInput("cannot reduce a zero coefficient")
     k = a.k
     m_star = certificate_exponent(p, k)
     big_mod = p**m_star
-    vals = [valuation(x, p) for x in a.entries]
+    vals, labels = _split(a.entries, p, k)
     shifts = tuple(v // k for v in vals)
     partial = [v % k for v in vals]
     scalar = min(partial)
     exps = [r - scalar for r in partial]
     reduced = tuple(x // p**(k * c + scalar)
                     for x, c in zip(a.entries, shifts))
-    units = [x // p**e for x, e in zip(reduced, exps)]
-    residues = [u % big_mod for u in units]
-    labels = [class_label(u, p, k) for u in units]
+    residues = [x // p**e % big_mod for x, e in zip(reduced, exps)]
     order = sorted(range(len(exps)),
                    key=lambda i: (exps[i], labels[i], residues[i], i))
     witness = GammaWitness(scalar_exponent=scalar,

@@ -36,9 +36,10 @@ from math import gcd
 
 from .errors import (ClassificationMismatch, DegenerateInput,
                      PreconditionViolated, ResourceBound)
-from .padic import (CoefficientVector, NormalForm, _normalize, all_cells,
-                    build_unit_class_table, cell_of_entries, cell_orbit,
-                    cell_representative, certificate_exponent, valuation)
+from .padic import (CoefficientVector, NormalForm, _normalize, _signature,
+                    all_cells, build_unit_class_table, cell_of_entries,
+                    cell_orbit, cell_representative, certificate_exponent,
+                    valuation)
 from .primes import is_prime, prime_divisors, primes_below
 
 # Most modulus x value-set entries one layer walk may cost.
@@ -53,6 +54,8 @@ VALUE_SETS_CACHE_SIZE = 4_096
 VALUE_SETS_MEMO_MODULUS = 128
 # Verdict memo bound; when full, the oldest entry in insertion order goes.
 VERDICT_CACHE_SIZE = 65_536
+# Memo bound for pathological_primes(), one entry per degree k.
+PATHOLOGICAL_CACHE_SIZE = 64
 
 # An OrderedDict pops its oldest entry in O(1); next(iter(d)) on a plain
 # dict skips every slot deleted since its last resize.
@@ -102,6 +105,18 @@ def load_verdicts(items: dict[tuple, str]) -> None:
 
 def dump_verdicts() -> dict[tuple, str]:
     return dict(_VERDICTS)
+
+
+def _soluble_at(a: CoefficientVector, p: int) -> bool:
+    """decide_qp(a, p).is_soluble for a prime p and nonzero entries.
+
+    The verdict cache is consulted by signature first, so a hit builds
+    no normal form; only a miss runs the full decision (and caches it).
+    """
+    status = _VERDICTS.get((p, a.k, _signature(a.entries, p, a.k)))
+    if status is None:
+        return decide_qp(a, p).is_soluble
+    return status != "insoluble"
 
 
 # --- the walk on one layer --------------------------------------------------
@@ -363,6 +378,14 @@ def decide_qp(a: CoefficientVector, p: int, *, route: str = "auto",
     """Decide whether sum a_i x_i^k = 0 has a nontrivial zero over Q_p."""
     if not is_prime(p):
         raise PreconditionViolated(f"not a prime: {p}")
+    return _decide_qp(a, p, route=route, with_witness=with_witness,
+                      use_cache=use_cache)
+
+
+def _decide_qp(a: CoefficientVector, p: int, *, route: str = "auto",
+               with_witness: bool = False, use_cache: bool = True
+               ) -> SolubilityVerdict:
+    """decide_qp() for a p the caller has already checked to be prime."""
     if a.is_zero:
         raise DegenerateInput("all-zero coefficient vector")
     if a.has_zero_entry:
@@ -429,11 +452,12 @@ def is_pathological(p: int, k: int) -> bool:
     return genus_twice > 0 and (p + 1) ** 2 <= genus_twice**2 * p
 
 
-def pathological_primes(k: int) -> list[int]:
+@lru_cache(maxsize=PATHOLOGICAL_CACHE_SIZE)
+def pathological_primes(k: int) -> tuple[int, ...]:
     """The primes where is_pathological holds, all below ((k-1)(k-2))^2
     or at most k.  Away from them the generic density sum is exact."""
     bound = max(((k - 1) * (k - 2)) ** 2, k + 1)
-    return [p for p in primes_below(bound) if is_pathological(p, k)]
+    return tuple(p for p in primes_below(bound) if is_pathological(p, k))
 
 
 def relevant_primes(a: CoefficientVector) -> list[int]:

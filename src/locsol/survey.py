@@ -22,8 +22,8 @@ from random import Random
 
 from .errors import DegenerateInput, PreconditionViolated, ResourceBound
 from .padic import CoefficientVector
-from .solubility import (decide_qp, decide_real, dump_verdicts,
-                         load_verdicts, relevant_primes)
+from .solubility import (_soluble_at, decide_everywhere_local,
+                         dump_verdicts, load_verdicts, relevant_primes)
 
 SAMPLE_CHUNK = 10_000
 EXHAUSTIVE_CAP = 2_000_000
@@ -52,11 +52,9 @@ def is_everywhere_soluble(entries: tuple[int, ...], k: int) -> bool:
         return True
     vec = CoefficientVector(entries, k)
     if len(entries) >= 3:
-        if not decide_real(vec).is_soluble:
-            return False
-        return all(decide_qp(vec, p).is_soluble
-                   for p in relevant_primes(vec))
-    from .solubility import decide_everywhere_local
+        if k % 2 == 0 and (min(entries) > 0 or max(entries) < 0):
+            return False            # no real zero: even degree, one sign
+        return all(_soluble_at(vec, p) for p in relevant_primes(vec))
     return decide_everywhere_local(vec).overall
 
 

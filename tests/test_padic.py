@@ -7,8 +7,9 @@ from locsol.padic import (CoefficientVector, build_unit_class_table,
                           canonical_cell, cell_of_entries, cell_orbit,
                           cell_representative, certificate_exponent,
                           class_label, class_precision, classify_type,
-                          is_kth_power_unit, normalize, symbol_alphabet,
-                          valuation)
+                          is_kth_power_unit, normalize, signature,
+                          symbol_alphabet, valuation)
+from locsol.primes import primes_below
 
 
 def test_valuation_basics():
@@ -181,6 +182,33 @@ def test_normalize_signature_is_projective(entries, p):
     assert normalize(scaled, p).signature == base
     flipped = CoefficientVector(tuple(reversed(entries)), 2)
     assert normalize(flipped, p).signature == base
+
+
+@given(st.one_of(st.sampled_from([2, 3, 5]),
+                 st.sampled_from(primes_below(10_008))),
+       st.integers(min_value=2, max_value=6),
+       st.lists(st.tuples(st.sampled_from([-1, 1]),
+                          st.integers(min_value=0, max_value=9),
+                          st.integers(min_value=1, max_value=10**6)),
+                min_size=2, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_signature_equals_normal_form_signature(p, k, parts):
+    # p in {2, 3, 5} with k in 2..6 covers the p | k coset tables; the
+    # rest are power residues at p not dividing k, up to 10,007
+    entries = tuple(s * p**e * u for s, e, u in parts)
+    nf = normalize(CoefficientVector(entries, k), p)
+    assert signature(entries, p, k) == nf.signature
+
+
+def test_signature_rejects_bad_input():
+    with pytest.raises(PreconditionViolated):
+        signature((1, 2, 3), 4, 2)
+    with pytest.raises(DegenerateInput):
+        signature((1, 0, 3), 5, 2)
+    with pytest.raises(DegenerateInput):
+        signature((1, 2, 3), 5, 1)
+    with pytest.raises(DegenerateInput):
+        signature((3,), 5, 2)
 
 
 def test_normalize_rejects_bad_input():

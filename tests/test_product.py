@@ -61,14 +61,14 @@ def test_divergent_plane_case():
 
 
 def test_pathological_primes():
-    assert pathological_primes(2) == [2]
-    assert pathological_primes(3) == [3]
+    assert pathological_primes(2) == (2,)
+    assert pathological_primes(3) == (3,)
     # k = 4: p | k and the p = 1 mod 4 with (p+1)^2 <= 36p; 13 is one
     # (x^4 + y^4 + 2z^4 has no zero mod 13)
-    assert pathological_primes(4) == [2, 5, 13, 17, 29]
+    assert pathological_primes(4) == (2, 5, 13, 17, 29)
     # k = 6: 2, 3 and the p = 1 mod 3 with (p+1)^2 <= 400p, up to 397
     six = pathological_primes(6)
-    assert six[:2] == [2, 3] and six[-1] == 397
+    assert six[:2] == (2, 3) and six[-1] == 397
     assert all(p % 3 == 1 for p in six[2:])
     assert 31 in six and 5 not in six
 

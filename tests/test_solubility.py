@@ -91,9 +91,12 @@ def test_no_kth_root_without_a_witness(monkeypatch):
 
 def test_memo_caches_are_bounded(monkeypatch):
     from locsol import solubility
+    from locsol.padic import build_unit_class_table
     from locsol.primes import factor
     from locsol.solubility import _value_count, _value_sets, load_verdicts
     assert factor.cache_info().maxsize is not None
+    assert build_unit_class_table.cache_info().maxsize is not None
+    assert pathological_primes.cache_info().maxsize is not None
     assert _value_sets.cache_info().maxsize is not None
     assert _value_count.cache_info().maxsize is not None
     clear_caches()
@@ -118,7 +121,8 @@ def test_memo_caches_are_bounded(monkeypatch):
 
 
 def test_primality_checked_once_per_decision(monkeypatch):
-    from locsol import padic, solubility
+    from locsol import density, padic, solubility
+    from locsol.density import rho_p_exact
     from locsol.primes import is_prime
     calls = []
 
@@ -132,10 +136,15 @@ def test_primality_checked_once_per_decision(monkeypatch):
         decide_qp(vec(entries, k), p, use_cache=False)
     monkeypatch.setattr(solubility, "is_prime", counting)
     monkeypatch.setattr(padic, "is_prime", counting)
+    monkeypatch.setattr(density, "is_prime", counting)
     for entries, k, p in cases:
         calls.clear()
         decide_qp(vec(entries, k), p, with_witness=True, use_cache=False)
         assert calls == [p], (entries, k, p)
+    # one check for the whole enumeration, not one per cell
+    calls.clear()
+    rho_p_exact(2, 2, 2)
+    assert calls == [2]
     with pytest.raises(PreconditionViolated):
         normalize(vec((1, 1, 1)), 9)
 

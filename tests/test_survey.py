@@ -46,6 +46,27 @@ def test_sampling_is_deterministic_and_chunk_stable():
     assert a.proportion == b.proportion
 
 
+def test_second_survey_is_answered_by_signature(monkeypatch):
+    from locsol import padic, solubility
+    calls = []
+    original = padic._normalize
+
+    def counting(a, p):
+        calls.append(p)
+        return original(a, p)
+
+    monkeypatch.setattr(padic, "_normalize", counting)
+    monkeypatch.setattr(solubility, "_normalize", counting)
+    kw = dict(mode="sample", sample_count=3_000, seed=5)
+    clear_caches()
+    first = survey_box(3, 2, 40, **kw)
+    assert calls                          # the cold run fills the cache
+    calls.clear()
+    second = survey_box(3, 2, 40, **kw)
+    assert calls == []                    # every prime found by signature
+    assert second.soluble == first.soluble
+
+
 def test_parallel_jobs_do_not_change_counts():
     kw = dict(mode="sample", sample_count=25_000, seed=11)
     clear_caches()
