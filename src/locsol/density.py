@@ -25,10 +25,9 @@ from math import comb, factorial, gcd
 
 from .errors import (DegenerateInput, PreconditionViolated, ResourceBound,
                      UnsupportedPair)
-from .padic import (CoefficientVector, all_cells, build_unit_class_table,
-                    cell_representative)
+from .padic import all_cells, build_unit_class_table, cell_representative
 from .primes import is_prime
-from .solubility import _decide_qp, is_pathological
+from .solubility import _soluble_at, is_pathological
 
 ENUMERATION_CELL_CAP = 10**7
 
@@ -108,8 +107,7 @@ def rho_p_exact(n: int, k: int, p: int) -> Density:
     for cell in all_cells(p, k, n):
         mass = cell_measure(cell, p, k)
         total += mass
-        vec = CoefficientVector(cell_representative(cell, p, k), k)
-        if _decide_qp(vec, p).is_soluble:
+        if _soluble_at(cell_representative(cell, p, k), p, k):
             soluble += mass
     if total != 1:
         raise PreconditionViolated("cell masses failed to sum to 1")

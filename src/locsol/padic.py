@@ -15,12 +15,12 @@ into an explicit coset table mod p^(2*v_p(k)+1), which is tiny.  The
 cell enumerations (symbols, class representatives, orbits) index
 classes through the explicit tables for every p, guarded by TABLE_LIMIT.
 
-signature(entries, p, k) is the sorted tuple of (reduced exponent,
-class label) pairs, the exponents being v_p mod k less their minimum.
-It is what determines Q_p-solubility, and what the verdict cache is
-keyed by.  It takes one pass over the entries (_split) and builds no
-reduced vector, residues, group element or permutation; normalize()
-takes its exponents and labels from the same pass, so
+_split is the one pass over the entries: it yields v_p, the unit
+x / p^v_p(x) and its class label, per entry.  signature(entries, p, k)
+(the sorted (v_p mod k less its minimum, label) pairs, which determine
+Q_p-solubility), classify_type, and the decisions in locsol.solubility
+all start from it.  A NormalForm (residues mod p^m*, group element,
+permutation) is built only by normalize(), for `locsol orbit`, and
 normalize(a, p).signature == signature(a.entries, p, a.k) always.
 """
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from math import gcd
 
 from .errors import DegenerateInput, PreconditionViolated, ResourceBound
@@ -178,13 +178,15 @@ def _labeller(p: int, k: int):
     return lambda u: pow(u, euler, p)
 
 
-def _split(entries, p: int, k: int) -> tuple[list[int], list[int]]:
-    """v_p(x) and the class label of the unit x / p^v_p(x), per entry.
+def _split(entries, p: int, k: int
+           ) -> tuple[list[int], list[int], list[int]]:
+    """v_p(x), the unit x / p^v_p(x) and its class label, per entry.
 
-    The one pass that signature() and normalize() share.
+    The one pass that signature(), classify_type(), normalize() and the
+    decisions share.
     """
     label = _labeller(p, k)
-    vals, labels = [], []
+    vals, units, labels = [], [], []
     for x in entries:
         if x == 0:
             raise DegenerateInput("cannot reduce a zero coefficient")
@@ -193,8 +195,9 @@ def _split(entries, p: int, k: int) -> tuple[list[int], list[int]]:
             x //= p
             v += 1
         vals.append(v)
+        units.append(x)
         labels.append(label(x))
-    return vals, labels
+    return vals, units, labels
 
 
 def signature(entries, p: int, k: int) -> tuple[tuple[int, int], ...]:
@@ -205,12 +208,7 @@ def signature(entries, p: int, k: int) -> tuple[tuple[int, int], ...]:
     """
     if not is_prime(p):
         raise PreconditionViolated(f"not a prime: {p}")
-    return _signature(CoefficientVector(entries, k).entries, p, k)
-
-
-def _signature(entries, p: int, k: int) -> tuple[tuple[int, int], ...]:
-    """signature() for a prime p and a degree k >= 2 checked by the caller."""
-    vals, labels = _split(entries, p, k)
+    vals, _, labels = _split(CoefficientVector(entries, k).entries, p, k)
     exps = [v % k for v in vals]
     low = min(exps)
     return tuple(sorted(zip([e - low for e in exps], labels)))
@@ -303,26 +301,18 @@ def normalize(a: CoefficientVector, p: int) -> NormalForm:
     """
     if not is_prime(p):
         raise PreconditionViolated(f"not a prime: {p}")
-    return _normalize(a, p)
-
-
-def _normalize(a: CoefficientVector, p: int) -> NormalForm:
-    """normalize() for a p the caller has already checked to be prime."""
     k = a.k
     m_star = certificate_exponent(p, k)
     big_mod = p**m_star
-    vals, labels = _split(a.entries, p, k)
-    shifts = tuple(v // k for v in vals)
+    vals, units, labels = _split(a.entries, p, k)
     partial = [v % k for v in vals]
     scalar = min(partial)
     exps = [r - scalar for r in partial]
-    reduced = tuple(x // p**(k * c + scalar)
-                    for x, c in zip(a.entries, shifts))
-    residues = [x // p**e % big_mod for x, e in zip(reduced, exps)]
+    residues = [u % big_mod for u in units]
     order = sorted(range(len(exps)),
                    key=lambda i: (exps[i], labels[i], residues[i], i))
     witness = GammaWitness(scalar_exponent=scalar,
-                           power_shifts=shifts,
+                           power_shifts=tuple(v // k for v in vals),
                            permutation=tuple(order))
     return NormalForm(
         source=a,
@@ -331,43 +321,35 @@ def _normalize(a: CoefficientVector, p: int) -> NormalForm:
         exponents=tuple(exps[i] for i in order),
         unit_residues=tuple(residues[i] for i in order),
         class_ids=tuple(labels[i] for i in order),
-        reduced_entries=reduced,
+        reduced_entries=tuple(p**e * u for e, u in zip(exps, units)),
         witness=witness,
     )
 
 
-def classify_type(a: CoefficientVector, p: int) -> str | None:
-    """Pattern tag of the reduced vector: "I", "II", "III", or None.
+def classify_type(a: CoefficientVector, p: int) -> str:
+    """Pattern tag of the reduced vector: "I", "II" or "III".
 
     I: some reduced valuation is shared by at least three coordinates.
-    II: some equal-valuation pair (i, j) has -a_j/a_i a k-th power.
-    III: every valuation is shared by at most two coordinates and every
-    equal-valuation pair fails the power test.  Overlaps resolve in the
-    order I > II > III; None is returned only if nothing matches, which
-    the case analysis above makes unreachable for valid input.
+    II: some equal-valuation pair (i, j) has -a_j/a_i a k-th power,
+    i.e. label(-u_j) == label(u_i), as labels name the cosets of the
+    k-th powers.  III: the rest, where every valuation is shared by at
+    most two coordinates and every equal-valuation pair fails the power
+    test.  Overlaps resolve in the order I > II > III.
     """
-    nf = normalize(a, p)
+    if not is_prime(p):
+        raise PreconditionViolated(f"not a prime: {p}")
     k = a.k
-    groups: dict[int, list[int]] = {}
-    for e, u in zip(nf.exponents, nf.unit_residues):
-        groups.setdefault(e, []).append(u)
+    vals, units, labels = _split(a.entries, p, k)
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for v, u, c in zip(vals, units, labels):
+        groups.setdefault(v % k, []).append((u, c))
     if any(len(g) >= 3 for g in groups.values()):
         return "I"
-    big_mod = p**nf.certificate_exponent
-    pair_hit = False
-    for members in groups.values():
-        for i in range(len(members)):
-            for j in range(len(members)):
-                if i == j:
-                    continue
-                t = (-members[j]) * pow(members[i], -1, big_mod) % big_mod
-                if is_kth_power_unit(t, p, k):
-                    pair_hit = True
-    if pair_hit:
+    label = _labeller(p, k)
+    if any(label(-u) == c for g in groups.values()
+           for (u, _), (_, c) in permutations(g, 2)):
         return "II"
-    if all(len(g) <= 2 for g in groups.values()):
-        return "III"
-    return None
+    return "III"
 
 
 # --- cells: multisets of (exponent, class) symbols -------------------------

@@ -22,9 +22,10 @@ mod p, and a point count on a smooth plane curve when it is decisive.
 A soluble verdict can carry a witness: the layer zero y is Newton-lifted
 until G_r(y) = 0 mod p^(m*-r), m* = certificate_exponent(p, k), and
 mapped back by x_i = y_i (e_i >= r), x_i = p*y_i (e_i < r), so that the
-reduced form vanishes at x mod p^m* with a unit coordinate.  Verdicts
-are cached by the (exponent, class) signature, which determines
-solubility.
+reduced form vanishes at x mod p^m* with a unit coordinate.  _settle,
+the one cache-or-decide step behind every decision, turns one pass over
+the entries (padic._split) into the verdict-cache key (p, k, signature)
+and the e_i and u_i the layers need; a hit costs that and a lookup.
 """
 
 from __future__ import annotations
@@ -36,10 +37,9 @@ from math import gcd
 
 from .errors import (ClassificationMismatch, DegenerateInput,
                      PreconditionViolated, ResourceBound)
-from .padic import (CoefficientVector, NormalForm, _normalize, _signature,
-                    all_cells, build_unit_class_table, cell_of_entries,
-                    cell_orbit, cell_representative, certificate_exponent,
-                    valuation)
+from .padic import (CoefficientVector, _split, all_cells,
+                    build_unit_class_table, cell_of_entries, cell_orbit,
+                    cell_representative, certificate_exponent, valuation)
 from .primes import is_prime, prime_divisors, primes_below
 
 # Most modulus x value-set entries one layer walk may cost.
@@ -105,18 +105,6 @@ def load_verdicts(items: dict[tuple, str]) -> None:
 
 def dump_verdicts() -> dict[tuple, str]:
     return dict(_VERDICTS)
-
-
-def _soluble_at(a: CoefficientVector, p: int) -> bool:
-    """decide_qp(a, p).is_soluble for a prime p and nonzero entries.
-
-    The verdict cache is consulted by signature first, so a hit builds
-    no normal form; only a miss runs the full decision (and caches it).
-    """
-    status = _VERDICTS.get((p, a.k, _signature(a.entries, p, a.k)))
-    if status is None:
-        return decide_qp(a, p).is_soluble
-    return status != "insoluble"
 
 
 # --- the walk on one layer --------------------------------------------------
@@ -325,16 +313,16 @@ def _shortcut(p: int, k: int, members, want_witness: bool):
 # --- layer by layer ---------------------------------------------------------
 
 
-def _decide_layers(nf: NormalForm, want_witness: bool, shortcuts: bool):
+def _decide_layers(p: int, k: int, exps, units, want_witness: bool,
+                   shortcuts: bool):
     """Test the layers G_r in increasing r (see the module docstring).
 
-    A witness is the zero y of the first soluble layer, lifted until
-    G_r(y) = 0 mod p^(m*-r) and mapped back to x with F(x) = p^r G_r(y).
+    exps and units are the reduced exponents e_i and the units u_i of
+    the entries, in source order.  A witness is the zero y of the first
+    soluble layer, lifted until G_r(y) = 0 mod p^(m*-r) and mapped back
+    to x with F(x) = p^r G_r(y).
     """
-    p, k = nf.p, nf.k
     tau = valuation(k, p) if k % p == 0 else 0
-    exps = [valuation(a, p) for a in nf.reduced_entries]
-    units = [a // p**e for a, e in zip(nf.reduced_entries, exps)]
     for r in sorted(set(exps)):
         coeffs = [u * p**(e - r if e >= r else e - r + k)
                   for e, u in zip(exps, units)]
@@ -354,71 +342,86 @@ def _decide_layers(nf: NormalForm, want_witness: bool, shortcuts: bool):
         if not want_witness:
             return True, None
         lead = next(i for i in layer if y[i] % p)
-        m_star = nf.certificate_exponent
+        m_star = certificate_exponent(p, k)
         y = _lift(p, k, tau, m_star - r, coeffs, y, lead)
-        return True, tuple((t if e >= r else p * t) % p**m_star
-                           for e, t in zip(exps, y))
+        witness = tuple((t if e >= r else p * t) % p**m_star
+                        for e, t in zip(exps, y))
+        _check_witness(p, k, exps, units, m_star, witness)
+        return True, witness
     return False, None
+
+
+def _check_witness(p: int, k: int, exps, units, m_star: int,
+                   witness: tuple[int, ...]) -> None:
+    modulus = p**m_star
+    total = sum(p**e * u * pow(w, k, modulus)
+                for e, u, w in zip(exps, units, witness)) % modulus
+    if total != 0 or not any(w % p for w in witness):
+        raise PreconditionViolated("produced witness fails its own check")
+
+
+# --- the one cache-or-decide step --------------------------------------------
+
+
+def _settle(entries, p: int, k: int, route: str = "auto",
+            want_witness: bool = False):
+    """Status at a prime p of nonzero entries, from the cache or decided.
+
+    The key is (p, k, padic.signature(entries, p, k)).  Returns (status,
+    route, exps, units, witness) with the reduced exponents and units in
+    source order; route is "cache" when the cache answered, which it
+    does unless a witness is wanted for a soluble form.
+    """
+    vals, units, labels = _split(entries, p, k)
+    exps = [v % k for v in vals]
+    low = min(exps)
+    exps = [e - low for e in exps]
+    key = (p, k, tuple(sorted(zip(exps, labels))))
+    status = _VERDICTS.get(key)
+    if status is not None and (status == "insoluble" or not want_witness):
+        return status, "cache", exps, units, None
+    if route == "auto":
+        route = "scale" if gcd(p, k) == 1 else "dp"
+    soluble, witness = _decide_layers(p, k, exps, units, want_witness,
+                                      route == "scale")
+    status = "soluble" if soluble else "insoluble"
+    _remember(key, status)
+    return status, route, exps, units, witness
+
+
+def _soluble_at(entries, p: int, k: int) -> bool:
+    """decide_qp(...).is_soluble for a prime p and nonzero entries."""
+    return _settle(entries, p, k)[0] != "insoluble"
 
 
 # --- public decisions --------------------------------------------------------
 
 
-def _check_witness(nf: NormalForm, witness: tuple[int, ...]) -> None:
-    modulus = nf.p**nf.certificate_exponent
-    total = sum(a * pow(w, nf.k, modulus)
-                for a, w in zip(nf.reduced_entries, witness)) % modulus
-    if total != 0 or not any(w % nf.p for w in witness):
-        raise PreconditionViolated("produced witness fails its own check")
-
-
 def decide_qp(a: CoefficientVector, p: int, *, route: str = "auto",
-              with_witness: bool = False, use_cache: bool = True
-              ) -> SolubilityVerdict:
+              with_witness: bool = False) -> SolubilityVerdict:
     """Decide whether sum a_i x_i^k = 0 has a nontrivial zero over Q_p."""
     if not is_prime(p):
         raise PreconditionViolated(f"not a prime: {p}")
-    return _decide_qp(a, p, route=route, with_witness=with_witness,
-                      use_cache=use_cache)
-
-
-def _decide_qp(a: CoefficientVector, p: int, *, route: str = "auto",
-               with_witness: bool = False, use_cache: bool = True
-               ) -> SolubilityVerdict:
-    """decide_qp() for a p the caller has already checked to be prime."""
     if a.is_zero:
         raise DegenerateInput("all-zero coefficient vector")
+    if route not in ("auto", "dp", "scale"):
+        raise PreconditionViolated(f"unknown route: {route}")
+    if route == "scale" and gcd(p, a.k) != 1:
+        raise PreconditionViolated("scale route requires gcd(p, k) = 1")
+    m_star = certificate_exponent(p, a.k)
     if a.has_zero_entry:
         j = a.entries.index(0)
         witness = tuple(1 if i == j else 0 for i in range(a.n + 1))
         return SolubilityVerdict(
             place=p, status="soluble-trivially", witness=witness,
-            witness_form=a.entries,
-            certificate_level=certificate_exponent(p, a.k), route="trivial")
-    if route not in ("auto", "dp", "scale"):
-        raise PreconditionViolated(f"unknown route: {route}")
-    chosen = route
-    if chosen == "auto":
-        chosen = "scale" if gcd(p, a.k) == 1 else "dp"
-    if chosen == "scale" and gcd(p, a.k) != 1:
-        raise PreconditionViolated("scale route requires gcd(p, k) = 1")
-    nf = _normalize(a, p)
-    key = (p, a.k, nf.signature)
-    cached = _VERDICTS.get(key) if use_cache else None
-    if cached is not None and (cached == "insoluble" or not with_witness):
-        return SolubilityVerdict(
-            place=p, status=cached, witness_form=nf.reduced_entries,
-            certificate_level=nf.certificate_exponent, route="cache")
-    soluble, witness = _decide_layers(nf, with_witness, chosen == "scale")
-    status = "soluble" if soluble else "insoluble"
-    if use_cache:
-        _remember(key, status)
-    if witness is not None:
-        _check_witness(nf, witness)
+            witness_form=a.entries, certificate_level=m_star,
+            route="trivial")
+    status, route, exps, units, witness = _settle(a.entries, p, a.k, route,
+                                                  with_witness)
     return SolubilityVerdict(
         place=p, status=status, witness=witness,
-        witness_form=nf.reduced_entries,
-        certificate_level=nf.certificate_exponent, route=chosen)
+        witness_form=tuple(p**e * u for e, u in zip(exps, units)),
+        certificate_level=m_star, route=route)
 
 
 def decide_real(a: CoefficientVector) -> SolubilityVerdict:
@@ -428,12 +431,17 @@ def decide_real(a: CoefficientVector) -> SolubilityVerdict:
     signs = tuple((x > 0) - (x < 0) for x in a.entries)
     if a.has_zero_entry:
         status = "soluble-trivially"
-    elif a.k % 2 == 1 or len({s for s in signs}) > 1:
+    elif _real_soluble(a.entries, a.k):
         status = "soluble"
     else:
         status = "insoluble"
     return SolubilityVerdict(place="real", status=status, witness=signs,
                              route="sign")
+
+
+def _real_soluble(entries, k: int) -> bool:
+    """The real-place rule for nonzero entries: odd k or a sign change."""
+    return k % 2 == 1 or min(entries) < 0 < max(entries)
 
 
 def is_pathological(p: int, k: int) -> bool:
@@ -471,8 +479,21 @@ def relevant_primes(a: CoefficientVector) -> list[int]:
         raise PreconditionViolated("needs at least three coefficients")
     if a.has_zero_entry:
         raise DegenerateInput("zero coefficient present")
-    out = set(pathological_primes(a.k))
-    for x in a.entries:
+    return _tested_primes(a.entries, a.k)
+
+
+def _tested_primes(entries, k: int, prime_bound: int = 1000) -> list[int]:
+    """Primes an everywhere-local test of nonzero entries decides.
+
+    For n >= 2 they are relevant_primes.  For n = 1 no finite set is
+    provably complete: every prime up to prime_bound, and those dividing
+    k or an entry.
+    """
+    if len(entries) >= 3:
+        out = set(pathological_primes(k))
+    else:
+        out = set(prime_divisors(k)) | set(primes_below(prime_bound + 1))
+    for x in entries:
         out.update(prime_divisors(x))
     return sorted(out)
 
@@ -505,18 +526,14 @@ def decide_everywhere_local(a: CoefficientVector, *, prime_bound: int = 1000
             note="a zero coefficient puts a coordinate axis on the "
                  "hypersurface, so every completion is soluble")
     if a.n == 1:
-        primes = set(prime_divisors(a.k)) | set(primes_below(prime_bound + 1))
-        for x in a.entries:
-            primes.update(prime_divisors(x))
         note = (f"two-coefficient forms have no provably complete finite "
                 f"test set; tried all primes up to {prime_bound} plus "
                 f"divisors of the data")
     else:
-        primes = set(relevant_primes(a))
         note = ("primes outside the tested set leave at least three "
                 "unit coefficients at one valuation, which is always "
                 "soluble there")
-    tested = tuple(sorted(primes))
+    tested = tuple(_tested_primes(a.entries, a.k, prime_bound))
     verdicts = [decide_real(a)]
     for p in tested:
         verdicts.append(decide_qp(a, p))
@@ -553,8 +570,7 @@ class ClassificationReport:
 def _decided_cells(p: int, k: int, n: int) -> dict[tuple, bool]:
     out = {}
     for cell in all_cells(p, k, n):
-        vec = CoefficientVector(cell_representative(cell, p, k), k)
-        out[cell] = decide_qp(vec, p).is_soluble
+        out[cell] = _soluble_at(cell_representative(cell, p, k), p, k)
     return out
 
 

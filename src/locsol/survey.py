@@ -22,8 +22,8 @@ from random import Random
 
 from .errors import DegenerateInput, PreconditionViolated, ResourceBound
 from .padic import CoefficientVector
-from .solubility import (_soluble_at, decide_everywhere_local,
-                         dump_verdicts, load_verdicts, relevant_primes)
+from .solubility import (_real_soluble, _soluble_at, _tested_primes,
+                         dump_verdicts, load_verdicts)
 
 SAMPLE_CHUNK = 10_000
 EXHAUSTIVE_CAP = 2_000_000
@@ -47,15 +47,15 @@ class SurveyReport:
 
 
 def is_everywhere_soluble(entries: tuple[int, ...], k: int) -> bool:
-    """Box convention: any zero entry counts as soluble outright."""
+    """decide_everywhere_local(...).overall, through the verdict cache.
+
+    Box convention: any zero entry counts as soluble outright.
+    """
     if any(a == 0 for a in entries):
         return True
-    vec = CoefficientVector(entries, k)
-    if len(entries) >= 3:
-        if k % 2 == 0 and (min(entries) > 0 or max(entries) < 0):
-            return False            # no real zero: even degree, one sign
-        return all(_soluble_at(vec, p) for p in relevant_primes(vec))
-    return decide_everywhere_local(vec).overall
+    entries = CoefficientVector(entries, k).entries
+    return _real_soluble(entries, k) and all(
+        _soluble_at(entries, p, k) for p in _tested_primes(entries, k))
 
 
 def _sample_chunk(task) -> tuple[int, dict[tuple, str]]:

@@ -73,6 +73,14 @@ def test_decide_rejects_composite_place(capsys):
     assert "error:" in err
 
 
+def test_decide_rejects_scale_route_at_p_dividing_k(capsys):
+    for coefficients in (("1", "0", "1"), ("1", "1", "1")):
+        code, _, err = run(capsys, "decide", "-k", "2", "-p", "2",
+                           "--route", "scale", *coefficients)
+        assert code == 2
+        assert "error:" in err
+
+
 def test_rho_closed_form_text(capsys):
     code, out, _ = run(capsys, "rho", "-n", "2", "-k", "2", "-p", "2")
     assert code == 0

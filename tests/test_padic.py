@@ -10,6 +10,7 @@ from locsol.padic import (CoefficientVector, build_unit_class_table,
                           is_kth_power_unit, normalize, signature,
                           symbol_alphabet, valuation)
 from locsol.primes import primes_below
+from locsol.solubility import clear_caches, decide_qp, load_verdicts
 
 
 def test_valuation_basics():
@@ -198,6 +199,10 @@ def test_signature_equals_normal_form_signature(p, k, parts):
     entries = tuple(s * p**e * u for s, e, u in parts)
     nf = normalize(CoefficientVector(entries, k), p)
     assert signature(entries, p, k) == nf.signature
+    # the decisions key the verdict cache by the same signature
+    clear_caches()
+    load_verdicts({(p, k, nf.signature): "insoluble"})
+    assert decide_qp(nf.source, p).route == "cache"
 
 
 def test_signature_rejects_bad_input():

@@ -1,3 +1,4 @@
+import hashlib
 from random import Random
 from time import perf_counter
 
@@ -57,8 +58,10 @@ def test_no_class_table_in_the_decision_path():
     build_unit_class_table.cache_clear()
     normalize(a, 10_007)
     classify_type(a, 10_007)
-    decide_qp(a, 10_007, use_cache=False)
-    decide_qp(a, 10_007, with_witness=True, use_cache=False)
+    clear_caches()
+    decide_qp(a, 10_007)
+    clear_caches()
+    decide_qp(a, 10_007, with_witness=True)
     assert build_unit_class_table.cache_info().misses == 0
 
 
@@ -77,14 +80,16 @@ def test_no_kth_root_without_a_witness(monkeypatch):
              ((1, g, g * g % p), 3, p)]       # no pair; curve count decides
     monkeypatch.setattr(solubility, "_kth_root_mod", refuse)
     for entries, k, q in cases:
-        verdict = decide_qp(vec(entries, k), q, use_cache=False)
+        clear_caches()
+        verdict = decide_qp(vec(entries, k), q)
         assert verdict.status == "soluble" and verdict.witness is None
+        clear_caches()
         with pytest.raises(RootTaken):
-            decide_qp(vec(entries, k), q, with_witness=True, use_cache=False)
+            decide_qp(vec(entries, k), q, with_witness=True)
     monkeypatch.undo()
     for entries, k, q in cases:
-        verdict = decide_qp(vec(entries, k), q, with_witness=True,
-                            use_cache=False)
+        clear_caches()
+        verdict = decide_qp(vec(entries, k), q, with_witness=True)
         assert verdict.status == "soluble"
         check_witness(verdict, q, k)
 
@@ -114,9 +119,10 @@ def test_memo_caches_are_bounded(monkeypatch):
     assert len(dump_verdicts()) == 3
     clear_caches()
     # a walk mod 673 (above VALUE_SETS_MEMO_MODULUS) rebuilds its sets
-    decide_qp(vec((1, 1, 1)), 673, route="dp", use_cache=False)
+    decide_qp(vec((1, 1, 1)), 673, route="dp")
     assert _value_sets.cache_info().currsize == 0
-    decide_qp(vec((1, 1, 1)), 2, route="dp", use_cache=False)
+    clear_caches()
+    decide_qp(vec((1, 1, 1)), 2, route="dp")
     assert _value_sets.cache_info().currsize > 0
 
 
@@ -133,13 +139,15 @@ def test_primality_checked_once_per_decision(monkeypatch):
     cases = [((1, 1, 1), 2, 2), ((1, 2, 3), 2, 5), ((1, 2, 4), 3, 3),
              ((3, 5, 7, 11), 2, 7)]
     for entries, k, p in cases:              # build the class tables first
-        decide_qp(vec(entries, k), p, use_cache=False)
+        clear_caches()
+        decide_qp(vec(entries, k), p)
     monkeypatch.setattr(solubility, "is_prime", counting)
     monkeypatch.setattr(padic, "is_prime", counting)
     monkeypatch.setattr(density, "is_prime", counting)
     for entries, k, p in cases:
+        clear_caches()
         calls.clear()
-        decide_qp(vec(entries, k), p, with_witness=True, use_cache=False)
+        decide_qp(vec(entries, k), p, with_witness=True)
         assert calls == [p], (entries, k, p)
     # one check for the whole enumeration, not one per cell
     calls.clear()
@@ -147,6 +155,59 @@ def test_primality_checked_once_per_decision(monkeypatch):
     assert calls == [2]
     with pytest.raises(PreconditionViolated):
         normalize(vec((1, 1, 1)), 9)
+
+
+def test_route_is_validated_before_the_zero_shortcut():
+    for entries in ((1, 0, 1), (1, 1, 1)):
+        with pytest.raises(PreconditionViolated):
+            decide_qp(vec(entries), 2, route="nonsense")
+        with pytest.raises(PreconditionViolated):
+            decide_qp(vec(entries), 2, route="scale")
+    assert decide_qp(vec((1, 0, 1)), 3, route="scale").route == "trivial"
+
+
+def test_decisions_build_no_normal_form(monkeypatch):
+    from locsol import padic
+    from locsol.density import rho_p_exact
+    from locsol.survey import survey_box
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a NormalForm was built")
+
+    monkeypatch.setattr(padic, "NormalForm", refuse)
+    clear_caches()
+    for entries, k, p in (((1, 5, 2), 2, 2), ((1, 1, 1), 3, 3),
+                          ((1, 2, 3, 4, 6), 5, 5), ((1, -8, 5), 3, 13)):
+        a = vec(entries, k)
+        assert decide_qp(a, p).is_soluble
+        check_witness(decide_qp(a, p, with_witness=True), p, k)
+        classify_type(a, p)
+    survey_box(2, 2, 4)
+    rho_p_exact(2, 2, 2)
+    verify_classification(2, 2, 2)
+    decide_everywhere_local(vec((1, 1, -3, 1)))
+    with pytest.raises(AssertionError):
+        normalize(vec((1, 5, 2)), 2)
+
+
+def test_pinned_witnesses():
+    # recorded before the decisions moved onto the single reduction pass
+    v = decide_qp(vec((1, 1, 3)), 2, with_witness=True)
+    assert (v.witness, v.witness_form, v.certificate_level) == \
+        ((21, 2, 1), (1, 1, 3), 5)
+    rng = Random(20261018)
+    rows = []
+    for _ in range(150):
+        k = rng.choice((2, 3, 4, 5))
+        p = rng.choice((2, 3, 5, 7, 13, 31))
+        n = rng.choice((2, 3, 4))
+        entries = tuple(rng.choice((-1, 1)) * p**rng.choice((0, 0, 1, 2))
+                        * rng.randint(1, 90) for _ in range(n + 1))
+        v = decide_qp(vec(entries, k), p, with_witness=True)
+        rows.append((v.status, v.witness, v.witness_form,
+                     v.certificate_level))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "ad2daee045d993c1a11be4e7e0822b43ec87d4c116349fe30057a9cfe0b7b92c")
 
 
 def test_trivial_zero_coefficient():
@@ -167,13 +228,14 @@ def test_route_validation():
     # the walk at p not dividing k is mod p, so p = 673 is now cheap; a
     # walk mod 100,003 is refused from its work estimate before any work
     from locsol.solubility import WALK_WORK_CAP
+    clear_caches()
     start = perf_counter()
     with pytest.raises(ResourceBound) as info:
-        decide_qp(vec((1, 1, 1)), 100_003, route="dp", use_cache=False)
+        decide_qp(vec((1, 1, 1)), 100_003, route="dp")
     assert perf_counter() - start < 1.0
     assert info.value.required > WALK_WORK_CAP
-    assert decide_qp(vec((1, 1, 1)), 673, route="dp",
-                     use_cache=False).is_soluble
+    clear_caches()
+    assert decide_qp(vec((1, 1, 1)), 673, route="dp").is_soluble
 
 
 def test_walk_work_estimate_counts_value_sets():
@@ -202,8 +264,12 @@ def test_routes_agree_randomized():
         entries = tuple(rng.choice((-1, 1)) * rng.randint(1, 60)
                         for _ in range(n + 1))
         a = vec(entries, k)
-        dp = decide_qp(a, p, route="dp", use_cache=False).status
-        scale = decide_qp(a, p, route="scale", use_cache=False).status
+        clear_caches()
+        dp = decide_qp(a, p, route="dp")
+        clear_caches()
+        scale = decide_qp(a, p, route="scale")
+        assert (dp.route, scale.route) == ("dp", "scale")
+        dp, scale = dp.status, scale.status
         assert dp == scale, (entries, k, p)
 
 
@@ -368,8 +434,8 @@ def test_everywhere_local_matches_oracle_on_small_vectors():
                 reference = decide_by_lifting(entries, k, p)
             except OracleOverflow:
                 continue
-            verdict = decide_qp(vec(entries, k), p, with_witness=True,
-                                use_cache=False)
+            clear_caches()
+            verdict = decide_qp(vec(entries, k), p, with_witness=True)
             assert verdict.is_soluble == reference, (entries, k, p)
             if reference:
                 check_witness(verdict, p, k)

@@ -47,16 +47,15 @@ def test_sampling_is_deterministic_and_chunk_stable():
 
 
 def test_second_survey_is_answered_by_signature(monkeypatch):
-    from locsol import padic, solubility
+    from locsol import solubility
     calls = []
-    original = padic._normalize
+    original = solubility._decide_layers
 
-    def counting(a, p):
+    def counting(p, *args):
         calls.append(p)
-        return original(a, p)
+        return original(p, *args)
 
-    monkeypatch.setattr(padic, "_normalize", counting)
-    monkeypatch.setattr(solubility, "_normalize", counting)
+    monkeypatch.setattr(solubility, "_decide_layers", counting)
     kw = dict(mode="sample", sample_count=3_000, seed=5)
     clear_caches()
     first = survey_box(3, 2, 40, **kw)
@@ -65,6 +64,29 @@ def test_second_survey_is_answered_by_signature(monkeypatch):
     second = survey_box(3, 2, 40, **kw)
     assert calls == []                    # every prime found by signature
     assert second.soluble == first.soluble
+
+
+def test_one_reduction_pass_per_tested_prime(monkeypatch):
+    from locsol import padic, solubility
+    from locsol.padic import CoefficientVector
+    from locsol.solubility import decide_everywhere_local
+    calls = []
+    original = padic._split
+
+    def counting(entries, p, k):
+        calls.append(p)
+        return original(entries, p, k)
+
+    for entries, k in (((1, 1, -3, 1), 2), ((2, 3, 5), 3), ((1, -4), 2)):
+        report = decide_everywhere_local(CoefficientVector(entries, k))
+        assert report.overall
+        clear_caches()
+        monkeypatch.setattr(padic, "_split", counting)
+        monkeypatch.setattr(solubility, "_split", counting)
+        calls.clear()
+        assert is_everywhere_soluble(entries, k)
+        assert calls == list(report.tested_primes)
+        monkeypatch.undo()
 
 
 def test_parallel_jobs_do_not_change_counts():
