@@ -66,8 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rho.add_argument("--route", default="auto",
                        choices=("auto", "closed", "enum", "generic"),
                        help="auto: the closed form for k = 2, 3 (n >= 2), "
-                            "else the generic sum away from pathological "
-                            "primes, else enumeration")
+                            "else the generic sum when p does not divide "
+                            "k, else enumeration; all three are exact")
     p_rho.add_argument("--cutoff", type=int, default=10**4,
                        help="prime cutoff for --loc (default 10000)")
     p_rho.add_argument("--digits", type=int, default=6,

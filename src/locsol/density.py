@@ -7,20 +7,20 @@ constant kappa).  Coefficients matter only through their (valuation mod
 k, unit class) symbol, so the density is a finite exact sum of cell
 measures, and for small (n, k) it collapses to published closed forms.
 
-Three routes are exposed and cross-checked by tests: direct cell
-enumeration, the closed forms, and a symmetric generic sum.  rho_p is
-the one dispatcher between them, in a fixed order: the recorded closed
-form when k is 2 or 3 and n >= 2 (at every p, p | k included); else the
-generic sum when p is not pathological for k (solubility.is_pathological,
-where the sum is exact); else enumeration.
+Three exact routes are exposed and cross-checked by tests: direct cell
+enumeration, the closed forms, and a sum over valuation layers.  rho_p
+is the one dispatcher between them, in a fixed order: the recorded
+closed form when k is 2 or 3 and n >= 2 (at every p, p | k included);
+else the generic sum when p does not divide k; else enumeration.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import comb, factorial, gcd
 
 from .errors import (DegenerateInput, PreconditionViolated, ResourceBound,
@@ -30,6 +30,8 @@ from .primes import is_prime
 from .solubility import _soluble_at, is_pathological
 
 ENUMERATION_CELL_CAP = 10**7
+# Memo bound for layer_terms(), one entry per (n, k, chance table).
+LAYER_TERMS_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -159,48 +161,74 @@ def rho_p_closed_form(n: int, k: int, p: int) -> Density:
     return Density(n=n, k=k, place=p, value=value, route="closed-form")
 
 
-def generic_terms(n: int, k: int):
-    """The (r, w) of each term of the generic sum: for r pairs, every
-    disjoint K (size r) and L (size n+1-2r) in {0, ..., k-1} gives
-    w = 2 wt(K) + wt(L)."""
-    for r in range(max(n - k + 1, 0), min((n + 1) // 2, k) + 1):
-        for pair_exps in combinations(range(k), r):
-            rest = [e for e in range(k) if e not in pair_exps]
-            for single_exps in combinations(rest, n + 1 - 2 * r):
-                yield r, 2 * sum(pair_exps) + sum(single_exps)
+@lru_cache(maxsize=LAYER_TERMS_CACHE_SIZE)
+def layer_terms(n: int, k: int, chances: tuple[Fraction, ...]
+                ) -> tuple[tuple[int, Fraction], ...]:
+    """Pairs (w, c_w), c_w the x^w coefficient of (n+1)! [t^(n+1)]
+    prod_{e<k} sum_m chances[m] (t x^e)^m / m!, where chances[m] (0 past
+    the end, and then skipped) is the chance that m units on one layer
+    have no zero.  At x = 1/p it is the insoluble mass over q^(n+1)."""
+    poly = {(0, 0): Fraction(1)}
+    for e in range(k):
+        grown: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
+        for (used, w), c in poly.items():
+            for m, chance in enumerate(chances[:n + 2 - used]):
+                if chance:
+                    grown[used + m, w + e * m] += c * chance / factorial(m)
+        poly = grown
+    return tuple(sorted((w, factorial(n + 1) * c)
+                        for (used, w), c in poly.items() if used == n + 1))
+
+
+def _insoluble_chances(n: int, k: int, p: int) -> tuple[Fraction, ...]:
+    """The chances of layer_terms at p not dividing k, d = gcd(p-1, k):
+    1, 1, (d-1)/d (-v/u is a k-th power), and past 2 zero unless p is
+    pathological for k, where the C(d+m-1, m) class multisets of m units
+    are decided (ResourceBound past ENUMERATION_CELL_CAP of them)."""
+    d = gcd(p - 1, k)
+    chances = [Fraction(1), Fraction(1), Fraction(d - 1, d)]
+    if n < 2 or not is_pathological(p, k):
+        return tuple(chances)
+    count = sum(comb(d + m - 1, m) for m in range(3, n + 2))
+    if count > ENUMERATION_CELL_CAP:
+        raise ResourceBound(
+            f"layer chances need {count} class multisets", required=count)
+    reps = build_unit_class_table(p, k).class_reps
+    for m in range(3, n + 2):
+        insoluble = 0
+        for classes in combinations_with_replacement(reps, m):
+            if not _soluble_at(classes, p, k):
+                weight = factorial(m)
+                for c in Counter(classes).values():
+                    weight //= factorial(c)
+                insoluble += weight
+        if not insoluble:
+            break  # a zero of every m-multiset is one of every larger one
+        chances.append(Fraction(insoluble, d**m))
+    return tuple(chances)
 
 
 def generic_sum(n: int, k: int, p: int) -> Density:
-    """Symmetric-sum density for gcd(p, k) = 1.
-
-    1 - (n+1)! q^(n+1) times the sum over generic_terms of
-    (1/2 - 1/(2d))^r p^-w, with d = gcd(p-1, k): cells with at most two
-    coordinates per valuation, each pair insoluble unless -v/u is a k-th
-    power for its units u, v.  It equals the true density exactly when
-    three units at one valuation always have a zero, i.e. when p is not
-    pathological for k (solubility.is_pathological); at a pathological p
-    it is only an upper bound.
-    """
+    """Layer-sum density for gcd(p, k) = 1, exact at every such p: a
+    form is soluble iff one valuation layer has a zero mod p (the
+    contraction in solubility), and layers are independent."""
     _validate(n, k, p)
     if gcd(p, k) != 1:
         raise PreconditionViolated("generic sum requires gcd(p, k) = 1")
-    d = gcd(p - 1, k)
-    q = power_ratio(p, k)
-    pair = Fraction(d - 1, 2 * d)
-    total = sum((pair**r / p**w for r, w in generic_terms(n, k)),
-                Fraction(0))
-    value = 1 - factorial(n + 1) * q**(n + 1) * total
+    terms = layer_terms(n, k, _insoluble_chances(n, k, p))
+    total = sum((c / p**w for w, c in terms), Fraction(0))
+    value = 1 - power_ratio(p, k)**(n + 1) * total
     return Density(n=n, k=k, place=p, value=value, route="generic-sum")
 
 
 def rho_p(n: int, k: int, p: int) -> Density:
     """Exact density at p by the first route that applies, in order:
     the closed form (k in {2, 3}, n >= 2), the generic sum (p not
-    pathological for k), enumeration."""
+    dividing k), enumeration (p | k)."""
     if k in (2, 3) and n >= 2:
         return rho_p_closed_form(n, k, p)
     _validate(n, k, p)
-    if not is_pathological(p, k):
+    if k % p:
         return generic_sum(n, k, p)
     return rho_p_exact(n, k, p)
 

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
-from .density import generic_terms, rho_infinity, rho_p
+from .density import layer_terms, rho_infinity, rho_p
 from .errors import DegenerateInput, DivergentTail, PreconditionViolated
 from .primes import next_prime, primes_below
 from .solubility import pathological_primes
@@ -50,11 +49,10 @@ def tail_hypothesis(n: int, k: int) -> TailBound:
     """A proven coefficient for the tail of the density product.
 
     k in {2, 3} uses constants read off the closed forms.  Other k get a
-    coarse but sound bound from the generic sum, which is exact from
-    p_min on, the first prime past the pathological primes of k: each
-    term p^-w is split off the minimal weight s and the remainder
-    bounded at p_min, while the pair factor (1/2 - 1/(2d))^r is bounded
-    by d <= k.
+    coarse but sound bound from the generic sum from p_min on, the first
+    prime past the pathological primes of k: its layer chances there are
+    at most (1, 1, (k-1)/k) as d <= k, and each term c_w p^-w is split
+    off the minimal weight s, the remainder bounded at p_min.
     """
     if n < 2 or k < 2:
         raise DegenerateInput(f"need n >= 2 and k >= 2, got ({n}, {k})")
@@ -69,15 +67,12 @@ def tail_hypothesis(n: int, k: int) -> TailBound:
             return _STORED_TAILS[(n, 3)]
         return TailBound(Fraction(0), 2, 2)
     p_min = next_prime(max(pathological_primes(k)))
-    weights = list(generic_terms(n, k))
-    if not weights:
-        return TailBound(Fraction(0), 2, p_min)
-    s = min(w for _, w in weights)
+    terms = layer_terms(n, k, (Fraction(1), Fraction(1), Fraction(k - 1, k)))
+    s = min((w for w, _ in terms), default=2)
     if s < 2:
         raise DivergentTail(f"tail exponent {s} does not converge")
-    constant = sum((Fraction(k - 1, 2 * k)**r / p_min**(w - s)
-                    for r, w in weights), Fraction(0))
-    return TailBound(factorial(n + 1) * constant, s, p_min)
+    constant = sum((c / p_min**(w - s) for w, c in terms), Fraction(0))
+    return TailBound(constant, s, p_min)
 
 
 @dataclass(frozen=True)

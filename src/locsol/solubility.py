@@ -17,7 +17,7 @@ The test is a bitset walk over Z/p^(2*tau+1) that carries a flag for
 "a layer-r unit has been used".  Route "dp" runs it on every layer.
 Route "scale" (gcd(p, k) = 1, so the walk is mod p over the layer's
 units) first tries two shortcuts: a pair -u_t/u_s that is a k-th power
-mod p, and a point count on a smooth plane curve when it is decisive.
+mod p, and a plane-curve point count when p is not pathological for k.
 
 A soluble verdict can carry a witness: the layer zero y is Newton-lifted
 until G_r(y) = 0 mod p^(m*-r), m* = certificate_exponent(p, k), and
@@ -250,18 +250,6 @@ def _kth_root_mod(value: int, k: int, p: int) -> int:
     raise PreconditionViolated(f"no {k}-th root of {value} mod {p}")
 
 
-def _curve_count_decisive(p: int, d: int) -> bool:
-    """Whether u0 X^d + u1 Y^d + u2 Z^d = 0 must have an all-nonzero point.
-
-    The projective curve is smooth of genus g = (d-1)(d-2)/2, so it has
-    at least p + 1 - (d-1)(d-2) sqrt(p) points, of which at most 3d have
-    a zero coordinate.  Squaring avoids irrational arithmetic.
-    """
-    slack = p + 1 - 3 * d
-    genus_twice = (d - 1) * (d - 2)
-    return slack > 0 and slack * slack > genus_twice * genus_twice * p
-
-
 def _power_pair(p: int, k: int, members):
     """First (s, t, w) with w = -u_t/u_s a k-th power mod p, or None."""
     euler = (p - 1) // gcd(k, p - 1)
@@ -303,7 +291,9 @@ def _shortcut(p: int, k: int, members, want_witness: bool):
         return True, {idx_s: _kth_root_mod(w, k, p), idx_t: 1}
     if len(members) == 2:
         return False, None
-    if p > _ROOT_SCAN_LIMIT and _curve_count_decisive(p, gcd(k, p - 1)):
+    # With no pair soluble no curve point has a zero coordinate, so the
+    # point that is_pathological's Hasse-Weil bound forces is all-nonzero.
+    if p > _ROOT_SCAN_LIMIT and not is_pathological(p, k):
         if not want_witness:
             return True, None
         return True, _group_curve_solution(p, k, members)
@@ -463,36 +453,30 @@ def is_pathological(p: int, k: int) -> bool:
 @lru_cache(maxsize=PATHOLOGICAL_CACHE_SIZE)
 def pathological_primes(k: int) -> tuple[int, ...]:
     """The primes where is_pathological holds, all below ((k-1)(k-2))^2
-    or at most k.  Away from them the generic density sum is exact."""
+    or at most k.  Away from them three units at one valuation always
+    have a zero."""
     bound = max(((k - 1) * (k - 2)) ** 2, k + 1)
     return tuple(p for p in primes_below(bound) if is_pathological(p, k))
 
 
 def relevant_primes(a: CoefficientVector) -> list[int]:
-    """Finite places where insolubility is possible (n >= 2, no zeros).
+    """Finite places that decide everywhere-local solubility (no zeros):
+    the pathological primes of k and the divisors of the coefficients.
 
-    Outside this set p divides no coefficient, so all n+1 >= 3
-    coefficients are units at valuation 0, and p is not pathological
-    for k, so they have a zero (see is_pathological).
+    For n >= 2 any other p finds n+1 >= 3 units at valuation 0, which
+    have a zero (see is_pathological).  For n = 1, a zero at p makes
+    -a_1/a_0 a k-th power in Q_p; so if the real place and each
+    p | a_0*a_1 are soluble, -a_1/a_0 = +-m^k has a real k-th root, is a
+    k-th power in Q, and every place is soluble.
     """
-    if a.n < 2:
-        raise PreconditionViolated("needs at least three coefficients")
     if a.has_zero_entry:
         raise DegenerateInput("zero coefficient present")
     return _tested_primes(a.entries, a.k)
 
 
-def _tested_primes(entries, k: int, prime_bound: int = 1000) -> list[int]:
-    """Primes an everywhere-local test of nonzero entries decides.
-
-    For n >= 2 they are relevant_primes.  For n = 1 no finite set is
-    provably complete: every prime up to prime_bound, and those dividing
-    k or an entry.
-    """
-    if len(entries) >= 3:
-        out = set(pathological_primes(k))
-    else:
-        out = set(prime_divisors(k)) | set(primes_below(prime_bound + 1))
+def _tested_primes(entries, k: int) -> list[int]:
+    """relevant_primes of nonzero entries."""
+    out = set(pathological_primes(k))
     for x in entries:
         out.update(prime_divisors(x))
     return sorted(out)
@@ -508,14 +492,11 @@ class EverywhereLocalReport:
     note: str
 
 
-def decide_everywhere_local(a: CoefficientVector, *, prime_bound: int = 1000
-                            ) -> EverywhereLocalReport:
+def decide_everywhere_local(a: CoefficientVector) -> EverywhereLocalReport:
     """Test the real place and every prime that can possibly obstruct.
 
     With a zero coefficient the form vanishes on a coordinate axis, so
-    every place is soluble outright.  For n = 1 no finite test set is
-    provably complete; primes up to prime_bound plus all divisors are
-    tried and the report says so.
+    every place is soluble outright; else the primes are relevant_primes.
     """
     if a.is_zero:
         raise DegenerateInput("all-zero coefficient vector")
@@ -525,22 +506,16 @@ def decide_everywhere_local(a: CoefficientVector, *, prime_bound: int = 1000
             verdicts=(decide_real(a),), tested_primes=(),
             note="a zero coefficient puts a coordinate axis on the "
                  "hypersurface, so every completion is soluble")
-    if a.n == 1:
-        note = (f"two-coefficient forms have no provably complete finite "
-                f"test set; tried all primes up to {prime_bound} plus "
-                f"divisors of the data")
-    else:
-        note = ("primes outside the tested set leave at least three "
-                "unit coefficients at one valuation, which is always "
-                "soluble there")
-    tested = tuple(_tested_primes(a.entries, a.k, prime_bound))
+    tested = tuple(_tested_primes(a.entries, a.k))
     verdicts = [decide_real(a)]
     for p in tested:
         verdicts.append(decide_qp(a, p))
     overall = all(v.is_soluble for v in verdicts)
     return EverywhereLocalReport(
         coefficients=a.entries, k=a.k, overall=overall,
-        verdicts=tuple(verdicts), tested_primes=tested, note=note)
+        verdicts=tuple(verdicts), tested_primes=tested,
+        note="a prime outside the tested set is soluble whenever every "
+             "tested place is (see relevant_primes)")
 
 
 # --- exhaustive checks against the recorded classifications ------------------

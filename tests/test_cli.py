@@ -97,13 +97,20 @@ def test_rho_enum_route_json(capsys):
 
 
 def test_rho_auto_falls_back_to_enumeration(capsys):
-    # no recorded formula for k = 5: auto takes the generic sum at p = 7
-    # (gcd(5, 6) = 1) and enumerates at the pathological p = 11
-    for p, route in (("7", "generic-sum"), ("11", "enumeration")):
+    # no recorded formula for k = 5: auto takes the generic sum at every
+    # p not dividing 5, the pathological p = 11 included, where it equals
+    # enumeration, and enumerates at p = 5
+    def rho(p, *route):
         code, out, _ = run(capsys, "rho", "-n", "2", "-k", "5", "-p", p,
-                           "--format", "json")
+                           *route, "--format", "json")
         assert code == 0
-        assert json.loads(out)["route"] == route
+        return json.loads(out)
+
+    auto, enum = rho("11"), rho("11", "--route", "enum")
+    assert auto["route"] == "generic-sum"
+    assert (auto["numerator"], auto["denominator"]) == \
+        (enum["numerator"], enum["denominator"])
+    assert rho("5")["route"] == "enumeration"
 
 
 def test_rho_infinity(capsys):

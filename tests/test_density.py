@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from locsol import density
 from locsol.density import (cell_measure, generic_sum, kappa, power_ratio,
                             rho_infinity, rho_p, rho_p_closed_form,
                             rho_p_exact)
@@ -54,17 +55,14 @@ def test_closed_form_at_p_dividing_k_matches_enumeration():
 
 
 def test_rho_p_is_exact_at_every_small_prime():
-    # (2,4,13), (2,4,29) and (2,6,31) are where the generic sum is only
-    # an upper bound; an enumeration answer is rho_p_exact by itself
+    # the pathological p such as (2,4,13) and (2,6,31) included
     for n in (1, 2):
         for k in (4, 6):
             for p in primes_below(32):
                 got = rho_p(n, k, p)
-                if p in pathological_primes(k):
-                    assert got.route == "enumeration", (n, k, p)
-                else:
-                    assert got.value == rho_p_exact(n, k, p).value, \
-                        (n, k, p)
+                assert got.value == rho_p_exact(n, k, p).value, (n, k, p)
+                assert got.route == ("enumeration" if k % p == 0
+                                     else "generic-sum"), (n, k, p)
 
 
 def test_rho_p_route_order():
@@ -75,6 +73,15 @@ def test_rho_p_route_order():
     assert rho_p(1, 2, 2).route == "enumeration"
     with pytest.raises(PreconditionViolated):
         rho_p(2, 4, 9)
+
+
+def test_rho_p_never_enumerates_away_from_p_dividing_k(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"enumerated at {args}")
+
+    monkeypatch.setattr(density, "rho_p_exact", refuse)
+    for n, k, p in ((2, 4, 13), (2, 6, 31), (3, 5, 11), (1, 4, 5)):
+        assert rho_p(n, k, p).route == "generic-sum", (n, k, p)
 
 
 def test_saturated_dimensions_give_one():
@@ -93,13 +100,19 @@ def test_three_routes_agree_on_small_grid():
         assert exact == closed == generic, (n, k, p)
 
 
-def test_generic_sum_dominates_below_threshold():
-    # p = 13 is pathological for k = 4 (x^4 + y^4 + 2z^4 has no zero
-    # there): the sum is only an upper bound, and a strict one
-    exact = rho_p_exact(3, 4, 13).value
-    generic = generic_sum(3, 4, 13).value
-    assert generic > exact
-    # at p = 3 (d = 2) and p = 7 (d = 2) the sum is exact
+def test_generic_sum_exact_at_pathological_primes():
+    # at these p three units on one layer can lack a zero (x^4 + y^4 +
+    # 2z^4 has none mod 13), so the layer chances come from deciding
+    # class multisets
+    cases = [(n, k, p) for k in (4, 5) for p in pathological_primes(k)
+             if k % p for n in (1, 2)]
+    cases += [(n, 6, p) for p in pathological_primes(6)
+              if 6 % p and p < 100 for n in (1, 2)]
+    cases += [(3, 4, 13), (3, 4, 17), (3, 4, 29), (3, 5, 11)]
+    for n, k, p in cases:
+        assert generic_sum(n, k, p).value == rho_p_exact(n, k, p).value, \
+            (n, k, p)
+    # at p = 3 (d = 2) and p = 7 (d = 2) no layer chance past 2 is needed
     assert generic_sum(3, 4, 3).value == rho_p_exact(3, 4, 3).value
     assert generic_sum(3, 4, 7).value == rho_p_exact(3, 4, 7).value
 
@@ -159,4 +172,8 @@ def test_unsupported_and_invalid_inputs():
 def test_enumeration_cell_cap():
     with pytest.raises(ResourceBound) as info:
         rho_p_exact(4, 12, 13)
+    assert info.value.required > 10**7
+    # the layer chances at a pathological prime count class multisets
+    with pytest.raises(ResourceBound) as info:
+        generic_sum(15, 12, 13)
     assert info.value.required > 10**7

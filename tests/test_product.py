@@ -38,7 +38,8 @@ def test_tail_constants_audit_against_closed_forms():
 
 
 def test_generic_tail_for_quartics():
-    # the generic sum is exact only past 29, the last pathological prime
+    # a layer of three units always has a zero only past 29, the last
+    # pathological prime, so the tail bound starts at 31
     tail = tail_hypothesis(3, 4)
     assert tail.exponent == 2
     assert tail.p_min == 31

@@ -96,6 +96,7 @@ def test_no_kth_root_without_a_witness(monkeypatch):
 
 def test_memo_caches_are_bounded(monkeypatch):
     from locsol import solubility
+    from locsol.density import layer_terms
     from locsol.padic import build_unit_class_table
     from locsol.primes import factor
     from locsol.solubility import _value_count, _value_sets, load_verdicts
@@ -104,6 +105,7 @@ def test_memo_caches_are_bounded(monkeypatch):
     assert pathological_primes.cache_info().maxsize is not None
     assert _value_sets.cache_info().maxsize is not None
     assert _value_count.cache_info().maxsize is not None
+    assert layer_terms.cache_info().maxsize is not None
     clear_caches()
     bound = solubility.VERDICT_CACHE_SIZE
     load_verdicts({(2, 2, ((0, i),)): "soluble" for i in range(bound + 10)})
@@ -363,8 +365,9 @@ def test_relevant_primes_worked_examples():
     # quartics: p in {5, 13, 17, 29} all collapse k-th powers too far
     # for the curve count to help, e.g. fourth powers mod 5 are {0, 1}
     assert relevant_primes(vec((1, 1, 5), 4)) == [2, 5, 13, 17, 29]
-    with pytest.raises(PreconditionViolated):
-        relevant_primes(vec((1, 2)))
+    # two coefficients: the divisors of the data are complete too
+    assert relevant_primes(vec((1, 2))) == [2]
+    assert relevant_primes(vec((3, -5), 3)) == [3, 5]
     with pytest.raises(DegenerateInput):
         relevant_primes(vec((1, 0, 2)))
 
@@ -405,9 +408,10 @@ def test_everywhere_local_reports():
     report = decide_everywhere_local(vec((1, 0, 3)))
     assert report.overall and report.tested_primes == ()
 
-    # two coefficients fall back to a bounded scan
+    # two coefficients test the same finite set as three
     report = decide_everywhere_local(vec((1, -3)))
     assert not report.overall
+    assert report.tested_primes == (2, 3)
     report = decide_everywhere_local(vec((1, -4)))
     assert report.overall
 
@@ -424,8 +428,9 @@ def test_everywhere_local_matches_oracle_on_small_vectors():
             if v.place == "real":
                 continue
             assert decide_by_lifting(entries, k, v.place) == v.is_soluble
-    # p | k beyond the catalogued cubics: quartics at 2, quintics at 5
-    for k, p in ((4, 2), (5, 5)):
+    # p | k beyond the catalogued cubics (quartics at 2, quintics at 5),
+    # and pathological p not dividing k
+    for k, p in ((4, 2), (5, 5), (4, 13), (5, 11), (6, 7)):
         checked = 0
         while checked < 25:
             entries = tuple(rng.choice((-1, 1)) * p**rng.choice((0, 0, 1))
