@@ -1,4 +1,4 @@
-"""Checksummed on-disk caches for verdicts and densities.
+"""Checksummed on-disk cache of solubility verdicts.
 
 Each kind of record lives in one JSONL file.  A line holds the cache
 format version, a key, a payload, and a sha256 checksum of the other

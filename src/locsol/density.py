@@ -25,7 +25,7 @@ from math import comb, factorial, gcd
 
 from .errors import (DegenerateInput, PreconditionViolated, ResourceBound,
                      UnsupportedPair)
-from .padic import all_cells, build_unit_class_table, cell_representative
+from .padic import all_cells, cell_representative, class_reps
 from .primes import is_prime
 from .solubility import _soluble_at, is_pathological
 
@@ -88,7 +88,7 @@ def cell_measure(cell: tuple[tuple[int, int], ...], p: int, k: int
     for c in Counter(cell).values():
         weight //= factorial(c)
     m = len(cell)
-    d = build_unit_class_table(p, k).class_count
+    d = len(class_reps(p, k))
     return Fraction(weight * ((p - 1) * p**(k - 1))**m,
                     ((p**k - 1) * d)**m * p**sum(e for e, _ in cell))
 
@@ -99,8 +99,7 @@ def rho_p_exact(n: int, k: int, p: int) -> Density:
     Refuses with ResourceBound past ENUMERATION_CELL_CAP cells.
     """
     _validate(n, k, p)
-    table = build_unit_class_table(p, k)
-    cell_count = comb(k * table.class_count + n, n + 1)
+    cell_count = comb(k * len(class_reps(p, k)) + n, n + 1)
     if cell_count > ENUMERATION_CELL_CAP:
         raise ResourceBound(
             f"cell enumeration needs {cell_count} cells", required=cell_count)
@@ -193,7 +192,7 @@ def _insoluble_chances(n: int, k: int, p: int) -> tuple[Fraction, ...]:
     if count > ENUMERATION_CELL_CAP:
         raise ResourceBound(
             f"layer chances need {count} class multisets", required=count)
-    reps = build_unit_class_table(p, k).class_reps
+    reps = class_reps(p, k).values()
     for m in range(3, n + 2):
         insoluble = 0
         for classes in combinations_with_replacement(reps, m):

@@ -11,9 +11,9 @@ Unit classes are labelled by one rule, kept in _labeller, with two
 exact branches.  For every p not dividing k the label of u is the power
 residue pow(u, (p-1)//d, p) with d = gcd(k, p-1): O(log p) work and no
 stored state, whatever the size of p.  For p | k the label is the index
-into an explicit coset table mod p^(2*v_p(k)+1), which is tiny.  The
-cell enumerations (symbols, class representatives, orbits) index
-classes through the explicit tables for every p, guarded by TABLE_LIMIT.
+into an explicit coset table mod p^(2*v_p(k)+1), which is tiny, and the
+only table built (TABLE_LIMIT guards it).  Cells carry the same labels as
+signatures; class_reps(p, k) gives the smallest unit of each label.
 
 _split is the one pass over the entries: it yields v_p, the unit
 x / p^v_p(x) and its class label, per entry.  signature(entries, p, k)
@@ -30,13 +30,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 from math import gcd
+from types import MappingProxyType
 
 from .errors import DegenerateInput, PreconditionViolated, ResourceBound
 from .primes import is_prime
 
 # Largest p^precision for which an explicit coset table is built.
 TABLE_LIMIT = 200_000
-# Memo bound for build_unit_class_table(), one table per (p, k).
+# Memo bound for build_unit_class_table() and class_reps(), per (p, k).
 CLASS_TABLE_CACHE_SIZE = 256
 
 
@@ -135,10 +136,6 @@ class UnitClassTable:
     def is_kth_power(self, u: int) -> bool:
         return self.class_of(u) == 0
 
-    def multiply(self, i: int, j: int) -> int:
-        """Class index of the product of classes i and j."""
-        return self.class_of(self.class_reps[i] * self.class_reps[j])
-
 
 @lru_cache(maxsize=CLASS_TABLE_CACHE_SIZE)
 def build_unit_class_table(p: int, k: int) -> UnitClassTable:
@@ -154,6 +151,8 @@ def class_label(u: int, p: int, k: int) -> int:
     p^(2*v_p(k)+1).  Either way, two units share a label exactly when
     their ratio is a k-th power in Z_p.
     """
+    if not is_prime(p):
+        raise PreconditionViolated(f"not a prime: {p}")
     if u % p == 0:
         raise PreconditionViolated(f"{u} is not a unit mod {p}")
     return _labeller(p, k)(u)
@@ -176,6 +175,27 @@ def _labeller(p: int, k: int):
         return build_unit_class_table(p, k).class_of
     euler = (p - 1) // gcd(k, p - 1)
     return lambda u: pow(u, euler, p)
+
+
+@lru_cache(maxsize=CLASS_TABLE_CACHE_SIZE)
+def class_reps(p: int, k: int) -> MappingProxyType[int, int]:
+    """Smallest unit with each class label at (p, k), in label order:
+    the coset table's class_reps at p | k, else a scan u = 1, 2, ...
+    until all gcd(k, p-1) power-residue labels are seen (no table)."""
+    if p > 1 and k % p == 0:
+        return MappingProxyType(
+            dict(enumerate(build_unit_class_table(p, k).class_reps)))
+    if not is_prime(p):
+        raise PreconditionViolated(f"not a prime: {p}")
+    if k < 2:
+        raise DegenerateInput(f"degree must be at least 2, got {k}")
+    label, count = _labeller(p, k), gcd(k, p - 1)
+    reps: dict[int, int] = {}
+    u = 1
+    while len(reps) < count:
+        reps.setdefault(label(u), u)
+        u += 1
+    return MappingProxyType(dict(sorted(reps.items())))
 
 
 def _split(entries, p: int, k: int
@@ -362,8 +382,8 @@ def classify_type(a: CoefficientVector, p: int) -> str:
 
 
 def symbol_alphabet(p: int, k: int) -> list[tuple[int, int]]:
-    table = build_unit_class_table(p, k)
-    return [(e, c) for e in range(k) for c in range(table.class_count)]
+    labels = class_reps(p, k)
+    return [(e, c) for e in range(k) for c in labels]
 
 
 def all_cells(p: int, k: int, n: int):
@@ -371,35 +391,18 @@ def all_cells(p: int, k: int, n: int):
     return combinations_with_replacement(symbol_alphabet(p, k), n + 1)
 
 
-def cell_of_entries(entries: tuple[int, ...], p: int, k: int
-                    ) -> tuple[tuple[int, int], ...]:
-    """Cell of an explicit vector: sorted (v_p mod k, class) symbols."""
-    table = build_unit_class_table(p, k)
-    symbols = []
-    for x in entries:
-        e = valuation(x, p)
-        symbols.append((e % k, table.class_of(x // p**e)))
-    return tuple(sorted(symbols))
-
-
 def cell_representative(cell: tuple[tuple[int, int], ...], p: int, k: int
                         ) -> tuple[int, ...]:
-    table = build_unit_class_table(p, k)
-    return tuple(p**e * table.class_reps[c] for e, c in cell)
+    """A vector whose signature is the cell shifted to minimum exponent 0."""
+    reps = class_reps(p, k)
+    return tuple(p**e * reps[c] for e, c in cell)
 
 
 def cell_orbit(cell: tuple[tuple[int, int], ...], p: int, k: int
                ) -> set[tuple[tuple[int, int], ...]]:
     """Orbit of a cell under global exponent shifts and class rescaling."""
-    table = build_unit_class_table(p, k)
-    orbit = set()
-    for shift in range(k):
-        for w in range(table.class_count):
-            orbit.add(tuple(sorted(((e + shift) % k, table.multiply(c, w))
-                                   for e, c in cell)))
-    return orbit
-
-
-def canonical_cell(cell: tuple[tuple[int, int], ...], p: int, k: int
-                   ) -> tuple[tuple[int, int], ...]:
-    return min(cell_orbit(cell, p, k))
+    reps = class_reps(p, k)
+    label = _labeller(p, k)
+    return {tuple(sorted(((e + shift) % k, label(reps[c] * w))
+                         for e, c in cell))
+            for shift in range(k) for w in reps.values()}

@@ -37,9 +37,9 @@ from math import gcd
 
 from .errors import (ClassificationMismatch, DegenerateInput,
                      PreconditionViolated, ResourceBound)
-from .padic import (CoefficientVector, _split, all_cells,
-                    build_unit_class_table, cell_of_entries, cell_orbit,
-                    cell_representative, certificate_exponent, valuation)
+from .padic import (CoefficientVector, _split, all_cells, cell_orbit,
+                    cell_representative, certificate_exponent, class_label,
+                    signature, valuation)
 from .primes import is_prime, prime_divisors, primes_below
 
 # Most modulus x value-set entries one layer walk may cost.
@@ -552,7 +552,7 @@ def _decided_cells(p: int, k: int, n: int) -> dict[tuple, bool]:
 def _orbit_closure(vectors, p: int, k: int) -> set:
     closed = set()
     for entries in vectors:
-        closed |= cell_orbit(cell_of_entries(entries, p, k), p, k)
+        closed |= cell_orbit(signature(entries, p, k), p, k)
     return closed
 
 
@@ -591,12 +591,7 @@ def _verify_2_2(n: int) -> ClassificationReport:
 
 def _verify_3_3_2() -> ClassificationReport:
     decided = _decided_cells(3, 3, 2)
-    table = build_unit_class_table(3, 3)
     units = [u for u in range(1, 27) if u % 3]
-
-    def actual(entries):
-        return decided[cell_of_entries(entries, 3, 3)]
-
     for u0 in units:
         for u1 in units:
             for u2 in units:
@@ -606,14 +601,14 @@ def _verify_3_3_2() -> ClassificationReport:
                      (u0 - u1) % 9 == 0 or (u0 + u1) % 9 == 0),
                     ((u0, u1, 3 * u2), True),
                     ((u0, u1, u2),
-                     len({table.class_of(u0), table.class_of(u1),
-                          table.class_of(u2)}) < 3),
+                     len({class_label(u, 3, 3) for u in (u0, u1, u2)}) < 3),
                 )
                 for entries, expected in checks:
-                    if actual(entries) != expected:
+                    cell = signature(entries, 3, 3)
+                    if decided[cell] != expected:
                         raise ClassificationMismatch(
                             f"(p=3, k=3, n=2) disagreement at {entries}",
-                            cell=cell_of_entries(entries, 3, 3))
+                            cell=cell)
     return _report(3, 3, 2, decided,
                    "all four recorded unit-pattern clauses hold for every "
                    "unit triple mod 27")

@@ -1,8 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
+import locsol
 from locsol.cache import CacheStore
 from locsol.cli import main
 from locsol.solubility import clear_caches
@@ -267,9 +270,14 @@ def test_verify_paper_flags_a_corrupt_cache(capsys, tmp_path, monkeypatch):
 
 
 def test_installed_entry_point():
+    # the child imports the same package as the tests, installed or not
+    src = Path(locsol.__file__).parents[1]
+    path = os.pathsep.join(filter(None, [str(src),
+                                         os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "locsol", "rho", "-n", "2", "-k", "2",
          "-p", "2"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "7/12" in proc.stdout

@@ -3,12 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locsol.errors import DegenerateInput, PreconditionViolated, ResourceBound
-from locsol.padic import (CoefficientVector, build_unit_class_table,
-                          canonical_cell, cell_of_entries, cell_orbit,
+from locsol.padic import (CoefficientVector, all_cells,
+                          build_unit_class_table, cell_orbit,
                           cell_representative, certificate_exponent,
-                          class_label, class_precision, classify_type,
-                          is_kth_power_unit, normalize, signature,
-                          symbol_alphabet, valuation)
+                          class_label, class_precision, class_reps,
+                          classify_type, is_kth_power_unit, normalize,
+                          signature, symbol_alphabet, valuation)
 from locsol.primes import primes_below
 from locsol.solubility import clear_caches, decide_qp, load_verdicts
 
@@ -239,14 +239,52 @@ def test_classify_type_priority():
 def test_cells_and_orbits():
     assert len(symbol_alphabet(2, 2)) == 8
     assert len(symbol_alphabet(3, 3)) == 9
-    table = build_unit_class_table(2, 2)
-    cell = cell_of_entries((1, 5, 2), 2, 2)
-    assert cell == tuple(sorted([(0, table.class_of(1)),
-                                 (0, table.class_of(5)),
-                                 (1, table.class_of(1))]))
+    cell = signature((1, 5, 2), 2, 2)
+    assert cell == tuple(sorted([(0, class_label(1, 2, 2)),
+                                 (0, class_label(5, 2, 2)),
+                                 (1, class_label(1, 2, 2))]))
     rep = cell_representative(cell, 2, 2)
-    assert cell_of_entries(rep, 2, 2) == cell
+    assert signature(rep, 2, 2) == cell
     orb = cell_orbit(cell, 2, 2)
     assert cell in orb
-    assert all(canonical_cell(c, 2, 2) == canonical_cell(cell, 2, 2)
-               for c in orb)
+    assert all(cell_orbit(c, 2, 2) == orb for c in orb)
+
+
+def test_class_labels_reject_non_primes():
+    with pytest.raises(PreconditionViolated):
+        class_label(1, 0, 2)
+    with pytest.raises(PreconditionViolated):
+        class_label(3, 9, 2)
+    with pytest.raises(PreconditionViolated):
+        is_kth_power_unit(4, 15, 2)
+    with pytest.raises(PreconditionViolated):
+        class_reps(9, 2)
+    with pytest.raises(DegenerateInput):
+        class_reps(5, 1)
+    with pytest.raises(PreconditionViolated):
+        symbol_alphabet(9, 2)
+    with pytest.raises(PreconditionViolated):
+        cell_orbit(((0, 1),), 1, 2)
+
+
+def test_cells_carry_signature_labels():
+    # one label scheme: class_reps holds the smallest unit of each
+    # class_label, and a cell's representative has the cell as signature
+    from locsol.density import generic_sum, rho_p_exact
+    for p in primes_below(60):
+        for k in range(2, 7):
+            smallest = {}
+            for u in range(1, p**class_precision(p, k)):
+                if u % p:
+                    smallest.setdefault(class_label(u, p, k), u)
+            assert dict(class_reps(p, k)) == smallest, (p, k)
+            assert list(class_reps(p, k)) == sorted(smallest)
+            for n in (1, 2):
+                for cell in all_cells(p, k, n):
+                    low = cell[0][0]
+                    shifted = tuple((e - low, c) for e, c in cell)
+                    rep = cell_representative(cell, p, k)
+                    assert signature(rep, p, k) == shifted, (p, k, cell)
+    # at p not dividing k no table is needed, whatever the size of p
+    for n, k, p in [(2, 4, 1_000_003), (2, 6, 300_007)]:
+        assert rho_p_exact(n, k, p).value == generic_sum(n, k, p).value

@@ -53,7 +53,8 @@ def test_witnesses_satisfy_their_certificates():
 
 
 def test_no_class_table_in_the_decision_path():
-    from locsol.padic import build_unit_class_table
+    from locsol.density import generic_sum, rho_p_exact
+    from locsol.padic import build_unit_class_table, cell_orbit
     a = vec((3, -5, 7, 10_007 * 11))
     build_unit_class_table.cache_clear()
     normalize(a, 10_007)
@@ -62,6 +63,10 @@ def test_no_class_table_in_the_decision_path():
     decide_qp(a, 10_007)
     clear_caches()
     decide_qp(a, 10_007, with_witness=True)
+    # cells away from p | k carry power-residue labels too
+    rho_p_exact(2, 4, 13)
+    generic_sum(3, 4, 13)
+    assert len(cell_orbit(((0, 1), (1, 12)), 13, 4)) == 16
     assert build_unit_class_table.cache_info().misses == 0
 
 
@@ -97,11 +102,12 @@ def test_no_kth_root_without_a_witness(monkeypatch):
 def test_memo_caches_are_bounded(monkeypatch):
     from locsol import solubility
     from locsol.density import layer_terms
-    from locsol.padic import build_unit_class_table
+    from locsol.padic import build_unit_class_table, class_reps
     from locsol.primes import factor
     from locsol.solubility import _value_count, _value_sets, load_verdicts
     assert factor.cache_info().maxsize is not None
     assert build_unit_class_table.cache_info().maxsize is not None
+    assert class_reps.cache_info().maxsize is not None
     assert pathological_primes.cache_info().maxsize is not None
     assert _value_sets.cache_info().maxsize is not None
     assert _value_count.cache_info().maxsize is not None
@@ -310,6 +316,27 @@ def test_signature_determines_verdict():
         sig_b = normalize(b, p).signature
         if sig_a == sig_b:
             assert decide_qp(a, p).status == decide_qp(b, p).status
+
+
+def test_cell_orbits_share_a_verdict_away_from_p_dividing_k():
+    # global exponent shifts and class rescaling preserve solubility, so
+    # each orbit of cells can be decided once
+    from locsol.padic import all_cells, cell_orbit, cell_representative
+    from locsol.solubility import _soluble_at
+    for k in (3, 4, 6):
+        for p in (5, 7, 11, 13, 17, 19, 23, 29):
+            if k % p == 0:
+                continue
+            decided = {cell: _soluble_at(cell_representative(cell, p, k),
+                                         p, k)
+                       for cell in all_cells(p, k, 2)}
+            seen = set()
+            for cell, soluble in decided.items():
+                if cell not in seen:
+                    orbit = cell_orbit(cell, p, k)
+                    seen |= orbit
+                    assert {decided[c] for c in orbit} == {soluble}, \
+                        (p, k, cell)
 
 
 def test_pattern_tags_predict_solubility():
