@@ -13,8 +13,7 @@ from .errors import (CacheCorrupt, ClassificationMismatch, DegenerateInput,
                      DivergentTail, LocsolError, OracleOverflow,
                      PreconditionViolated, ResourceBound, UnsupportedPair)
 from .padic import (CoefficientVector, GammaWitness, NormalForm,
-                    UnitClassTable, build_unit_class_table, classify_type,
-                    normalize, signature, valuation)
+                    classify_type, normalize, signature, valuation)
 from .product import (CertifiedInterval, TailBound, decimalize,
                       rho_loc_interval, tail_hypothesis)
 from .solubility import (ClassificationReport, EverywhereLocalReport,
@@ -31,10 +30,10 @@ __all__ = [
     "Density", "DivergentTail", "EverywhereLocalReport", "GammaWitness",
     "LocsolError", "NormalForm", "OracleOverflow", "PreconditionViolated",
     "ResourceBound", "SolubilityVerdict", "SurveyReport", "TailBound",
-    "UnitClassTable", "UnsupportedPair", "build_unit_class_table",
-    "classify_type", "convergence_sweep", "decide_everywhere_local",
-    "decide_qp", "decide_real", "decimalize", "generic_sum", "kappa",
-    "normalize", "relevant_primes", "rho_infinity", "rho_loc_interval",
-    "rho_p", "rho_p_closed_form", "rho_p_exact", "signature", "survey_box",
-    "tail_hypothesis", "valuation", "verify_classification",
+    "UnsupportedPair", "classify_type", "convergence_sweep",
+    "decide_everywhere_local", "decide_qp", "decide_real", "decimalize",
+    "generic_sum", "kappa", "normalize", "relevant_primes", "rho_infinity",
+    "rho_loc_interval", "rho_p", "rho_p_closed_form", "rho_p_exact",
+    "signature", "survey_box", "tail_hypothesis", "valuation",
+    "verify_classification",
 ]

@@ -18,9 +18,9 @@ from pathlib import Path
 
 from .errors import CacheCorrupt
 
-# Changes whenever the meaning of a key does.  Version 2 labels the unit
-# classes at p not dividing k by power residues instead of table indices.
-CACHE_VERSION = "locsol-cache-2"
+# Changes whenever the meaning of a key does.  Version 3 labels the unit
+# classes at p | k by the formula in padic._labeller, not table indices.
+CACHE_VERSION = "locsol-cache-3"
 
 
 def _canonical(obj) -> str:

@@ -25,7 +25,7 @@ from math import comb, factorial, gcd
 
 from .errors import (DegenerateInput, PreconditionViolated, ResourceBound,
                      UnsupportedPair)
-from .padic import all_cells, cell_representative, class_reps
+from .padic import all_cells, cell_representative, class_count, class_reps
 from .primes import is_prime
 from .solubility import _soluble_at, is_pathological
 
@@ -75,6 +75,14 @@ def power_ratio(p: int, k: int) -> Fraction:
     return Fraction((p - 1) * p**(k - 1), p**k - 1)
 
 
+def _multinomial(items: tuple) -> int:
+    """Orderings of the multiset items: len(items)! / prod(count!)."""
+    weight = factorial(len(items))
+    for c in Counter(items).values():
+        weight //= factorial(c)
+    return weight
+
+
 def cell_measure(cell: tuple[tuple[int, int], ...], p: int, k: int
                  ) -> Fraction:
     """Mass of the multiset cell of m = n+1 symbols (e_i, class):
@@ -84,12 +92,9 @@ def cell_measure(cell: tuple[tuple[int, int], ...], p: int, k: int
     with q = power_ratio(p, k) the conditioned unit mass and d the
     number of unit classes, each class carrying an equal share.
     """
-    weight = factorial(len(cell))
-    for c in Counter(cell).values():
-        weight //= factorial(c)
     m = len(cell)
-    d = len(class_reps(p, k))
-    return Fraction(weight * ((p - 1) * p**(k - 1))**m,
+    d = class_count(p, k)
+    return Fraction(_multinomial(cell) * ((p - 1) * p**(k - 1))**m,
                     ((p**k - 1) * d)**m * p**sum(e for e, _ in cell))
 
 
@@ -99,7 +104,7 @@ def rho_p_exact(n: int, k: int, p: int) -> Density:
     Refuses with ResourceBound past ENUMERATION_CELL_CAP cells.
     """
     _validate(n, k, p)
-    cell_count = comb(k * len(class_reps(p, k)) + n, n + 1)
+    cell_count = comb(k * class_count(p, k) + n, n + 1)
     if cell_count > ENUMERATION_CELL_CAP:
         raise ResourceBound(
             f"cell enumeration needs {cell_count} cells", required=cell_count)
@@ -197,10 +202,7 @@ def _insoluble_chances(n: int, k: int, p: int) -> tuple[Fraction, ...]:
         insoluble = 0
         for classes in combinations_with_replacement(reps, m):
             if not _soluble_at(classes, p, k):
-                weight = factorial(m)
-                for c in Counter(classes).values():
-                    weight //= factorial(c)
-                insoluble += weight
+                insoluble += _multinomial(classes)
         if not insoluble:
             break  # a zero of every m-multiset is one of every larger one
         chances.append(Fraction(insoluble, d**m))

@@ -1,7 +1,7 @@
 """Reference decider for p-adic zeros via breadth-first congruence lifting.
 
 Deliberately independent of the rest of the package: it works on the raw
-coefficient vector, never reduces valuations, and uses no class tables.
+coefficient vector, never reduces valuations, and uses no class labels.
 Equivalence tests pit it against the fast decision routes.
 
 A primitive vector x mod p^m with f(x) = sum a_i x_i^k congruent to 0 is

@@ -3,17 +3,16 @@
 Over Z_p a nonzero coefficient splits as p^e * u with u a unit, and
 whether sum a_i x_i^k = 0 has a nontrivial p-adic zero depends only on
 (e mod k, class of u modulo k-th powers of units).  This module supplies
-that reduction: valuations, unit-class tables, the signature, normal
+that reduction: valuations, unit class labels, the signature, normal
 forms under the scaling/twist/permutation group, and the coarse I/II/III
 pattern tags.
 
-Unit classes are labelled by one rule, kept in _labeller, with two
-exact branches.  For every p not dividing k the label of u is the power
-residue pow(u, (p-1)//d, p) with d = gcd(k, p-1): O(log p) work and no
-stored state, whatever the size of p.  For p | k the label is the index
-into an explicit coset table mod p^(2*v_p(k)+1), which is tiny, and the
-only table built (TABLE_LIMIT guards it).  Cells carry the same labels as
-signatures; class_reps(p, k) gives the smallest unit of each label.
+Unit classes are labelled by one closed formula, kept (with its proof)
+in _labeller: a power of u mod p^(2*v_p(k)+1), except at p = 2 for
+even k, where it is u mod 2^(v_2(k)+2).  It costs O(log p) and stores
+nothing, at every (p, k), p | k included.  Cells carry the same labels
+as signatures; class_reps(p, k) gives the smallest unit of each label,
+and class_count(p, k) the number of labels.
 
 _split is the one pass over the entries: it yields v_p, the unit
 x / p^v_p(x) and its class label, per entry.  signature(entries, p, k)
@@ -32,12 +31,10 @@ from itertools import combinations_with_replacement, permutations
 from math import gcd
 from types import MappingProxyType
 
-from .errors import DegenerateInput, PreconditionViolated, ResourceBound
+from .errors import DegenerateInput, PreconditionViolated
 from .primes import is_prime
 
-# Largest p^precision for which an explicit coset table is built.
-TABLE_LIMIT = 200_000
-# Memo bound for build_unit_class_table() and class_reps(), per (p, k).
+# Memo bound for _labeller() and class_reps(), per (p, k).
 CLASS_TABLE_CACHE_SIZE = 256
 
 
@@ -81,78 +78,31 @@ def certificate_exponent(p: int, k: int) -> int:
     return 2 * (v + k - 1) + 1
 
 
-class UnitClassTable:
-    """Partition of the units mod p^c into cosets of the k-th powers.
+def class_count(p: int, k: int, c: int | None = None) -> int:
+    """Number of k-th power classes among the units mod p^c.
 
-    Attributes mirror what downstream code needs: `class_reps[i]` is the
-    smallest member of class i (class 0 contains 1), `class_of` maps a
-    unit residue to its class index, and `classes` lists the cosets.
-    Instances are immutable by convention and cached per (p, k).
+    c defaults to class_precision(p, k), where the count is the index of
+    the k-th powers in Z_p^*: p^v_p(k) * gcd(k, p-1) for odd p.  The
+    units mod p^c are cyclic of order p^(c-1)*(p-1), except at p = 2,
+    c >= 3, where they are {+-1} x <5> = C_2 x C_(2^(c-2)).
     """
-
-    __slots__ = ("p", "k", "precision", "modulus", "class_count",
-                 "class_reps", "classes", "_class_of")
-
-    def __init__(self, p: int, k: int):
-        if not is_prime(p):
-            raise PreconditionViolated(f"not a prime: {p}")
-        if k < 2:
-            raise DegenerateInput(f"degree must be at least 2, got {k}")
+    if c is None:
         c = class_precision(p, k)
-        modulus = p**c
-        if modulus > TABLE_LIMIT:
-            raise ResourceBound(
-                f"explicit class table mod {p}^{c} is too large",
-                required=modulus)
-        self.p = p
-        self.k = k
-        self.precision = c
-        self.modulus = modulus
-        power_cosets = sorted({pow(t, k, modulus)
-                               for t in range(1, modulus) if t % p})
-        class_of: dict[int, int] = {}
-        reps: list[int] = []
-        classes: list[frozenset[int]] = []
-        for u in range(1, modulus):
-            if u % p == 0 or u in class_of:
-                continue
-            coset = frozenset(u * q % modulus for q in power_cosets)
-            idx = len(reps)
-            for member in coset:
-                class_of[member] = idx
-            reps.append(u)
-            classes.append(coset)
-        self.class_count = len(reps)
-        self.class_reps = tuple(reps)
-        self.classes = tuple(classes)
-        self._class_of = class_of
-
-    def class_of(self, u: int) -> int:
-        u %= self.modulus
-        if u % self.p == 0:
-            raise PreconditionViolated(f"{u} is not a unit mod {self.p}")
-        return self._class_of[u]
-
-    def is_kth_power(self, u: int) -> bool:
-        return self.class_of(u) == 0
-
-
-@lru_cache(maxsize=CLASS_TABLE_CACHE_SIZE)
-def build_unit_class_table(p: int, k: int) -> UnitClassTable:
-    return UnitClassTable(p, k)
+    if p == 2 and c >= 3:
+        return gcd(k, 2) * gcd(k, 2**(c - 2))
+    return gcd(k, p**(c - 1) * (p - 1))
 
 
 def class_label(u: int, p: int, k: int) -> int:
     """Canonical label of the k-th power class of the unit u.
 
-    For p not dividing k the label is the power residue symbol
-    pow(u, (p-1)//d, p), d = gcd(k, p-1), for every size of p.  For
-    p | k it is the index into the explicit coset table mod
-    p^(2*v_p(k)+1).  Either way, two units share a label exactly when
-    their ratio is a k-th power in Z_p.
+    Two units share a label exactly when their ratio is a k-th power in
+    Z_p; the label is the closed formula of _labeller, at every (p, k).
     """
     if not is_prime(p):
         raise PreconditionViolated(f"not a prime: {p}")
+    if k < 2:
+        raise DegenerateInput(f"degree must be at least 2, got {k}")
     if u % p == 0:
         raise PreconditionViolated(f"{u} is not a unit mod {p}")
     return _labeller(p, k)(u)
@@ -163,37 +113,49 @@ def is_kth_power_unit(u: int, p: int, k: int) -> bool:
     return class_label(u, p, k) == class_label(1, p, k)
 
 
+@lru_cache(maxsize=CLASS_TABLE_CACHE_SIZE)
 def _labeller(p: int, k: int):
     """The class-label function of units at (p, k); see class_label.
 
-    For p not dividing k: a unit is a k-th power in Z_p iff its residue
-    mod p is one (Hensel, as p does not divide k), iff that residue is a
-    d-th power, iff the power residue is 1; the map is a homomorphism,
-    so it labels cosets.
+    With c = class_precision(p, k), a unit ratio u/w is a k-th power in
+    Z_p iff it is one mod p^c (Newton), so the classes are the cosets of
+    the k-th powers in the units mod p^c.  Two cases:
+
+    - Odd p, or odd k at p = 2: the units mod p^c are cyclic of order
+      N = p^(c-1)*(p-1).  In a cyclic group the k-th powers are the
+      g-th powers, g = gcd(k, N) = class_count(p, k), and these are the
+      kernel of u -> u^(N/g), so the label pow(u, N // g, p^c) names
+      the coset.  At p not dividing k, c = 1 and this is the power
+      residue pow(u, (p-1)//d, p), d = gcd(k, p-1).
+    - p = 2, k even, tau = v_2(k): Z_2^* = {+-1} x (1 + 4Z_2), and
+      squaring maps 1 + 2^j Z_2 onto 1 + 2^(j+1) Z_2 for j >= 2, while
+      an odd power is a bijection of each.  So the k-th powers of units
+      are exactly 1 + 2^(tau+2) Z_2, and the label is u mod 2^(tau+2).
     """
-    if k % p == 0:
-        return build_unit_class_table(p, k).class_of
-    euler = (p - 1) // gcd(k, p - 1)
-    return lambda u: pow(u, euler, p)
+    c = class_precision(p, k)
+    if p == 2 and k % 2 == 0:
+        modulus = 2**(c // 2 + 2)  # c = 2*tau + 1
+        return lambda u: u % modulus
+    exponent = p**(c - 1) * (p - 1) // class_count(p, k, c)
+    modulus = p**c
+    return lambda u: pow(u, exponent, modulus)
 
 
 @lru_cache(maxsize=CLASS_TABLE_CACHE_SIZE)
 def class_reps(p: int, k: int) -> MappingProxyType[int, int]:
     """Smallest unit with each class label at (p, k), in label order:
-    the coset table's class_reps at p | k, else a scan u = 1, 2, ...
-    until all gcd(k, p-1) power-residue labels are seen (no table)."""
-    if p > 1 and k % p == 0:
-        return MappingProxyType(
-            dict(enumerate(build_unit_class_table(p, k).class_reps)))
+    a scan u = 1, 2, ... over the units (multiples of p skipped) that
+    stops once all class_count(p, k) labels are seen."""
     if not is_prime(p):
         raise PreconditionViolated(f"not a prime: {p}")
     if k < 2:
         raise DegenerateInput(f"degree must be at least 2, got {k}")
-    label, count = _labeller(p, k), gcd(k, p - 1)
+    label, count = _labeller(p, k), class_count(p, k)
     reps: dict[int, int] = {}
     u = 1
     while len(reps) < count:
-        reps.setdefault(label(u), u)
+        if u % p:
+            reps.setdefault(label(u), u)
         u += 1
     return MappingProxyType(dict(sorted(reps.items())))
 

@@ -38,8 +38,8 @@ from math import gcd
 from .errors import (ClassificationMismatch, DegenerateInput,
                      PreconditionViolated, ResourceBound)
 from .padic import (CoefficientVector, _split, all_cells, cell_orbit,
-                    cell_representative, certificate_exponent, class_label,
-                    signature, valuation)
+                    cell_representative, certificate_exponent, class_count,
+                    class_label, signature, valuation)
 from .primes import is_prime, prime_divisors, primes_below
 
 # Most modulus x value-set entries one layer walk may cost.
@@ -128,10 +128,7 @@ def _value_sets(p: int, k: int, level: int, c: int):
 
 def _unit_power_count(p: int, k: int, c: int) -> int:
     """Number of k-th powers among the units mod p^c, c >= 1."""
-    order = p**(c - 1) * (p - 1)
-    if p == 2 and c >= 3:  # the units mod 2^c are C_2 x C_(2^(c-2))
-        return order // (gcd(k, 2) * gcd(k, 2**(c - 2)))
-    return order // gcd(k, order)
+    return p**(c - 1) * (p - 1) // class_count(p, k, c)
 
 
 @lru_cache(maxsize=VALUE_SETS_CACHE_SIZE)

@@ -59,9 +59,9 @@ def test_merge_discards_corrupt_history(tmp_path):
 
 def test_stale_version_lines_are_skipped(tmp_path):
     import hashlib
-    # valid lines from older formats must be ignored, not fatal; version 1
-    # keys label classes differently, so reading them would be wrong
-    for version in ("locsol-cache-0", "locsol-cache-1"):
+    # valid lines from older formats must be ignored, not fatal; versions
+    # 1 and 2 label classes differently, so reading them would be wrong
+    for version in ("locsol-cache-0", "locsol-cache-1", "locsol-cache-2"):
         store = CacheStore(tmp_path / version)
         store.write("verdicts", [({"p": 2}, {"status": "current"})])
         path = tmp_path / version / "verdicts.jsonl"

@@ -269,6 +269,11 @@ def test_verify_paper_flags_a_corrupt_cache(capsys, tmp_path, monkeypatch):
     clear_caches()
 
 
+def test_public_names_resolve():
+    for name in locsol.__all__:
+        assert getattr(locsol, name) is not None, name
+
+
 def test_installed_entry_point():
     # the child imports the same package as the tests, installed or not
     src = Path(locsol.__file__).parents[1]

@@ -2,13 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locsol.errors import DegenerateInput, PreconditionViolated, ResourceBound
-from locsol.padic import (CoefficientVector, all_cells,
-                          build_unit_class_table, cell_orbit,
+from locsol.errors import DegenerateInput, PreconditionViolated
+from locsol.padic import (CoefficientVector, all_cells, cell_orbit,
                           cell_representative, certificate_exponent,
-                          class_label, class_precision, class_reps,
-                          classify_type, is_kth_power_unit, normalize,
-                          signature, symbol_alphabet, valuation)
+                          class_count, class_label, class_precision,
+                          class_reps, classify_type, is_kth_power_unit,
+                          normalize, signature, symbol_alphabet, valuation)
 from locsol.primes import primes_below
 from locsol.solubility import clear_caches, decide_qp, load_verdicts
 
@@ -39,47 +38,66 @@ def test_certificate_exponent():
     assert class_precision(5, 3) == 1
 
 
+def _kth_power_cosets(p, k):
+    """Brute force: the cosets of the k-th powers among the units mod
+    p^c, c = class_precision(p, k)."""
+    modulus = p**class_precision(p, k)
+    units = [u for u in range(1, modulus) if u % p]
+    powers = {pow(t, k, modulus) for t in units}
+    return modulus, {frozenset(u * q % modulus for q in powers)
+                     for u in units}
+
+
 def test_unit_classes_mod_8():
-    t = build_unit_class_table(2, 2)
-    assert t.modulus == 8
-    assert t.class_count == 4
-    assert t.class_reps == (1, 3, 5, 7)
-    assert t.classes == tuple(frozenset({u}) for u in (1, 3, 5, 7))
+    # the squares of units are 1 + 8Z_2, so each unit mod 8 is a class
+    assert class_count(2, 2) == 4
+    assert dict(class_reps(2, 2)) == {1: 1, 3: 3, 5: 5, 7: 7}
+    assert class_label(-1, 2, 2) == 7 and class_label(17, 2, 2) == 1
+    # the count at any level c matches the brute-force index
+    for k in range(2, 13):
+        for c in range(1, 8):
+            units = range(1, 2**c, 2)
+            powers = {pow(t, k, 2**c) for t in units}
+            assert class_count(2, k, c) == len(units) // len(powers), (k, c)
 
 
 def test_unit_classes_mod_27():
-    t = build_unit_class_table(3, 3)
-    assert t.modulus == 27
-    assert t.class_count == 3
-    assert t.class_reps == (1, 2, 4)
-    assert t.classes[0] == frozenset({1, 8, 10, 17, 19, 26})
-    assert t.classes[1] == frozenset({2, 7, 11, 16, 20, 25})
-    assert t.classes[2] == frozenset({4, 5, 13, 14, 22, 23})
+    modulus, cosets = _kth_power_cosets(3, 3)
+    assert modulus == 27
+    assert cosets == {frozenset({1, 8, 10, 17, 19, 26}),
+                      frozenset({2, 7, 11, 16, 20, 25}),
+                      frozenset({4, 5, 13, 14, 22, 23})}
+    assert class_count(3, 3) == 3
+    # labels pow(u, 6, 27); the smallest units of the classes are 1, 2, 4
+    assert dict(class_reps(3, 3)) == {1: 1, 10: 2, 19: 4}
+    for coset in cosets:
+        assert len({class_label(u, 3, 3) for u in coset}) == 1
     # cube classes are already determined mod 9
     units = [u for u in range(1, 27) if u % 3]
     for u in units:
         for w in units:
             if (u - w) % 9 == 0:
-                assert t.class_of(u) == t.class_of(w)
+                assert class_label(u, 3, 3) == class_label(w, 3, 3)
 
 
 def test_unit_classes_mod_5_squares():
-    t = build_unit_class_table(5, 2)
-    assert t.class_count == 2
-    assert t.class_reps == (1, 2)
-    assert t.is_kth_power(4) and t.is_kth_power(-1)
-    assert not t.is_kth_power(2) and not t.is_kth_power(3)
+    assert class_count(5, 2) == 2
+    assert dict(class_reps(5, 2)) == {1: 1, 4: 2}
+    assert is_kth_power_unit(4, 5, 2) and is_kth_power_unit(-1, 5, 2)
+    assert not is_kth_power_unit(2, 5, 2) and not is_kth_power_unit(3, 5, 2)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_class_count_formula_odd_p(p, k):
     from math import gcd
-    t = build_unit_class_table(p, k)
     v = valuation(k, p) if k % p == 0 else 0
-    assert t.class_count == gcd(k, p - 1) * p**v
-    sizes = {len(c) for c in t.classes}
-    assert len(sizes) == 1  # cosets of one subgroup
+    assert class_count(p, k) == gcd(k, p - 1) * p**v
+    # at every level c the count is the brute-force index
+    for c in (1, 2, 3):
+        units = [u for u in range(1, p**c) if u % p]
+        powers = {pow(t, k, p**c) for t in units}
+        assert class_count(p, k, c) == len(units) // len(powers), c
 
 
 @pytest.mark.parametrize("p,k", [(5, 2), (7, 2), (11, 3), (13, 3), (7, 4)])
@@ -91,32 +109,32 @@ def test_power_detection_matches_sympy(p, k):
 
 
 def test_class_label_large_prime_path():
-    # the power-residue label needs no table, even above the table limit
+    # the power-residue label needs no stored state, whatever the size of p
     p = 1_000_003
     assert class_label(1, p, 2) == 1
     assert class_label(4, p, 2) == 1
     squares = {class_label(u, p, 2) for u in (1, 4, 9, 16, 25)}
     assert squares == {1}
-    with pytest.raises(ResourceBound):
-        build_unit_class_table(p, 2)
+    assert class_count(p, 2) == 2
 
 
 def test_power_residue_labels_agree_with_tables():
-    # the explicit coset table is the reference partition for p not | k
-    from locsol.primes import primes_below
+    # the reference partition is brute force, the cosets of the set of
+    # k-th powers mod p^c, at every p < 60 and 2 <= k <= 12, p | k too;
+    # u - p^c and u + 3p^c check negative units and units above p^c
     for p in primes_below(60):
-        for k in range(2, 7):
-            if k % p == 0:
-                continue
-            table = build_unit_class_table(p, k)
-            units = [u for u in range(1, table.modulus) if u % p]
-            labels = {u: class_label(u, p, k) for u in units}
-            for u in units:
-                assert is_kth_power_unit(u, p, k) == table.is_kth_power(u)
-                for w in units:
-                    assert ((labels[u] == labels[w])
-                            == (table.class_of(u) == table.class_of(w))), \
-                        (p, k, u, w)
+        for k in range(2, 13):
+            modulus, cosets = _kth_power_cosets(p, k)
+            labels = set()
+            for coset in cosets:
+                found = {class_label(u + j * modulus, p, k)
+                         for u in coset for j in (-1, 0, 3)}
+                assert len(found) == 1, (p, k, sorted(coset))
+                labels |= found
+                assert is_kth_power_unit(min(coset), p, k) == (1 in coset)
+            assert len(labels) == len(cosets), (p, k)
+            assert class_count(p, k) == len(class_reps(p, k)) \
+                == len(cosets), (p, k)
 
 
 def test_coefficient_vector_validation():
@@ -194,8 +212,8 @@ def test_normalize_signature_is_projective(entries, p):
                 min_size=2, max_size=6))
 @settings(max_examples=300, deadline=None)
 def test_signature_equals_normal_form_signature(p, k, parts):
-    # p in {2, 3, 5} with k in 2..6 covers the p | k coset tables; the
-    # rest are power residues at p not dividing k, up to 10,007
+    # p in {2, 3, 5} with k in 2..6 covers p | k; the rest are power
+    # residues at p not dividing k, up to 10,007
     entries = tuple(s * p**e * u for s, e, u in parts)
     nf = normalize(CoefficientVector(entries, k), p)
     assert signature(entries, p, k) == nf.signature
@@ -257,6 +275,10 @@ def test_class_labels_reject_non_primes():
         class_label(3, 9, 2)
     with pytest.raises(PreconditionViolated):
         is_kth_power_unit(4, 15, 2)
+    with pytest.raises(DegenerateInput):
+        class_label(2, 5, 1)
+    with pytest.raises(DegenerateInput):
+        is_kth_power_unit(2, 5, 1)
     with pytest.raises(PreconditionViolated):
         class_reps(9, 2)
     with pytest.raises(DegenerateInput):

@@ -54,20 +54,40 @@ def test_witnesses_satisfy_their_certificates():
 
 def test_no_class_table_in_the_decision_path():
     from locsol.density import generic_sum, rho_p_exact
-    from locsol.padic import build_unit_class_table, cell_orbit
+    from locsol.padic import cell_orbit, class_reps
     a = vec((3, -5, 7, 10_007 * 11))
-    build_unit_class_table.cache_clear()
+    class_reps.cache_clear()
     normalize(a, 10_007)
     classify_type(a, 10_007)
     clear_caches()
     decide_qp(a, 10_007)
     clear_caches()
     decide_qp(a, 10_007, with_witness=True)
+    # decisions label units by formula; only cells look up class reps
+    assert class_reps.cache_info().misses == 0
     # cells away from p | k carry power-residue labels too
     rho_p_exact(2, 4, 13)
     generic_sum(3, 4, 13)
     assert len(cell_orbit(((0, 1), (1, 12)), 13, 4)) == 16
-    assert build_unit_class_table.cache_info().misses == 0
+
+
+def test_large_p_dividing_k_labels_and_decides():
+    # at (61, 61) the classes live mod 61^3 = 226,981; the label formula
+    # needs no list of them
+    from locsol.padic import (certificate_exponent, class_count,
+                              class_label, class_reps, signature)
+    p = k = 61
+    assert len(class_reps(p, k)) == class_count(p, k) == 61
+    one, other = class_label(1, p, k), class_label(62, p, k)
+    assert one != other
+    # 2^61 is a 61st power, and so is 1 + 61^2 = (1 + 61 t)^61 for some t
+    assert signature((62, 1 + 61**2, 2**61, 61 * 62), p, k) == tuple(
+        sorted([(0, other), (0, one), (0, one), (1, other)]))
+    clear_caches()
+    verdict = decide_qp(vec((1, 2, 3), k), p, with_witness=True)
+    assert verdict.status == "soluble"
+    assert verdict.certificate_level == certificate_exponent(p, k)
+    check_witness(verdict, p, k)
 
 
 def test_no_kth_root_without_a_witness(monkeypatch):
@@ -102,11 +122,11 @@ def test_no_kth_root_without_a_witness(monkeypatch):
 def test_memo_caches_are_bounded(monkeypatch):
     from locsol import solubility
     from locsol.density import layer_terms
-    from locsol.padic import build_unit_class_table, class_reps
+    from locsol.padic import _labeller, class_reps
     from locsol.primes import factor
     from locsol.solubility import _value_count, _value_sets, load_verdicts
     assert factor.cache_info().maxsize is not None
-    assert build_unit_class_table.cache_info().maxsize is not None
+    assert _labeller.cache_info().maxsize is not None
     assert class_reps.cache_info().maxsize is not None
     assert pathological_primes.cache_info().maxsize is not None
     assert _value_sets.cache_info().maxsize is not None
@@ -146,9 +166,10 @@ def test_primality_checked_once_per_decision(monkeypatch):
 
     cases = [((1, 1, 1), 2, 2), ((1, 2, 3), 2, 5), ((1, 2, 4), 3, 3),
              ((3, 5, 7, 11), 2, 7)]
-    for entries, k, p in cases:              # build the class tables first
+    for entries, k, p in cases:              # fill the memo caches first
         clear_caches()
         decide_qp(vec(entries, k), p)
+    padic.class_reps(2, 2)
     monkeypatch.setattr(solubility, "is_prime", counting)
     monkeypatch.setattr(padic, "is_prime", counting)
     monkeypatch.setattr(density, "is_prime", counting)
