@@ -322,17 +322,21 @@ def _load_cache(args):
     path = args.cache_dir or os.environ.get("LOCSOL_CACHE_DIR")
     if not path:
         return None
-    store = cache_mod.CacheStore(path)
+    store = None
     try:
+        store = cache_mod.CacheStore(path)
         solubility.load_verdicts(cache_mod.load_verdicts(store))
-    except LocsolError as exc:
+    except (LocsolError, OSError) as exc:
         print(f"warning: ignoring unusable cache: {exc}", file=sys.stderr)
     return store
 
 
 def _save_cache(store) -> None:
     if store is not None:
-        cache_mod.save_verdicts(store, solubility.dump_verdicts())
+        try:
+            cache_mod.save_verdicts(store, solubility.dump_verdicts())
+        except OSError as exc:
+            print(f"warning: ignoring unusable cache: {exc}", file=sys.stderr)
 
 
 _HANDLERS = {

@@ -17,7 +17,7 @@ The test is a bitset walk over Z/p^(2*tau+1) that carries a flag for
 "a layer-r unit has been used".  Route "dp" runs it on every layer.
 Route "scale" (gcd(p, k) = 1, so the walk is mod p over the layer's
 units) first tries two shortcuts: a pair -u_t/u_s that is a k-th power
-mod p, and a plane-curve point count when p is not pathological for k.
+mod p, and the Hasse-Weil bound when p is not pathological for k.
 
 A soluble verdict can carry a witness: the layer zero y is Newton-lifted
 until G_r(y) = 0 mod p^(m*-r), m* = certificate_exponent(p, k), and
@@ -290,10 +290,12 @@ def _shortcut(p: int, k: int, members, want_witness: bool):
         return False, None
     # With no pair soluble no curve point has a zero coordinate, so the
     # point that is_pathological's Hasse-Weil bound forces is all-nonzero.
-    if p > _ROOT_SCAN_LIMIT and not is_pathological(p, k):
+    # Below _ROOT_SCAN_LIMIT the walk finds that point's witness.
+    if not is_pathological(p, k):
         if not want_witness:
             return True, None
-        return True, _group_curve_solution(p, k, members)
+        if p > _ROOT_SCAN_LIMIT:
+            return True, _group_curve_solution(p, k, members)
     return None
 
 

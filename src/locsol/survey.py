@@ -80,8 +80,7 @@ def _sample_chunk(task) -> tuple[int, dict[tuple, str]]:
 
 def survey_box(n: int, k: int, height: int, *, mode: str = "exhaustive",
                sample_count: int | None = None, seed: int | None = None,
-               reference=None, jobs: int = 1,
-               exhaustive_cap: int = EXHAUSTIVE_CAP) -> SurveyReport:
+               reference=None, jobs: int = 1) -> SurveyReport:
     """Measure the soluble proportion of a coefficient box.
 
     mode "exhaustive" enumerates the whole box (guarded by a cap); mode
@@ -97,7 +96,7 @@ def survey_box(n: int, k: int, height: int, *, mode: str = "exhaustive",
     if mode == "exhaustive":
         side = 2 * height - 1
         total = side**(n + 1)
-        if total > exhaustive_cap:
+        if total > EXHAUSTIVE_CAP:
             raise ResourceBound(
                 f"box holds {total} vectors", required=total)
         values = range(-(height - 1), height)

@@ -271,7 +271,7 @@ def _cache_integrity(cache_store: CacheStore | None) -> tuple[bool, str]:
         return True, "round-trip and corruption detection pass (no active cache)"
     try:
         loaded = load_verdicts(cache_store)
-    except CacheCorrupt as exc:
+    except (CacheCorrupt, OSError) as exc:
         return False, f"active cache is damaged: {exc}"
     return True, (f"round-trip and corruption detection pass; active cache "
                   f"holds {len(loaded)} verdicts")

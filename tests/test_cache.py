@@ -1,82 +1,143 @@
+import hashlib
 import json
 
 import pytest
 
-from locsol.cache import (CACHE_VERSION, CacheStore, load_verdicts,
-                          save_verdicts, verdict_key)
+from locsol.cache import CACHE_VERSION, CacheStore, load_verdicts, save_verdicts
 from locsol.errors import CacheCorrupt
 from locsol.padic import CoefficientVector
 from locsol.solubility import clear_caches, decide_qp, dump_verdicts
+from locsol.verification import _cache_integrity
+
+VERDICTS = {(2, 2, ((0, 3), (0, 3), (1, 5))): "soluble",
+            (5, 3, ((0, 1), (1, 2))): "insoluble"}
+
+
+def write_body(path, body) -> None:
+    """A verdicts.json holding this body under a valid checksum."""
+    raw = json.dumps(body).encode()
+    path.write_bytes(hashlib.sha256(raw).hexdigest().encode() + b"\n" + raw)
 
 
 def test_round_trip(tmp_path):
     store = CacheStore(tmp_path)
-    pairs = [({"p": 2, "k": 2, "signature": [[0, 0]]}, {"status": "soluble"}),
-             ({"p": 5, "k": 3, "signature": [[1, 2]]}, {"status": "insoluble"})]
-    store.write("verdicts", pairs)
-    assert store.read("verdicts") == pairs
+    save_verdicts(store, VERDICTS)
+    assert load_verdicts(store) == VERDICTS
+    assert load_verdicts(CacheStore(tmp_path)) == VERDICTS
 
 
 def test_reading_missing_file_is_empty(tmp_path):
-    assert CacheStore(tmp_path).read("verdicts") == []
+    assert load_verdicts(CacheStore(tmp_path)) == {}
 
 
 def test_single_flipped_byte_is_detected(tmp_path):
     store = CacheStore(tmp_path)
-    store.write("verdicts", [({"p": 2}, {"status": "soluble"})])
-    path = tmp_path / "verdicts.jsonl"
+    save_verdicts(store, VERDICTS)
+    path = tmp_path / "verdicts.json"
     raw = path.read_bytes()
-    path.write_bytes(raw.replace(b"soluble", b"solubie"))
+    # "insoluble" -> "insolubme" breaks the checksum, not the JSON
+    path.write_bytes(raw.replace(b"insoluble", b"insolubme"))
     with pytest.raises(CacheCorrupt):
-        store.read("verdicts")
+        load_verdicts(store)
 
 
 def test_truncated_line_is_detected(tmp_path):
     store = CacheStore(tmp_path)
-    store.write("verdicts", [({"p": 2}, {"status": "soluble"})])
-    path = tmp_path / "verdicts.jsonl"
-    path.write_text(path.read_text()[:-20] + "\n")
+    save_verdicts(store, VERDICTS)
+    path = tmp_path / "verdicts.json"
+    path.write_bytes(path.read_bytes()[:-20])
     with pytest.raises(CacheCorrupt):
-        store.read("verdicts")
+        load_verdicts(store)
+
+
+def test_empty_file_is_detected(tmp_path):
+    (tmp_path / "verdicts.json").write_bytes(b"")
+    with pytest.raises(CacheCorrupt):
+        load_verdicts(CacheStore(tmp_path))
+
+
+@pytest.mark.parametrize("row", [
+    [2, 2, [[0, 1]], "maybe"],
+    [2, 2, [[0, 1]]],
+    ["2", 2, [[0, 1]], "soluble"],
+    [2, 2.0, [[0, 1]], "soluble"],
+    [2, 2, [[0, 1, 2]], "soluble"],
+    [2, 2, [[0, True]], "soluble"],
+    [2, 2, "01", "soluble"],
+    [2, 2, 7, "soluble"],
+    {"p": 2, "k": 2, "signature": [[0, 1]], "status": "soluble"},
+])
+def test_checksummed_row_of_wrong_shape_is_detected(tmp_path, row):
+    write_body(tmp_path / "verdicts.json",
+               {"version": CACHE_VERSION, "rows": [row]})
+    with pytest.raises(CacheCorrupt):
+        load_verdicts(CacheStore(tmp_path))
+
+
+def test_checksummed_body_of_wrong_shape_is_detected(tmp_path):
+    for body in ([], {"rows": []}, {"version": CACHE_VERSION}):
+        write_body(tmp_path / "verdicts.json", body)
+        with pytest.raises(CacheCorrupt):
+            load_verdicts(CacheStore(tmp_path))
 
 
 def test_merge_is_last_wins(tmp_path):
     store = CacheStore(tmp_path)
-    store.write("verdicts", [({"p": 2}, {"status": "old"}),
-                             ({"p": 3}, {"status": "keep"})])
-    store.merge("verdicts", [({"p": 2}, {"status": "new"})])
-    got = dict((json.dumps(k, sort_keys=True), v["status"])
-               for k, v in store.read("verdicts"))
-    assert got == {'{"p": 2}': "new", '{"p": 3}': "keep"}
+    old, keep, fresh = ((p, 2, ((0, 1),)) for p in (2, 3, 7))
+    save_verdicts(store, {old: "insoluble", keep: "insoluble"})
+    save_verdicts(store, {old: "soluble", fresh: "soluble"})
+    assert load_verdicts(store) == {old: "soluble", keep: "insoluble",
+                                    fresh: "soluble"}
 
 
 def test_merge_discards_corrupt_history(tmp_path):
     store = CacheStore(tmp_path)
-    (tmp_path / "verdicts.jsonl").write_text("not json at all\n")
-    store.merge("verdicts", [({"p": 7}, {"status": "fresh"})])
-    assert store.read("verdicts") == [({"p": 7}, {"status": "fresh"})]
+    (tmp_path / "verdicts.json").write_text("not json at all\n")
+    save_verdicts(store, VERDICTS)
+    assert load_verdicts(store) == VERDICTS
 
 
 def test_stale_version_lines_are_skipped(tmp_path):
-    import hashlib
-    # valid lines from older formats must be ignored, not fatal; versions
-    # 1 and 2 label classes differently, so reading them would be wrong
-    for version in ("locsol-cache-0", "locsol-cache-1", "locsol-cache-2"):
-        store = CacheStore(tmp_path / version)
-        store.write("verdicts", [({"p": 2}, {"status": "current"})])
-        path = tmp_path / version / "verdicts.jsonl"
-        line = json.loads(path.read_text())
-        old = {"version": version, "key": {"p": 99},
-               "payload": {"status": "ancient"}}
-        body = json.dumps({"version": old["version"], "key": old["key"],
-                           "payload": old["payload"]},
-                          sort_keys=True, separators=(",", ":"))
-        old["checksum"] = hashlib.sha256(body.encode()).hexdigest()
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(old, sort_keys=True, separators=(",", ":"))
-                     + "\n")
-        assert store.read("verdicts") == [({"p": 2}, {"status": "current"})]
-        assert line["version"] == CACHE_VERSION != version
+    # a valid body from an older format must be ignored, not fatal;
+    # versions 1 to 3 label classes or lay out the file differently
+    for version in ("locsol-cache-0", "locsol-cache-1", "locsol-cache-2",
+                    "locsol-cache-3"):
+        write_body(tmp_path / "verdicts.json",
+                   {"version": version, "rows": [[2, 2, [[0, 1]], "soluble"]]})
+        assert load_verdicts(CacheStore(tmp_path)) == {}
+    assert CACHE_VERSION == "locsol-cache-4"
+
+
+def test_old_jsonl_file_is_ignored(tmp_path):
+    old = tmp_path / "verdicts.jsonl"
+    old.write_text('{"version":"locsol-cache-3","key":{"p":2},'
+                   '"payload":{"status":"soluble"},"checksum":"00"}\n')
+    store = CacheStore(tmp_path)
+    assert load_verdicts(store) == {}
+    save_verdicts(store, VERDICTS)
+    assert load_verdicts(store) == VERDICTS
+    assert old.read_text().startswith('{"version":"locsol-cache-3"')
+
+
+def test_one_digest_per_load_and_per_save(tmp_path, monkeypatch):
+    verdicts = {(p, 2, ((0, 1), (0, 3))): "soluble" for p in (3, 5, 7, 11)}
+    calls = []
+    real = hashlib.sha256
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(hashlib, "sha256", counting)
+    store = CacheStore(tmp_path)
+    save_verdicts(store, verdicts)       # no file yet: hash what is written
+    assert len(calls) == 1
+    del calls[:]
+    assert load_verdicts(store) == verdicts
+    assert len(calls) == 1
+    del calls[:]
+    save_verdicts(store, VERDICTS)       # check the old file, hash the new
+    assert len(calls) == 2
 
 
 def test_verdict_adapters_round_trip(tmp_path):
@@ -90,7 +151,9 @@ def test_verdict_adapters_round_trip(tmp_path):
     assert load_verdicts(store) == live
     # merging again must not duplicate
     save_verdicts(store, live)
-    assert len(store.read("verdicts")) == 2
+    body = json.loads((tmp_path / "verdicts.json").read_bytes()
+                      .partition(b"\n")[2])
+    assert len(body["rows"]) == 2
     clear_caches()
 
 
@@ -98,6 +161,7 @@ def test_self_test_passes_on_healthy_store(tmp_path):
     CacheStore(tmp_path).self_test()
 
 
-def test_verdict_key_shape():
-    key = verdict_key(5, 2, ((0, 1), (0, 2)))
-    assert key == {"p": 5, "k": 2, "signature": [[0, 1], [0, 2]]}
+def test_unreadable_active_cache_fails_the_integrity_line(tmp_path):
+    (tmp_path / "verdicts.json").mkdir()
+    passed, detail = _cache_integrity(CacheStore(tmp_path))
+    assert not passed and "damaged" in detail

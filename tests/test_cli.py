@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import locsol
-from locsol.cache import CacheStore
+from locsol.cache import CacheStore, load_verdicts, save_verdicts
 from locsol.cli import main
 from locsol.solubility import clear_caches
 
@@ -226,7 +226,7 @@ def test_cache_dir_round_trip(capsys, tmp_path, monkeypatch):
     clear_caches()
     cold = run(capsys, "decide", "-k", "2", "-p", "2", "--no-witness",
                "1", "1", "3")
-    stored = CacheStore(tmp_path).read("verdicts")
+    stored = load_verdicts(CacheStore(tmp_path))
     assert len(stored) >= 1
     clear_caches()
     warm = run(capsys, "decide", "-k", "2", "-p", "2", "--no-witness",
@@ -237,23 +237,41 @@ def test_cache_dir_round_trip(capsys, tmp_path, monkeypatch):
 
 def test_corrupt_cache_warns_and_recovers(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("LOCSOL_CACHE_DIR", str(tmp_path))
-    (tmp_path / "verdicts.jsonl").write_text("garbage\n")
+    (tmp_path / "verdicts.json").write_text("garbage\n")
     clear_caches()
     code, out, err = run(capsys, "decide", "-k", "2", "-p", "2",
                          "--no-witness", "1", "1", "3")
     assert code == 0
     assert "warning: ignoring unusable cache" in err
     # the rewrite drops the garbage, so the store reads cleanly again
-    assert len(CacheStore(tmp_path).read("verdicts")) >= 1
+    assert len(load_verdicts(CacheStore(tmp_path))) >= 1
+    clear_caches()
+
+
+def test_unusable_cache_dir_warns_and_keeps_the_exit_code(capsys, tmp_path,
+                                                         monkeypatch):
+    monkeypatch.delenv("LOCSOL_CACHE_DIR", raising=False)
+    clear_caches()
+    plain = run(capsys, "decide", "-k", "2", "-p", "2", "1", "1", "1")
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    # verdicts.json as a directory: reading and saving both fail
+    (tmp_path / "store" / "verdicts.json").mkdir(parents=True)
+    for cache_dir in (not_a_dir, tmp_path / "store"):
+        clear_caches()
+        code, out, err = run(capsys, "--cache-dir", str(cache_dir), "decide",
+                             "-k", "2", "-p", "2", "1", "1", "1")
+        assert (code, out) == plain[:2] and code == 1
+        assert err.count("warning: ignoring unusable cache") == (
+            1 if cache_dir == not_a_dir else 2)
     clear_caches()
 
 
 def test_verify_paper_flags_a_corrupt_cache(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("LOCSOL_CACHE_DIR", str(tmp_path))
-    seed = CacheStore(tmp_path)
-    seed.write("verdicts", [({"p": 2}, {"status": "x"})])
-    path = tmp_path / "verdicts.jsonl"
-    path.write_bytes(path.read_bytes().replace(b'"x"', b'"y"'))
+    save_verdicts(CacheStore(tmp_path), {(2, 2, ((0, 1),)): "soluble"})
+    path = tmp_path / "verdicts.json"
+    path.write_bytes(path.read_bytes().replace(b'"soluble"', b'"insoluble"'))
     clear_caches()
     code, out, err = run(capsys, "verify-paper", "--subset", "cubic")
     assert code == 1

@@ -119,6 +119,24 @@ def test_no_kth_root_without_a_witness(monkeypatch):
         check_witness(verdict, q, k)
 
 
+def test_no_walk_for_a_verdict_at_a_non_pathological_prime(monkeypatch):
+    from locsol import solubility
+
+    def refuse(*args):
+        raise AssertionError("walked")
+
+    # -1 is not a square mod 7, so no pair decides; 7 is not pathological
+    # for k = 2, so three units always have a zero
+    monkeypatch.setattr(solubility, "_walk", refuse)
+    clear_caches()
+    assert decide_qp(vec((1, 1, 1)), 7).status == "soluble"
+    with pytest.raises(AssertionError):
+        decide_qp(vec((1, 1, 1)), 7, with_witness=True)
+    monkeypatch.undo()
+    clear_caches()
+    check_witness(decide_qp(vec((1, 1, 1)), 7, with_witness=True), 7, 2)
+
+
 def test_memo_caches_are_bounded(monkeypatch):
     from locsol import solubility
     from locsol.density import layer_terms
