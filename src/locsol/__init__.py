@@ -12,8 +12,7 @@ from .density import (Density, generic_sum, kappa, rho_infinity, rho_p,
 from .errors import (CacheCorrupt, ClassificationMismatch, DegenerateInput,
                      DivergentTail, LocsolError, OracleOverflow,
                      PreconditionViolated, ResourceBound, UnsupportedPair)
-from .padic import (CoefficientVector, GammaWitness, NormalForm,
-                    classify_type, normalize, signature, valuation)
+from .padic import CoefficientVector, classify_type, signature, valuation
 from .product import (CertifiedInterval, TailBound, decimalize,
                       rho_loc_interval, tail_hypothesis)
 from .solubility import (ClassificationReport, EverywhereLocalReport,
@@ -27,13 +26,12 @@ __version__ = "0.1.0"
 __all__ = [
     "CacheCorrupt", "CertifiedInterval", "ClassificationMismatch",
     "ClassificationReport", "CoefficientVector", "DegenerateInput",
-    "Density", "DivergentTail", "EverywhereLocalReport", "GammaWitness",
-    "LocsolError", "NormalForm", "OracleOverflow", "PreconditionViolated",
-    "ResourceBound", "SolubilityVerdict", "SurveyReport", "TailBound",
-    "UnsupportedPair", "classify_type", "convergence_sweep",
-    "decide_everywhere_local", "decide_qp", "decide_real", "decimalize",
-    "generic_sum", "kappa", "normalize", "relevant_primes", "rho_infinity",
-    "rho_loc_interval", "rho_p", "rho_p_closed_form", "rho_p_exact",
-    "signature", "survey_box", "tail_hypothesis", "valuation",
-    "verify_classification",
+    "Density", "DivergentTail", "EverywhereLocalReport", "LocsolError",
+    "OracleOverflow", "PreconditionViolated", "ResourceBound",
+    "SolubilityVerdict", "SurveyReport", "TailBound", "UnsupportedPair",
+    "classify_type", "convergence_sweep", "decide_everywhere_local",
+    "decide_qp", "decide_real", "decimalize", "generic_sum", "kappa",
+    "relevant_primes", "rho_infinity", "rho_loc_interval", "rho_p",
+    "rho_p_closed_form", "rho_p_exact", "signature", "survey_box",
+    "tail_hypothesis", "valuation", "verify_classification",
 ]

@@ -8,7 +8,8 @@ row; a bad digest, body or row raises CacheCorrupt, which callers treat
 as a miss (and the verification suite as a failure).  A body of another
 version reads as empty; the verdicts.jsonl of version 3 and earlier is
 never read.  A save merges into the stored verdicts and rewrites through
-a temporary file and os.replace, so a crash never leaves a torn file.
+a temporary file and os.replace, so a crash never leaves a torn file; a
+save that adds or changes no verdict writes nothing.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ class CacheStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self.path = self.root / "verdicts.json"
 
-    def _read(self) -> dict[tuple, str]:
+    def _read(self) -> dict[tuple, str] | None:
+        """The stored verdicts; None for a body of another version."""
         try:
             raw = self.path.read_bytes()
         except FileNotFoundError:
@@ -56,7 +58,7 @@ class CacheStore:
         try:
             doc = json.loads(body)
             if doc["version"] != CACHE_VERSION:
-                return {}
+                return None
             return dict(_row(*row) for row in doc["rows"])
         except (ValueError, KeyError, TypeError) as exc:
             raise CacheCorrupt(f"{self.path}: unreadable body") from exc
@@ -97,14 +99,18 @@ class CacheStore:
 
 def load_verdicts(store: CacheStore) -> dict[tuple, str]:
     """Verdict table from disk; raises CacheCorrupt on damage."""
-    return store._read()
+    return store._read() or {}
 
 
 def save_verdicts(store: CacheStore, verdicts: dict[tuple, str]) -> None:
     """Merge verdicts into the file, newest value per key winning.
-    A damaged file is discarded rather than propagated."""
+    A damaged or stale file is discarded rather than propagated; a
+    current file that already holds every verdict is left untouched."""
     try:
         stored = store._read()
     except CacheCorrupt:
-        stored = {}
-    store._write({**stored, **verdicts})
+        stored = None
+    if stored is not None and all(stored.get(key) == status
+                                  for key, status in verdicts.items()):
+        return
+    store._write({**(stored or {}), **verdicts})

@@ -19,7 +19,7 @@ from . import solubility
 from .density import (generic_sum, rho_infinity, rho_p, rho_p_closed_form,
                       rho_p_exact)
 from .errors import LocsolError
-from .padic import CoefficientVector, classify_type, normalize
+from .padic import CoefficientVector, classify_type, orbit_record
 from .product import decimalize, rho_loc_interval
 from .solubility import decide_everywhere_local, decide_qp, decide_real
 from .survey import convergence_sweep, survey_box, write_csv
@@ -287,34 +287,20 @@ def _cmd_classify(args, store) -> int:
 
 def _cmd_orbit(args, store) -> int:
     vec = CoefficientVector(tuple(args.coefficients), args.k)
-    nf = normalize(vec, args.p)
-    record = {
-        "p": nf.p,
-        "k": nf.k,
-        "exponents": list(nf.exponents),
-        "unit_residues": list(nf.unit_residues),
-        "class_ids": list(nf.class_ids),
-        "reduced_entries": list(nf.reduced_entries),
-        "certificate_exponent": nf.certificate_exponent,
-        "witness": {
-            "scalar_exponent": nf.witness.scalar_exponent,
-            "power_shifts": list(nf.witness.power_shifts),
-            "permutation": list(nf.witness.permutation),
-        },
-    }
+    record = orbit_record(vec, args.p)
     if args.format == "json":
         print(json.dumps(record))
     else:
-        print(f"normal form at p={nf.p}: exponents {record['exponents']}, "
+        w = record["witness"]
+        print(f"normal form at p={args.p}: exponents {record['exponents']}, "
               f"unit residues {record['unit_residues']} "
-              f"(mod {nf.p}^{nf.certificate_exponent}), "
+              f"(mod {args.p}^{record['certificate_exponent']}), "
               f"classes {record['class_ids']}")
         print(f"reduced entries (source order): "
               f"{record['reduced_entries']}")
-        print(f"group element: scalar exponent "
-              f"{record['witness']['scalar_exponent']}, power shifts "
-              f"{record['witness']['power_shifts']}, permutation "
-              f"{record['witness']['permutation']}")
+        print(f"group element: scalar exponent {w['scalar_exponent']}, "
+              f"power shifts {w['power_shifts']}, permutation "
+              f"{w['permutation']}")
     return 0
 
 

@@ -3,9 +3,9 @@
 Over Z_p a nonzero coefficient splits as p^e * u with u a unit, and
 whether sum a_i x_i^k = 0 has a nontrivial p-adic zero depends only on
 (e mod k, class of u modulo k-th powers of units).  This module supplies
-that reduction: valuations, unit class labels, the signature, normal
-forms under the scaling/twist/permutation group, and the coarse I/II/III
-pattern tags.
+that reduction: valuations, unit class labels, the signature, the
+`locsol orbit` record of the scaling/twist/permutation group, and the
+coarse I/II/III pattern tags.
 
 Unit classes are labelled by one closed formula, kept (with its proof)
 in _labeller: a power of u mod p^(2*v_p(k)+1), except at p = 2 for
@@ -17,10 +17,9 @@ and class_count(p, k) the number of labels.
 _split is the one pass over the entries: it yields v_p, the unit
 x / p^v_p(x) and its class label, per entry.  signature(entries, p, k)
 (the sorted (v_p mod k less its minimum, label) pairs, which determine
-Q_p-solubility), classify_type, and the decisions in locsol.solubility
-all start from it.  A NormalForm (residues mod p^m*, group element,
-permutation) is built only by normalize(), for `locsol orbit`, and
-normalize(a, p).signature == signature(a.entries, p, a.k) always.
+Q_p-solubility), classify_type, orbit_record and the decisions in
+locsol.solubility all start from it, and _reduced_exponents is the one
+place that reduces the valuations.
 """
 
 from __future__ import annotations
@@ -164,8 +163,8 @@ def _split(entries, p: int, k: int
            ) -> tuple[list[int], list[int], list[int]]:
     """v_p(x), the unit x / p^v_p(x) and its class label, per entry.
 
-    The one pass that signature(), classify_type(), normalize() and the
-    decisions share.
+    The one pass that signature(), classify_type(), orbit_record() and
+    the decisions share.
     """
     label = _labeller(p, k)
     vals, units, labels = [], [], []
@@ -182,18 +181,23 @@ def _split(entries, p: int, k: int
     return vals, units, labels
 
 
-def signature(entries, p: int, k: int) -> tuple[tuple[int, int], ...]:
-    """Sorted (reduced exponent, class label) pairs of nonzero entries.
+def _reduced_exponents(vals, k: int) -> tuple[int, list[int]]:
+    """The scalar exponent s = min(v mod k) and the reduced exponents
+    e = v mod k - s of valuations v: dividing every entry by p^s, and
+    each by a k-th power of p, carries p^v*u to p^e*u, with every e in
+    [0, k) and some e = 0."""
+    exps = [v % k for v in vals]
+    low = min(exps)
+    return low, [e - low for e in exps]
 
-    Equal to normalize(CoefficientVector(entries, k), p).signature, but
-    built without the normal form.
-    """
+
+def signature(entries, p: int, k: int) -> tuple[tuple[int, int], ...]:
+    """Sorted (reduced exponent, class label) pairs of nonzero entries:
+    the key that decides Q_p-solubility."""
     if not is_prime(p):
         raise PreconditionViolated(f"not a prime: {p}")
     vals, _, labels = _split(CoefficientVector(entries, k).entries, p, k)
-    exps = [v % k for v in vals]
-    low = min(exps)
-    return tuple(sorted(zip([e - low for e in exps], labels)))
+    return tuple(sorted(zip(_reduced_exponents(vals, k)[1], labels)))
 
 
 @dataclass(frozen=True)
@@ -228,84 +232,39 @@ class CoefficientVector:
         return max(abs(a) for a in self.entries)
 
 
-@dataclass(frozen=True)
-class GammaWitness:
-    """Group element carrying a coefficient vector to its normal form.
+def orbit_record(a: CoefficientVector, p: int) -> dict:
+    """The record `locsol orbit` prints: a reduced, sorted presentation
+    of a at p and the group element that carries a to it.
 
-    source[i] = p^(k*power_shifts[i] + scalar_exponent) * reduced[i]
-    where reduced is the source-order reduced vector, and permutation[j]
-    is the source index landing in sorted slot j.
-    """
-
-    scalar_exponent: int
-    power_shifts: tuple[int, ...]
-    permutation: tuple[int, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class NormalForm:
-    """Reduced, sorted presentation of a coefficient vector at p.
-
-    exponents/unit_residues/class_ids are in sorted slot order;
-    reduced_entries keeps source order (exact integers, signs intact).
-    """
-
-    source: CoefficientVector
-    p: int
-    certificate_exponent: int
-    exponents: tuple[int, ...]
-    unit_residues: tuple[int, ...]
-    class_ids: tuple[int, ...]
-    reduced_entries: tuple[int, ...]
-    witness: GammaWitness
-
-    @property
-    def k(self) -> int:
-        return self.source.k
-
-    @property
-    def entries(self) -> tuple[int, ...]:
-        """Sorted reduced representative vector p^e * (u mod p^m)."""
-        return tuple(self.p**e * u
-                     for e, u in zip(self.exponents, self.unit_residues))
-
-    @property
-    def signature(self) -> tuple[tuple[int, int], ...]:
-        """Sorted (exponent, class) pairs; determines Q_p-solubility."""
-        return tuple(zip(self.exponents, self.class_ids))
-
-
-def normalize(a: CoefficientVector, p: int) -> NormalForm:
-    """Reduce valuations into [0, k) with min 0, sort, record the action.
-
-    Idempotent on already-reduced inputs: the recorded group element is
-    then the identity apart from the sorting permutation.
+    exponents, unit_residues (mod p^m*) and class_ids are in sorted slot
+    order; reduced_entries keeps source order, signs intact.  The witness
+    satisfies a.entries[i] = p^(k*power_shifts[i] + scalar_exponent) *
+    reduced_entries[i], and permutation[j] is the source index landing
+    in sorted slot j.  The (exponent, class) pairs are signature(a.entries,
+    p, a.k); on an already reduced input the group element is the
+    identity apart from the sorting permutation.
     """
     if not is_prime(p):
         raise PreconditionViolated(f"not a prime: {p}")
     k = a.k
     m_star = certificate_exponent(p, k)
-    big_mod = p**m_star
     vals, units, labels = _split(a.entries, p, k)
-    partial = [v % k for v in vals]
-    scalar = min(partial)
-    exps = [r - scalar for r in partial]
-    residues = [u % big_mod for u in units]
+    scalar, exps = _reduced_exponents(vals, k)
+    residues = [u % p**m_star for u in units]
     order = sorted(range(len(exps)),
-                   key=lambda i: (exps[i], labels[i], residues[i], i))
-    witness = GammaWitness(scalar_exponent=scalar,
-                           power_shifts=tuple(v // k for v in vals),
-                           permutation=tuple(order))
-    return NormalForm(
-        source=a,
-        p=p,
-        certificate_exponent=m_star,
-        exponents=tuple(exps[i] for i in order),
-        unit_residues=tuple(residues[i] for i in order),
-        class_ids=tuple(labels[i] for i in order),
-        reduced_entries=tuple(p**e * u for e, u in zip(exps, units)),
-        witness=witness,
-    )
+                   key=lambda i: (exps[i], labels[i], residues[i]))
+    return {
+        "p": p,
+        "k": k,
+        "exponents": [exps[i] for i in order],
+        "unit_residues": [residues[i] for i in order],
+        "class_ids": [labels[i] for i in order],
+        "reduced_entries": [p**e * u for e, u in zip(exps, units)],
+        "certificate_exponent": m_star,
+        "witness": {"scalar_exponent": scalar,
+                    "power_shifts": [v // k for v in vals],
+                    "permutation": order},
+    }
 
 
 def classify_type(a: CoefficientVector, p: int) -> str:

@@ -37,9 +37,10 @@ from math import gcd
 
 from .errors import (ClassificationMismatch, DegenerateInput,
                      PreconditionViolated, ResourceBound)
-from .padic import (CoefficientVector, _split, all_cells, cell_orbit,
-                    cell_representative, certificate_exponent, class_count,
-                    class_label, signature, valuation)
+from .padic import (CoefficientVector, _reduced_exponents, _split,
+                    all_cells, cell_orbit, cell_representative,
+                    certificate_exponent, class_count, class_label,
+                    signature, valuation)
 from .primes import is_prime, prime_divisors, primes_below
 
 # Most modulus x value-set entries one layer walk may cost.
@@ -362,9 +363,7 @@ def _settle(entries, p: int, k: int, route: str = "auto",
     does unless a witness is wanted for a soluble form.
     """
     vals, units, labels = _split(entries, p, k)
-    exps = [v % k for v in vals]
-    low = min(exps)
-    exps = [e - low for e in exps]
+    exps = _reduced_exponents(vals, k)[1]
     key = (p, k, tuple(sorted(zip(exps, labels))))
     status = _VERDICTS.get(key)
     if status is not None and (status == "insoluble" or not want_witness):

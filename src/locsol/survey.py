@@ -119,7 +119,8 @@ def survey_box(n: int, k: int, height: int, *, mode: str = "exhaustive",
         remaining -= size
         chunk_index += 1
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a pool forks all its workers at once: no more than the chunks
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_sample_chunk, tasks))
     else:
         results = [_sample_chunk(t) for t in tasks]

@@ -97,6 +97,35 @@ def test_merge_discards_corrupt_history(tmp_path):
     assert load_verdicts(store) == VERDICTS
 
 
+def test_a_save_that_adds_nothing_writes_nothing(tmp_path):
+    store = CacheStore(tmp_path)
+    path = tmp_path / "verdicts.json"
+    save_verdicts(store, {})
+    assert not path.exists()
+    save_verdicts(store, VERDICTS)
+    before = path.stat().st_ino, path.read_bytes()
+    save_verdicts(store, {})
+    save_verdicts(store, dict([next(iter(VERDICTS.items()))]))
+    assert (path.stat().st_ino, path.read_bytes()) == before
+    # a changed status is a change
+    key = next(iter(VERDICTS))
+    save_verdicts(store, {key: "insoluble"})
+    assert load_verdicts(store)[key] == "insoluble"
+
+
+def test_a_damaged_or_stale_file_is_rewritten_with_nothing_new(tmp_path):
+    store = CacheStore(tmp_path)
+    path = tmp_path / "verdicts.json"
+    path.write_text("garbage\n")
+    save_verdicts(store, {})
+    assert load_verdicts(store) == {}
+    write_body(path, {"version": "locsol-cache-3",
+                      "rows": [[2, 2, [[0, 1]], "soluble"]]})
+    save_verdicts(store, {})
+    body = json.loads(path.read_bytes().partition(b"\n")[2])
+    assert body == {"version": CACHE_VERSION, "rows": []}
+
+
 def test_stale_version_lines_are_skipped(tmp_path):
     # a valid body from an older format must be ignored, not fatal;
     # versions 1 to 3 label classes or lay out the file differently

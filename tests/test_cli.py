@@ -1,9 +1,11 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import locsol
 from locsol.cache import CacheStore, load_verdicts, save_verdicts
@@ -221,6 +223,26 @@ def test_orbit_text(capsys):
     assert "group element" in out
 
 
+def test_orbit_output_is_pinned(capsys, monkeypatch):
+    # recorded before the orbit record was built straight from the one
+    # reduction pass: p | k, p = 2, p = 10007, n = 1, valuations up to 9
+    monkeypatch.delenv("LOCSOL_CACHE_DIR", raising=False)
+    rng = Random(7)
+    rows = []
+    for _ in range(300):
+        k = rng.randint(2, 6)
+        p = rng.choice((2, 3, 5, 7, 13, 31, 10007))
+        n = rng.randint(1, 4)
+        entries = [str(rng.choice((-1, 1)) * p**rng.randint(0, 9)
+                       * rng.randint(1, 10**5)) for _ in range(n + 1)]
+        for fmt in ("text", "json"):
+            code, out, _ = run(capsys, "orbit", "-k", str(k), "-p", str(p),
+                               "--format", fmt, "--", *entries)
+            rows.append((code, out))
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+        "5fe750c2062346f821df714b38574e3db8ced3507667f4e57208b7f6b5409576")
+
+
 def test_cache_dir_round_trip(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("LOCSOL_CACHE_DIR", str(tmp_path))
     clear_caches()
@@ -232,6 +254,20 @@ def test_cache_dir_round_trip(capsys, tmp_path, monkeypatch):
     warm = run(capsys, "decide", "-k", "2", "-p", "2", "--no-witness",
                "1", "1", "3")
     assert warm == cold
+    clear_caches()
+
+
+def test_a_command_that_decides_nothing_new_keeps_the_cache_file(
+        capsys, tmp_path):
+    clear_caches()
+    run(capsys, "--cache-dir", str(tmp_path), "decide", "-k", "2", "-p", "2",
+        "1", "1", "3")
+    path = tmp_path / "verdicts.json"
+    before = path.stat().st_ino, path.read_bytes()
+    code, _, _ = run(capsys, "--cache-dir", str(tmp_path), "rho", "-n", "3",
+                     "-k", "2", "--infinity")
+    assert code == 0
+    assert (path.stat().st_ino, path.read_bytes()) == before
     clear_caches()
 
 

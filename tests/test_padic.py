@@ -7,7 +7,8 @@ from locsol.padic import (CoefficientVector, all_cells, cell_orbit,
                           cell_representative, certificate_exponent,
                           class_count, class_label, class_precision,
                           class_reps, classify_type, is_kth_power_unit,
-                          normalize, signature, symbol_alphabet, valuation)
+                          orbit_record, signature, symbol_alphabet,
+                          valuation)
 from locsol.primes import primes_below
 from locsol.solubility import clear_caches, decide_qp, load_verdicts
 
@@ -149,45 +150,46 @@ def test_coefficient_vector_validation():
 
 
 def test_normalize_reduces_and_sorts():
-    nf = normalize(CoefficientVector((50, 1, -4), 2), 5)
-    assert nf.exponents == (0, 0, 0)
-    assert nf.reduced_entries == (2, 1, -4)
-    assert nf.witness.power_shifts == (1, 0, 0)
-    assert nf.witness.scalar_exponent == 0
-    assert list(nf.exponents) == sorted(nf.exponents)
+    rec = orbit_record(CoefficientVector((50, 1, -4), 2), 5)
+    assert rec["exponents"] == [0, 0, 0]
+    assert rec["reduced_entries"] == [2, 1, -4]
+    assert rec["witness"]["power_shifts"] == [1, 0, 0]
+    assert rec["witness"]["scalar_exponent"] == 0
+    assert rec["exponents"] == sorted(rec["exponents"])
 
 
 def test_normalize_global_scalar_shift():
     # all valuations odd: the scalar strips one factor of p
-    nf = normalize(CoefficientVector((5, 125, 10), 2), 5)
-    assert nf.witness.scalar_exponent == 1
-    assert sorted(nf.witness.power_shifts) == [0, 0, 1]
-    assert nf.reduced_entries == (1, 1, 2)
-    assert sorted(nf.exponents) == [0, 0, 0]
+    rec = orbit_record(CoefficientVector((5, 125, 10), 2), 5)
+    assert rec["witness"]["scalar_exponent"] == 1
+    assert sorted(rec["witness"]["power_shifts"]) == [0, 0, 1]
+    assert rec["reduced_entries"] == [1, 1, 2]
+    assert sorted(rec["exponents"]) == [0, 0, 0]
 
 
 def test_normalize_witness_recovers_source():
     vectors = [(50, 1, -4), (8, -24, 40, 3), (9, 27, -81), (7, 11, 13)]
     for entries in vectors:
         for p in (2, 3, 5):
-            a = CoefficientVector(entries, 3)
-            nf = normalize(a, p)
-            w = nf.witness
+            rec = orbit_record(CoefficientVector(entries, 3), p)
+            w = rec["witness"]
             for i, x in enumerate(entries):
-                assert x == p**(3 * w.power_shifts[i]
-                                + w.scalar_exponent) * nf.reduced_entries[i]
+                assert x == p**(3 * w["power_shifts"][i]
+                                + w["scalar_exponent"]) \
+                    * rec["reduced_entries"][i]
             # the permutation lines the sorted view up with source order
-            for slot, i in enumerate(w.permutation):
-                e = valuation(nf.reduced_entries[i], p)
-                assert nf.exponents[slot] == e
+            for slot, i in enumerate(w["permutation"]):
+                e = valuation(rec["reduced_entries"][i], p)
+                assert rec["exponents"][slot] == e
 
 
 def test_normalize_idempotent_on_reduced_input():
-    nf = normalize(CoefficientVector((1, 3, 10), 2), 5)
-    again = normalize(CoefficientVector(nf.reduced_entries, 2), 5)
-    assert again.witness.scalar_exponent == 0
-    assert again.witness.power_shifts == (0, 0, 0)
-    assert again.signature == nf.signature
+    rec = orbit_record(CoefficientVector((1, 3, 10), 2), 5)
+    again = orbit_record(CoefficientVector(rec["reduced_entries"], 2), 5)
+    assert again["witness"]["scalar_exponent"] == 0
+    assert again["witness"]["power_shifts"] == [0, 0, 0]
+    assert (again["exponents"], again["class_ids"]) == \
+        (rec["exponents"], rec["class_ids"])
 
 
 @given(st.lists(st.integers(min_value=-200, max_value=200).filter(bool),
@@ -195,12 +197,9 @@ def test_normalize_idempotent_on_reduced_input():
        st.sampled_from([2, 3, 5, 7]))
 @settings(max_examples=60, deadline=None)
 def test_normalize_signature_is_projective(entries, p):
-    a = CoefficientVector(tuple(entries), 2)
-    base = normalize(a, p).signature
-    scaled = CoefficientVector(tuple(x * p**2 for x in entries), 2)
-    assert normalize(scaled, p).signature == base
-    flipped = CoefficientVector(tuple(reversed(entries)), 2)
-    assert normalize(flipped, p).signature == base
+    base = signature(entries, p, 2)
+    assert signature([x * p**2 for x in entries], p, 2) == base
+    assert signature(list(reversed(entries)), p, 2) == base
 
 
 @given(st.one_of(st.sampled_from([2, 3, 5]),
@@ -215,12 +214,14 @@ def test_signature_equals_normal_form_signature(p, k, parts):
     # p in {2, 3, 5} with k in 2..6 covers p | k; the rest are power
     # residues at p not dividing k, up to 10,007
     entries = tuple(s * p**e * u for s, e, u in parts)
-    nf = normalize(CoefficientVector(entries, k), p)
-    assert signature(entries, p, k) == nf.signature
+    a = CoefficientVector(entries, k)
+    rec = orbit_record(a, p)
+    pairs = tuple(zip(rec["exponents"], rec["class_ids"]))
+    assert signature(entries, p, k) == pairs
     # the decisions key the verdict cache by the same signature
     clear_caches()
-    load_verdicts({(p, k, nf.signature): "insoluble"})
-    assert decide_qp(nf.source, p).route == "cache"
+    load_verdicts({(p, k, pairs): "insoluble"})
+    assert decide_qp(a, p).route == "cache"
 
 
 def test_signature_rejects_bad_input():
@@ -236,9 +237,9 @@ def test_signature_rejects_bad_input():
 
 def test_normalize_rejects_bad_input():
     with pytest.raises(PreconditionViolated):
-        normalize(CoefficientVector((1, 2, 3), 2), 4)
+        orbit_record(CoefficientVector((1, 2, 3), 2), 4)
     with pytest.raises(DegenerateInput):
-        normalize(CoefficientVector((1, 0, 3), 2), 5)
+        orbit_record(CoefficientVector((1, 0, 3), 2), 5)
 
 
 def test_classify_type_worked_examples():

@@ -101,6 +101,32 @@ def test_parallel_jobs_do_not_change_counts():
     assert serial_keys and set(dump_verdicts()) == serial_keys
 
 
+def test_pool_never_outnumbers_the_chunks(monkeypatch):
+    # a pool forks all its workers at once; a fake one records how many
+    # were asked for and maps in this process
+    from locsol import survey
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(survey, "ProcessPoolExecutor", SerialPool)
+    clear_caches()
+    survey_box(3, 2, 30, mode="sample", sample_count=25_000, seed=11,
+               jobs=64)
+    assert asked == [3]
+
+
 def test_sample_proportion_lands_near_the_certified_interval():
     iv = rho_loc_interval(3, 2, cutoff=500)
     report = survey_box(3, 2, 100, mode="sample", sample_count=20_000,
