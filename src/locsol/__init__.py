@@ -15,23 +15,21 @@ from .errors import (CacheCorrupt, ClassificationMismatch, DegenerateInput,
 from .padic import CoefficientVector, classify_type, signature, valuation
 from .product import (CertifiedInterval, TailBound, decimalize,
                       rho_loc_interval, tail_hypothesis)
-from .solubility import (ClassificationReport, EverywhereLocalReport,
-                         SolubilityVerdict, decide_everywhere_local,
-                         decide_qp, decide_real, relevant_primes,
-                         verify_classification)
+from .solubility import (EverywhereLocalReport, SolubilityVerdict,
+                         decide_everywhere_local, decide_qp, decide_real,
+                         relevant_primes)
 from .survey import SurveyReport, convergence_sweep, survey_box
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CacheCorrupt", "CertifiedInterval", "ClassificationMismatch",
-    "ClassificationReport", "CoefficientVector", "DegenerateInput",
-    "Density", "DivergentTail", "EverywhereLocalReport", "LocsolError",
-    "OracleOverflow", "PreconditionViolated", "ResourceBound",
-    "SolubilityVerdict", "SurveyReport", "TailBound", "UnsupportedPair",
-    "classify_type", "convergence_sweep", "decide_everywhere_local",
-    "decide_qp", "decide_real", "decimalize", "generic_sum", "kappa",
-    "relevant_primes", "rho_infinity", "rho_loc_interval", "rho_p",
-    "rho_p_closed_form", "rho_p_exact", "signature", "survey_box",
-    "tail_hypothesis", "valuation", "verify_classification",
+    "CoefficientVector", "DegenerateInput", "Density", "DivergentTail",
+    "EverywhereLocalReport", "LocsolError", "OracleOverflow",
+    "PreconditionViolated", "ResourceBound", "SolubilityVerdict",
+    "SurveyReport", "TailBound", "UnsupportedPair", "classify_type",
+    "convergence_sweep", "decide_everywhere_local", "decide_qp",
+    "decide_real", "decimalize", "generic_sum", "kappa", "relevant_primes",
+    "rho_infinity", "rho_loc_interval", "rho_p", "rho_p_closed_form",
+    "rho_p_exact", "signature", "survey_box", "tail_hypothesis", "valuation",
 ]

@@ -156,7 +156,6 @@ def _cmd_decide(args, store) -> int:
         verdict = decide_qp(vec, args.p, route=args.route,
                             with_witness=want_witness)
         _print_verdict(verdict, args.format)
-        _save_cache(store)
         return 0 if verdict.is_soluble else 1
     report = decide_everywhere_local(vec)
     if args.format == "json":
@@ -173,7 +172,6 @@ def _cmd_decide(args, store) -> int:
             _print_verdict(v, "text")
         print(f"overall: {'soluble' if report.overall else 'insoluble'} "
               f"({report.note})")
-    _save_cache(store)
     return 0 if report.overall else 1
 
 
@@ -197,7 +195,6 @@ def _cmd_rho(args, store) -> int:
                   f"real factor "
                   f"{interval.real_factor.numerator}/"
                   f"{interval.real_factor.denominator}")
-        _save_cache(store)
         return 0
     if args.infinity:
         dens = rho_infinity(args.n, args.k)
@@ -212,7 +209,6 @@ def _cmd_rho(args, store) -> int:
         v = dens.value
         print(f"rho(n={dens.n}, k={dens.k}, place={dens.place}) = "
               f"{v.numerator}/{v.denominator}  [{dens.route}]")
-    _save_cache(store)
     return 0
 
 
@@ -256,7 +252,6 @@ def _cmd_survey(args, store) -> int:
                 line += (f"  vs certified [{float(r.ref_lo):.6f}, "
                          f"{float(r.ref_hi):.6f}]")
             print(line)
-    _save_cache(store)
     return 0
 
 
@@ -270,7 +265,6 @@ def _cmd_verify(args, store) -> int:
     else:
         for r in results:
             print(r.line())
-    _save_cache(store)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -343,12 +337,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     store = _load_cache(args)
     try:
-        return _HANDLERS[args.command](args, store)
+        code = _HANDLERS[args.command](args, store)
     except LocsolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except BrokenPipeError:
         return 0
+    _save_cache(store)
+    return code
 
 
 if __name__ == "__main__":

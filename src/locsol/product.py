@@ -59,13 +59,8 @@ def tail_hypothesis(n: int, k: int) -> TailBound:
     if n == 2:
         raise DivergentTail("deficits decay like 1/p for n = 2; "
                             "the density product diverges to zero")
-    if k == 2:
-        return _STORED_TAILS[(3, 2)] if n == 3 \
-            else TailBound(Fraction(0), 2, 2)
-    if k == 3:
-        if n in (3, 4, 5):
-            return _STORED_TAILS[(n, 3)]
-        return TailBound(Fraction(0), 2, 2)
+    if k in (2, 3):
+        return _STORED_TAILS.get((n, k), TailBound(Fraction(0), 2, 2))
     p_min = next_prime(max(pathological_primes(k)))
     terms = layer_terms(n, k, (Fraction(1), Fraction(1), Fraction(k - 1, k)))
     s = min((w for w, _ in terms), default=2)

@@ -35,12 +35,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .errors import (ClassificationMismatch, DegenerateInput,
-                     PreconditionViolated, ResourceBound)
+from .errors import DegenerateInput, PreconditionViolated, ResourceBound
 from .padic import (CoefficientVector, _reduced_exponents, _split,
-                    all_cells, cell_orbit, cell_representative,
-                    certificate_exponent, class_count, class_label,
-                    signature, valuation)
+                    certificate_exponent, class_count, valuation)
 from .primes import is_prime, prime_divisors, primes_below
 
 # Most modulus x value-set entries one layer walk may cost.
@@ -514,150 +511,3 @@ def decide_everywhere_local(a: CoefficientVector) -> EverywhereLocalReport:
         verdicts=tuple(verdicts), tested_primes=tested,
         note="a prime outside the tested set is soluble whenever every "
              "tested place is (see relevant_primes)")
-
-
-# --- exhaustive checks against the recorded classifications ------------------
-
-SOLUBLE_CELLS_2_2_2 = (
-    (1, 1, 3), (1, 1, 7), (1, 3, 7), (1, 1, 6),
-    (1, 1, 14), (1, 5, 2), (1, 7, 2), (1, 7, 6),
-)
-
-INSOLUBLE_CELLS_2_2_3 = (
-    (1, 1, 1, 1), (1, 1, 5, 5), (1, 1, 2, 2), (1, 1, 10, 10),
-    (1, 3, 2, 6), (1, 3, 10, 14), (1, 5, 6, 14),
-)
-
-
-@dataclass(frozen=True)
-class ClassificationReport:
-    p: int
-    k: int
-    n: int
-    cells_checked: int
-    soluble_cells: int
-    insoluble_cells: int
-    detail: str
-
-
-def _decided_cells(p: int, k: int, n: int) -> dict[tuple, bool]:
-    out = {}
-    for cell in all_cells(p, k, n):
-        out[cell] = _soluble_at(cell_representative(cell, p, k), p, k)
-    return out
-
-
-def _orbit_closure(vectors, p: int, k: int) -> set:
-    closed = set()
-    for entries in vectors:
-        closed |= cell_orbit(signature(entries, p, k), p, k)
-    return closed
-
-
-def _report(p, k, n, decided, detail) -> ClassificationReport:
-    soluble = sum(1 for v in decided.values() if v)
-    return ClassificationReport(
-        p=p, k=k, n=n, cells_checked=len(decided), soluble_cells=soluble,
-        insoluble_cells=len(decided) - soluble, detail=detail)
-
-
-def _verify_2_2(n: int) -> ClassificationReport:
-    decided = _decided_cells(2, 2, n)
-    if n == 2:
-        expected = _orbit_closure(SOLUBLE_CELLS_2_2_2, 2, 2)
-        for cell, soluble in decided.items():
-            if soluble != (cell in expected):
-                raise ClassificationMismatch(
-                    f"(p=2, k=2, n=2) disagreement at {cell}", cell=cell)
-        detail = "soluble set matches the 8 recorded orbit representatives"
-    elif n == 3:
-        expected = _orbit_closure(INSOLUBLE_CELLS_2_2_3, 2, 2)
-        for cell, soluble in decided.items():
-            if soluble != (cell not in expected):
-                raise ClassificationMismatch(
-                    f"(p=2, k=2, n=3) disagreement at {cell}", cell=cell)
-        detail = "insoluble set matches the 7 recorded orbit representatives"
-    else:
-        for cell, soluble in decided.items():
-            if not soluble:
-                raise ClassificationMismatch(
-                    f"(p=2, k=2, n={n}) unexpected insoluble cell {cell}",
-                    cell=cell)
-        detail = "every cell is soluble"
-    return _report(2, 2, n, decided, detail)
-
-
-def _verify_3_3_2() -> ClassificationReport:
-    decided = _decided_cells(3, 3, 2)
-    units = [u for u in range(1, 27) if u % 3]
-    for u0 in units:
-        for u1 in units:
-            for u2 in units:
-                checks = (
-                    ((u0, 3 * u1, 9 * u2), False),
-                    ((u0, u1, 9 * u2),
-                     (u0 - u1) % 9 == 0 or (u0 + u1) % 9 == 0),
-                    ((u0, u1, 3 * u2), True),
-                    ((u0, u1, u2),
-                     len({class_label(u, 3, 3) for u in (u0, u1, u2)}) < 3),
-                )
-                for entries, expected in checks:
-                    cell = signature(entries, 3, 3)
-                    if decided[cell] != expected:
-                        raise ClassificationMismatch(
-                            f"(p=3, k=3, n=2) disagreement at {entries}",
-                            cell=cell)
-    return _report(3, 3, 2, decided,
-                   "all four recorded unit-pattern clauses hold for every "
-                   "unit triple mod 27")
-
-
-def _expected_3_3_3(cell) -> bool:
-    exps = tuple(e for e, _ in cell)
-    shifted = {c: tuple(sorted((e + c) % 3 for e in exps)) for c in range(3)}
-    canonical = min(shifted.values())
-    if canonical in ((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 1), (0, 0, 1, 2)):
-        return True
-    shift = next(c for c, v in shifted.items() if v == canonical)
-    zero_classes = [cls for e, cls in cell if (e + shift) % 3 == 0]
-    return len(set(zero_classes)) < 3
-
-
-def _verify_3_3_3() -> ClassificationReport:
-    decided = _decided_cells(3, 3, 3)
-    for cell, soluble in decided.items():
-        if soluble != _expected_3_3_3(cell):
-            raise ClassificationMismatch(
-                f"(p=3, k=3, n=3) disagreement at {cell}", cell=cell)
-    return _report(3, 3, 3, decided,
-                   "valuation-pattern clauses hold for all 495 cells")
-
-
-def _verify_3_3_high(n: int) -> ClassificationReport:
-    decided = _decided_cells(3, 3, n)
-    for cell, soluble in decided.items():
-        if not soluble:
-            raise ClassificationMismatch(
-                f"(p=3, k=3, n={n}) unexpected insoluble cell {cell}",
-                cell=cell)
-    return _report(3, 3, n, decided, "every cell is soluble")
-
-
-def verify_classification(p: int, k: int, n: int) -> ClassificationReport:
-    """Exhaustively compare decisions against the recorded catalogues.
-
-    Supported regimes: (p, k) = (2, 2) with n >= 2 and (p, k) = (3, 3)
-    with n >= 2.  Raises ClassificationMismatch on the first cell where
-    the decision and the catalogue disagree.
-    """
-    if (p, k) == (2, 2) and n >= 2:
-        return _verify_2_2(n)
-    if (p, k) == (3, 3):
-        if n == 2:
-            return _verify_3_3_2()
-        if n == 3:
-            return _verify_3_3_3()
-        if n >= 4:
-            return _verify_3_3_high(n)
-    raise PreconditionViolated(
-        f"no recorded classification for (p={p}, k={k}, n={n})")

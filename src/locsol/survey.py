@@ -6,9 +6,9 @@ on it.  Vectors with a zero entry (including the zero vector) vanish on
 a coordinate axis and count as soluble, which inflates small boxes by at
 most 3(n+1)/(2H-1) but washes out as H grows.
 
-Sampling is chunked so the result for a given seed is bit-for-bit
-reproducible no matter how many workers run: chunk c draws from
-random.Random(seed * 1000003 + c).
+Both modes run in chunks, so a count is the same no matter how many
+workers run: sample chunk c draws from random.Random(seed * 1000003 + c),
+and an exhaustive chunk is a run of values of a_0 with every completion.
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ from .padic import CoefficientVector
 from .solubility import (_real_soluble, _soluble_at, _tested_primes,
                          dump_verdicts, load_verdicts)
 
-SAMPLE_CHUNK = 10_000
+# Draws per sample chunk; an exhaustive chunk is as many whole rows (one
+# value of a_0 each) as fit in it, and at least one.
+CHUNK = 10_000
 EXHAUSTIVE_CAP = 2_000_000
 
 
@@ -58,19 +60,27 @@ def is_everywhere_soluble(entries: tuple[int, ...], k: int) -> bool:
         _soluble_at(entries, p, k) for p in _tested_primes(entries, k))
 
 
-def _sample_chunk(task) -> tuple[int, dict[tuple, str]]:
+def _count_chunk(task) -> tuple[int, dict[tuple, str]]:
     """Soluble count of one chunk and the verdicts it added to the cache.
 
-    A worker process returns its verdicts so that the parent's cache,
-    and any --cache-dir saved from it, keeps what the workers computed.
+    A sample chunk is count draws from Random(seed * 1_000_003 + index);
+    with seed None, the chunk is every vector whose a_0 is one of count
+    box values from the index-th on.  A worker process returns its
+    verdicts so that the parent's cache, and any --cache-dir saved from
+    it, keeps what the workers computed.
     """
-    n, k, height, seed, chunk_index, count = task
-    rng = Random(seed * 1_000_003 + chunk_index)
+    n, k, height, seed, index, count = task
     lo, hi = -(height - 1), height - 1
+    if seed is None:
+        values = range(lo, hi + 1)
+        vectors = iter_product(values[index:index + count], *[values] * n)
+    else:
+        rng = Random(seed * 1_000_003 + index)
+        vectors = (tuple(rng.randint(lo, hi) for _ in range(n + 1))
+                   for _ in range(count))
     known = dump_verdicts()
     soluble = 0
-    for _ in range(count):
-        entries = tuple(rng.randint(lo, hi) for _ in range(n + 1))
+    for entries in vectors:
         if is_everywhere_soluble(entries, k):
             soluble += 1
     added = {key: status for key, status in dump_verdicts().items()
@@ -84,8 +94,9 @@ def survey_box(n: int, k: int, height: int, *, mode: str = "exhaustive",
     """Measure the soluble proportion of a coefficient box.
 
     mode "exhaustive" enumerates the whole box (guarded by a cap); mode
-    "sample" draws sample_count vectors with the given seed.  reference,
-    if provided, is a CertifiedInterval whose bounds are copied into the
+    "sample" draws sample_count vectors with the given seed.  Both run
+    in chunks, over up to `jobs` worker processes.  reference, if
+    provided, is a CertifiedInterval whose bounds are copied into the
     report for side-by-side output.
     """
     if n < 1 or k < 2 or height < 1:
@@ -99,37 +110,31 @@ def survey_box(n: int, k: int, height: int, *, mode: str = "exhaustive",
         if total > EXHAUSTIVE_CAP:
             raise ResourceBound(
                 f"box holds {total} vectors", required=total)
-        values = range(-(height - 1), height)
-        soluble = sum(1 for entries in iter_product(values, repeat=n + 1)
-                      if is_everywhere_soluble(entries, k))
-        return SurveyReport(n=n, k=k, height=height, mode=mode, seed=None,
-                            total=total, soluble=soluble,
-                            ref_lo=ref_lo, ref_hi=ref_hi)
-    if mode != "sample":
+        seed, rows = None, max(1, CHUNK // side**n)
+        tasks = [(n, k, height, seed, first, min(rows, side - first))
+                 for first in range(0, side, rows)]
+    elif mode == "sample":
+        if sample_count is None or sample_count < 1 or seed is None:
+            raise PreconditionViolated(
+                "sample mode needs sample_count >= 1 and a seed")
+        total = sample_count
+        tasks = [(n, k, height, seed, start // CHUNK,
+                  min(CHUNK, total - start))
+                 for start in range(0, total, CHUNK)]
+    else:
         raise PreconditionViolated(f"unknown mode: {mode}")
-    if sample_count is None or sample_count < 1 or seed is None:
-        raise PreconditionViolated(
-            "sample mode needs sample_count >= 1 and a seed")
-    tasks = []
-    remaining = sample_count
-    chunk_index = 0
-    while remaining > 0:
-        size = min(SAMPLE_CHUNK, remaining)
-        tasks.append((n, k, height, seed, chunk_index, size))
-        remaining -= size
-        chunk_index += 1
     if jobs > 1 and len(tasks) > 1:
         # a pool forks all its workers at once: no more than the chunks
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            results = list(pool.map(_sample_chunk, tasks))
+            results = list(pool.map(_count_chunk, tasks))
     else:
-        results = [_sample_chunk(t) for t in tasks]
+        results = [_count_chunk(t) for t in tasks]
     soluble = 0
     for count, added in results:
         soluble += count
         load_verdicts(added)
     return SurveyReport(n=n, k=k, height=height, mode=mode, seed=seed,
-                        total=sample_count, soluble=soluble,
+                        total=total, soluble=soluble,
                         ref_lo=ref_lo, ref_hi=ref_hi)
 
 

@@ -5,6 +5,10 @@ and reports pass/fail with a short detail line.  The same registry backs
 tests/test_acceptance.py and the `locsol verify-paper` subcommand, so a
 red line in one is a red line in the other.
 
+The recorded references live here: the p | k densities and the cell
+catalogues at (p, k) = (2, 2) and (3, 3), each catalogue stated as
+(cell, recorded verdict) pairs that one loop checks against decide_qp.
+
 Criterion "certified-intervals" encodes one deliberate discrepancy: the
 reference catalogue prints 0.8268 for (n, k) = (3, 2), which matches the
 finite-prime product only; the full product over all places carries the
@@ -17,6 +21,7 @@ from __future__ import annotations
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product as iter_product
 from math import ceil
 from random import Random
 from time import perf_counter
@@ -24,11 +29,13 @@ from time import perf_counter
 from .cache import CacheStore, load_verdicts
 from .density import (cell_measure, generic_sum, kappa, rho_p_closed_form,
                       rho_p_exact)
-from .errors import CacheCorrupt, ClassificationMismatch, OracleOverflow
+from .errors import (CacheCorrupt, ClassificationMismatch, OracleOverflow,
+                     PreconditionViolated)
 from .oracle import decide_by_lifting
-from .padic import CoefficientVector, all_cells
+from .padic import (CoefficientVector, all_cells, cell_orbit,
+                    cell_representative, class_label, signature)
 from .product import decimalize, rho_loc_interval
-from .solubility import decide_qp, verify_classification
+from .solubility import decide_qp
 from .survey import survey_box
 
 SURVEY_SEED = 20260815
@@ -39,6 +46,105 @@ PATHOLOGICAL_TARGETS = {
     (2, 3, 3): Fraction(13831, 19773),
     (3, 3, 3): Fraction(6391, 6591),
 }
+
+SOLUBLE_CELLS_2_2_2 = (
+    (1, 1, 3), (1, 1, 7), (1, 3, 7), (1, 1, 6),
+    (1, 1, 14), (1, 5, 2), (1, 7, 2), (1, 7, 6),
+)
+
+INSOLUBLE_CELLS_2_2_3 = (
+    (1, 1, 1, 1), (1, 1, 5, 5), (1, 1, 2, 2), (1, 1, 10, 10),
+    (1, 3, 2, 6), (1, 3, 10, 14), (1, 5, 6, 14),
+)
+
+
+@dataclass(frozen=True)
+class ClassificationReport:
+    p: int
+    k: int
+    n: int
+    cells_checked: int
+    soluble_cells: int
+    insoluble_cells: int
+    detail: str
+
+
+def _orbit_closure(vectors, p: int, k: int) -> set:
+    closed = set()
+    for entries in vectors:
+        closed |= cell_orbit(signature(entries, p, k), p, k)
+    return closed
+
+
+def _unit_clauses_3_3_2():
+    """The four recorded clauses for every unit triple mod 27, as
+    (cell, recorded soluble) pairs."""
+    units = [u for u in range(1, 27) if u % 3]
+    for u0, u1, u2 in iter_product(units, repeat=3):
+        for entries, soluble in (
+                ((u0, 3 * u1, 9 * u2), False),
+                ((u0, u1, 9 * u2), (u0 - u1) % 9 == 0 or (u0 + u1) % 9 == 0),
+                ((u0, u1, 3 * u2), True),
+                ((u0, u1, u2),
+                 len({class_label(u, 3, 3) for u in (u0, u1, u2)}) < 3)):
+            yield signature(entries, 3, 3), soluble
+
+
+def _valuation_pattern_3_3_3(cell) -> bool:
+    exps = tuple(e for e, _ in cell)
+    shifted = {c: tuple(sorted((e + c) % 3 for e in exps)) for c in range(3)}
+    canonical = min(shifted.values())
+    if canonical in ((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 1), (0, 0, 1, 2)):
+        return True
+    shift = next(c for c, v in shifted.items() if v == canonical)
+    zero_classes = [cls for e, cls in cell if (e + shift) % 3 == 0]
+    return len(set(zero_classes)) < 3
+
+
+def _recorded(p: int, k: int, n: int):
+    """The catalogue of a regime as (cell, recorded soluble) pairs, and
+    the detail line of its report."""
+    if (p, k) not in ((2, 2), (3, 3)) or n < 2:
+        raise PreconditionViolated(
+            f"no recorded classification for (p={p}, k={k}, n={n})")
+    cells = all_cells(p, k, n)
+    if n >= 4:
+        return ((cell, True) for cell in cells), "every cell is soluble"
+    if (p, n) == (2, 2):
+        soluble = _orbit_closure(SOLUBLE_CELLS_2_2_2, 2, 2)
+        return (((cell, cell in soluble) for cell in cells),
+                "soluble set matches the 8 recorded orbit representatives")
+    if (p, n) == (2, 3):
+        insoluble = _orbit_closure(INSOLUBLE_CELLS_2_2_3, 2, 2)
+        return (((cell, cell not in insoluble) for cell in cells),
+                "insoluble set matches the 7 recorded orbit representatives")
+    if n == 2:
+        return _unit_clauses_3_3_2(), ("all four recorded unit-pattern "
+                                       "clauses hold for every unit triple "
+                                       "mod 27")
+    return (((cell, _valuation_pattern_3_3_3(cell)) for cell in cells),
+            "valuation-pattern clauses hold for all 495 cells")
+
+
+def verify_classification(p: int, k: int, n: int) -> ClassificationReport:
+    """Exhaustively compare decisions against the recorded catalogues.
+
+    Supported regimes: (p, k) = (2, 2) and (3, 3), each with n >= 2.
+    Every cell is decided once through decide_qp; raises
+    ClassificationMismatch on the first recorded pair that disagrees.
+    """
+    recorded, detail = _recorded(p, k, n)
+    decided = {cell: decide_qp(CoefficientVector(
+                   cell_representative(cell, p, k), k), p).is_soluble
+               for cell in all_cells(p, k, n)}
+    for cell, soluble in recorded:
+        if decided[cell] != soluble:
+            raise ClassificationMismatch(
+                f"(p={p}, k={k}, n={n}) disagreement at {cell}", cell=cell)
+    count = sum(decided.values())
+    return ClassificationReport(
+        p=p, k=k, n=n, cells_checked=len(decided), soluble_cells=count,
+        insoluble_cells=len(decided) - count, detail=detail)
 
 
 def _wants(k: int, subset: str) -> bool:

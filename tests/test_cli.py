@@ -78,6 +78,13 @@ def test_decide_rejects_composite_place(capsys):
     assert "error:" in err
 
 
+
+def test_decide_refuses_a_sieve_past_the_cap(capsys):
+    # the pathological primes of k = 10^4 lie below about 10^16
+    code, _, err = run(capsys, "decide", "-k", "10000", "1", "1", "1")
+    assert code == 2
+    assert err.startswith("error:")
+
 def test_decide_rejects_scale_route_at_p_dividing_k(capsys):
     for coefficients in (("1", "0", "1"), ("1", "1", "1")):
         code, _, err = run(capsys, "decide", "-k", "2", "-p", "2",
@@ -264,10 +271,12 @@ def test_a_command_that_decides_nothing_new_keeps_the_cache_file(
         "1", "1", "3")
     path = tmp_path / "verdicts.json"
     before = path.stat().st_ino, path.read_bytes()
-    code, _, _ = run(capsys, "--cache-dir", str(tmp_path), "rho", "-n", "3",
-                     "-k", "2", "--infinity")
-    assert code == 0
-    assert (path.stat().st_ino, path.read_bytes()) == before
+    for command in (("rho", "-n", "3", "-k", "2", "--infinity"),
+                    ("classify", "-k", "2", "-p", "2", "1", "1", "3"),
+                    ("orbit", "-k", "2", "-p", "2", "1", "1", "3")):
+        code, _, _ = run(capsys, "--cache-dir", str(tmp_path), *command)
+        assert code == 0
+        assert (path.stat().st_ino, path.read_bytes()) == before
     clear_caches()
 
 
@@ -326,6 +335,23 @@ def test_verify_paper_flags_a_corrupt_cache(capsys, tmp_path, monkeypatch):
 def test_public_names_resolve():
     for name in locsol.__all__:
         assert getattr(locsol, name) is not None, name
+
+
+def test_import_locsol_loads_no_tooling_module():
+    # the checks, the oracle, the command line and the disk cache load
+    # only when asked for, which keeps `import locsol` light
+    src = Path(locsol.__file__).parents[1]
+    path = os.pathsep.join(filter(None, [str(src),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, locsol; print(*sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0
+    loaded = set(proc.stdout.split())
+    assert "locsol.solubility" in loaded
+    assert not loaded & {"locsol.verification", "locsol.oracle",
+                         "locsol.cli", "locsol.cache"}
 
 
 def test_installed_entry_point():

@@ -4,11 +4,12 @@ import pytest
 
 from locsol.density import rho_p_closed_form
 from locsol.errors import (DegenerateInput, DivergentTail,
-                           PreconditionViolated)
+                           PreconditionViolated, ResourceBound)
 from locsol.primes import primes_below
 from locsol.product import (CertifiedInterval, TailBound, decimalize,
                             rho_loc_interval, tail_hypothesis)
-from locsol.solubility import pathological_primes
+from locsol.padic import CoefficientVector
+from locsol.solubility import decide_everywhere_local, pathological_primes
 
 F = Fraction
 
@@ -131,3 +132,19 @@ def test_cutoff_guards():
         rho_loc_interval(3, 2, cutoff=2)
     with pytest.raises(PreconditionViolated):
         rho_loc_interval(3, 3, cutoff=3)
+
+
+def test_huge_sieve_bounds_are_refused():
+    # every bound here is 10^13 or more: a sieve that far would not fit
+    # in memory, so it is refused before anything is allocated
+    with pytest.raises(ResourceBound) as caught:
+        primes_below(10**13)
+    assert caught.value.required == 10**13
+    with pytest.raises(ResourceBound):
+        rho_loc_interval(3, 2, cutoff=10**13)
+    # k = 10^4 sieves to ((k-1)(k-2))^2, about 10^16, for its
+    # pathological primes
+    with pytest.raises(ResourceBound):
+        tail_hypothesis(3, 10**4)
+    with pytest.raises(ResourceBound):
+        decide_everywhere_local(CoefficientVector((1, 1, 1), 10**4))

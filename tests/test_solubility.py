@@ -4,15 +4,16 @@ from time import perf_counter
 
 import pytest
 
-from locsol.errors import (DegenerateInput, OracleOverflow,
-                           PreconditionViolated, ResourceBound)
+from locsol.errors import (ClassificationMismatch, DegenerateInput,
+                           OracleOverflow, PreconditionViolated,
+                           ResourceBound)
 from locsol.oracle import decide_by_lifting
-from locsol.padic import (CoefficientVector, classify_type, orbit_record,
-                          signature)
+from locsol.padic import (CoefficientVector, all_cells, cell_representative,
+                          classify_type, orbit_record, signature)
 from locsol.solubility import (clear_caches, decide_everywhere_local,
                                decide_qp, decide_real, dump_verdicts,
-                               pathological_primes, relevant_primes,
-                               verify_classification)
+                               pathological_primes, relevant_primes)
+from locsol.verification import verify_classification
 
 
 def vec(entries, k=2):
@@ -521,3 +522,30 @@ def test_verify_classification_requires_known_regime():
         verify_classification(5, 2, 2)
     with pytest.raises(PreconditionViolated):
         verify_classification(3, 3, 1)
+
+
+@pytest.mark.parametrize("p, k, n", [(2, 2, 2), (2, 2, 3), (2, 2, 4),
+                                     (3, 3, 2), (3, 3, 3), (3, 3, 4)])
+@pytest.mark.parametrize("end", [0, -1])
+def test_a_wrong_decision_trips_the_catalogue_check(monkeypatch, p, k, n,
+                                                    end):
+    # every catalogue decision goes through _settle: flip the status of
+    # one signature there, and the check must name a cell with it
+    from locsol import solubility
+    cell = list(all_cells(p, k, n))[end]
+    flipped = signature(cell_representative(cell, p, k), p, k)
+    settle = solubility._settle
+
+    def wrong(entries, q, degree, *args, **kwargs):
+        status, *rest = settle(entries, q, degree, *args, **kwargs)
+        if (q, degree) == (p, k) and signature(entries, q, k) == flipped:
+            status = "soluble" if status == "insoluble" else "insoluble"
+        return (status, *rest)
+
+    monkeypatch.setattr(solubility, "_settle", wrong)
+    clear_caches()
+    with pytest.raises(ClassificationMismatch) as caught:
+        verify_classification(p, k, n)
+    bad = caught.value.cell
+    assert signature(cell_representative(bad, p, k), p, k) == flipped
+    clear_caches()

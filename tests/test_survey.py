@@ -127,6 +127,35 @@ def test_pool_never_outnumbers_the_chunks(monkeypatch):
     assert asked == [3]
 
 
+def test_exhaustive_boxes_run_in_chunks_on_the_pool(monkeypatch):
+    # at height 6 the 11 values of a_0 make two chunks of 7 and 4 rows;
+    # a fake pool records the workers asked for and maps in this process
+    from locsol import survey
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    clear_caches()
+    serial = survey_box(3, 2, 6)
+    monkeypatch.setattr(survey, "ProcessPoolExecutor", SerialPool)
+    clear_caches()
+    pooled = survey_box(3, 2, 6, jobs=2)
+    assert asked == [2]
+    assert (pooled.soluble, pooled.total) == (serial.soluble, serial.total)
+    assert serial.total == 11**4
+
+
 def test_sample_proportion_lands_near_the_certified_interval():
     iv = rho_loc_interval(3, 2, cutoff=500)
     report = survey_box(3, 2, 100, mode="sample", sample_count=20_000,
