@@ -225,13 +225,13 @@ def generic_sum(n: int, k: int, p: int) -> Density:
 def rho_p(n: int, k: int, p: int) -> Density:
     """Exact density at p by the first route that applies, in order:
     the closed form (k in {2, 3}, n >= 2), the generic sum (p not
-    dividing k), enumeration (p | k)."""
+    dividing k), enumeration (p | k).  Each route validates its input,
+    so p is proved prime once."""
     if k in (2, 3) and n >= 2:
         return rho_p_closed_form(n, k, p)
-    _validate(n, k, p)
-    if k % p:
-        return generic_sum(n, k, p)
-    return rho_p_exact(n, k, p)
+    if p > 1 and k % p == 0:
+        return rho_p_exact(n, k, p)
+    return generic_sum(n, k, p)
 
 
 def rho_infinity(n: int, k: int) -> Density:

@@ -15,10 +15,20 @@ the integral from P-1, and the cruder P^(1-s)/(s-1) would be false
 
 For n = 2 the deficits 1 - rho_p decay like 1/p, the product diverges to
 zero, and the enclosure is the exact point [0, 0].
+
+The finite product is formed as a balanced tree over the primes in
+order (_balanced_product), streamed so that only about log2 of the
+partial products are held at once.  Every node is a reduced Fraction
+multiply, which cancels across the two operands, so the result is the
+same reduced rational as one serial product followed by one gcd, but no
+gcd ever runs on the full unreduced numerator and denominator.  At deep
+cutoffs the multiplies and gcds of the top nodes still dominate: the
+(3, 2) endpoints have about 1.45 M bits at cutoff 3 * 10^5.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -142,17 +152,35 @@ def rho_loc_interval(n: int, k: int, cutoff: int = 10**4
     if penalty >= 1:
         raise PreconditionViolated(
             f"cutoff {cutoff} is too small for the tail constant")
-    num, den = 1, 1
-    for p in primes_below(cutoff):
-        factor = rho_p(n, k, p).value
-        num *= factor.numerator
-        den *= factor.denominator
-    finite_hi = Fraction(num, den)
+    finite_hi = _balanced_product(rho_p(n, k, p).value
+                                  for p in primes_below(cutoff))
     finite_lo = finite_hi * (1 - penalty)
     return CertifiedInterval(
         n=n, k=k, cutoff=cutoff, lo=real * finite_lo, hi=real * finite_hi,
         finite_lo=finite_lo, finite_hi=finite_hi, real_factor=real,
         tail=tail)
+
+
+def _balanced_product(factors: Iterable[Fraction]) -> Fraction:
+    """The product of factors as a balanced tree, streamed.
+
+    The stack is a binary counter of (size, partial product) pairs: a new
+    factor merges with the top while the two sizes are equal, so each
+    multiply joins operands of about the same length.  The empty product
+    is 1.
+    """
+    stack: list[tuple[int, Fraction]] = []
+    for factor in factors:
+        size = 1
+        while stack and stack[-1][0] == size:
+            top_size, top = stack.pop()
+            factor = top * factor
+            size += top_size
+        stack.append((size, factor))
+    product = Fraction(1)
+    while stack:
+        product = stack.pop()[1] * product
+    return product
 
 
 def _decimal(value: Fraction, digits: int, round_up: bool) -> str:

@@ -75,6 +75,32 @@ def test_rho_p_route_order():
         rho_p(2, 4, 9)
 
 
+def test_rho_p_proves_primality_once(monkeypatch):
+    calls = []
+    is_prime = density.is_prime
+
+    def counting(p):
+        calls.append(p)
+        return is_prime(p)
+
+    monkeypatch.setattr(density, "is_prime", counting)
+    for n, k, p in ((3, 4, 13), (3, 4, 2)):   # generic sum, enumeration
+        calls.clear()
+        rho_p(n, k, p)
+        assert calls == [p], (n, k, p)
+
+
+def test_rho_p_input_errors():
+    for k in (2, 4):
+        for p in (0, 1, -3, 4, 9):
+            with pytest.raises(PreconditionViolated):
+                rho_p(3, k, p)
+        with pytest.raises(DegenerateInput):
+            rho_p(0, k, 5)
+    with pytest.raises(DegenerateInput):
+        rho_p(3, 1, 5)
+
+
 def test_rho_p_never_enumerates_away_from_p_dividing_k(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"enumerated at {args}")

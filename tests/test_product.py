@@ -1,13 +1,17 @@
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from locsol.density import rho_p_closed_form
+from locsol.density import rho_infinity, rho_p, rho_p_closed_form
 from locsol.errors import (DegenerateInput, DivergentTail,
                            PreconditionViolated, ResourceBound)
 from locsol.primes import primes_below
-from locsol.product import (CertifiedInterval, TailBound, decimalize,
-                            rho_loc_interval, tail_hypothesis)
+from locsol.product import (CertifiedInterval, TailBound, _balanced_product,
+                            decimalize, rho_loc_interval, tail_hypothesis)
 from locsol.padic import CoefficientVector
 from locsol.solubility import decide_everywhere_local, pathological_primes
 
@@ -148,3 +152,46 @@ def test_huge_sieve_bounds_are_refused():
         tail_hypothesis(3, 10**4)
     with pytest.raises(ResourceBound):
         decide_everywhere_local(CoefficientVector((1, 1, 1), 10**4))
+
+
+def _serial_interval(n, k, cutoff):
+    """The enclosure as one serial product and one final reduction."""
+    num, den = 1, 1
+    for p in primes_below(cutoff):
+        factor = rho_p(n, k, p).value
+        num *= factor.numerator
+        den *= factor.denominator
+    finite_hi = F(num, den)
+    tail = tail_hypothesis(n, k)
+    s = tail.exponent
+    finite_lo = finite_hi * (1 - tail.constant / ((cutoff - 1)**(s - 1)
+                                                   * (s - 1)))
+    real = rho_infinity(n, k).value
+    return real * finite_lo, real * finite_hi, finite_lo, finite_hi
+
+
+@pytest.mark.parametrize("n, k", [(3, 2), (3, 3), (4, 3)])
+def test_balanced_product_matches_the_serial_product(n, k):
+    # the smallest allowed cutoff, then 1, 2, 3, 16 (a power of two),
+    # 62 and 303 primes
+    smallest = 3 if k == 2 else 4
+    cutoffs = sorted({smallest, 4, 5, 6, 54, 300, 2000})
+    counts = [len(primes_below(c)) for c in cutoffs]
+    assert {c % 2 for c in counts} == {0, 1} and 16 in counts
+    with pytest.raises(PreconditionViolated):
+        rho_loc_interval(n, k, cutoff=smallest - 1)
+    for cutoff in cutoffs:
+        iv = rho_loc_interval(n, k, cutoff=cutoff)
+        got = (iv.lo, iv.hi, iv.finite_lo, iv.finite_hi)
+        assert got == _serial_interval(n, k, cutoff), (n, k, cutoff)
+
+
+_LENGTHS = (0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_LENGTHS).flatmap(
+    lambda size: st.lists(st.fractions(max_denominator=10**6),
+                          min_size=size, max_size=size)))
+def test_balanced_product_is_the_product(factors):
+    assert _balanced_product(iter(factors)) == reduce(mul, factors, F(1))
