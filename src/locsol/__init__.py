@@ -8,7 +8,7 @@ arithmetic; floating point appears only in rendered output.
 """
 
 from .density import (Density, generic_sum, kappa, rho_infinity, rho_p,
-                      rho_p_closed_form, rho_p_exact)
+                      rho_p_exact)
 from .errors import (CacheCorrupt, ClassificationMismatch, DegenerateInput,
                      DivergentTail, LocsolError, OracleOverflow,
                      PreconditionViolated, ResourceBound, UnsupportedPair)
@@ -30,6 +30,6 @@ __all__ = [
     "SurveyReport", "TailBound", "UnsupportedPair", "classify_type",
     "convergence_sweep", "decide_everywhere_local", "decide_qp",
     "decide_real", "decimalize", "generic_sum", "kappa", "relevant_primes",
-    "rho_infinity", "rho_loc_interval", "rho_p", "rho_p_closed_form",
-    "rho_p_exact", "signature", "survey_box", "tail_hypothesis", "valuation",
+    "rho_infinity", "rho_loc_interval", "rho_p", "rho_p_exact", "signature",
+    "survey_box", "tail_hypothesis", "valuation",
 ]

@@ -16,8 +16,7 @@ import sys
 
 from . import cache as cache_mod
 from . import solubility
-from .density import (generic_sum, rho_infinity, rho_p, rho_p_closed_form,
-                      rho_p_exact)
+from .density import generic_sum, rho_infinity, rho_p, rho_p_exact
 from .errors import LocsolError
 from .padic import CoefficientVector, classify_type, orbit_record
 from .product import decimalize, rho_loc_interval
@@ -29,6 +28,9 @@ USAGE_EXIT = 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    def heights(text: str) -> list[int]:   # argparse names it on errors
+        return [int(h) for h in text.split(",") if h.strip()]
+
     parser = argparse.ArgumentParser(
         prog="locsol",
         description="Exact local solubility and density calculations "
@@ -41,10 +43,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_decide = sub.add_parser(
         "decide", help="decide solubility at one place or everywhere")
     p_decide.add_argument("-k", type=int, required=True, help="degree")
-    p_decide.add_argument("-p", type=int, default=None,
-                          help="decide at this prime only")
-    p_decide.add_argument("--real", action="store_true",
-                          help="decide at the real place only")
+    decide_place = p_decide.add_mutually_exclusive_group()
+    decide_place.add_argument("-p", type=int, default=None,
+                              help="decide at this prime only")
+    decide_place.add_argument("--real", action="store_true",
+                              help="decide at the real place only")
     p_decide.add_argument("--route", default="auto",
                           choices=("auto", "dp", "scale"))
     p_decide.add_argument("--no-witness", action="store_true",
@@ -58,16 +61,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rho.add_argument("-n", type=int, required=True,
                        help="number of variables minus one")
     p_rho.add_argument("-k", type=int, required=True, help="degree")
-    p_rho.add_argument("-p", type=int, default=None, help="finite place")
-    p_rho.add_argument("--infinity", action="store_true",
-                       help="density at the real place")
-    p_rho.add_argument("--loc", action="store_true",
-                       help="certified enclosure of the all-places product")
+    rho_place = p_rho.add_mutually_exclusive_group(required=True)
+    rho_place.add_argument("-p", type=int, default=None, help="finite place")
+    rho_place.add_argument("--infinity", action="store_true",
+                           help="density at the real place")
+    rho_place.add_argument("--loc", action="store_true",
+                           help="certified enclosure of the all-places "
+                                "product")
     p_rho.add_argument("--route", default="auto",
-                       choices=("auto", "closed", "enum", "generic"),
-                       help="auto: the closed form for k = 2, 3 (n >= 2), "
-                            "else the generic sum when p does not divide "
-                            "k, else enumeration; all three are exact")
+                       choices=("auto", "enum", "generic"),
+                       help="auto: the generic sum when p does not divide "
+                            "k, else enumeration, which p = k in {2, 3} "
+                            "skips for n >= 4 (rho_p = 1); both are exact")
     p_rho.add_argument("--cutoff", type=int, default=10**4,
                        help="prime cutoff for --loc (default 10000)")
     p_rho.add_argument("--digits", type=int, default=6,
@@ -86,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="sample count for --mode sample")
     p_survey.add_argument("--seed", type=int, default=None)
     p_survey.add_argument("--jobs", type=int, default=1)
-    p_survey.add_argument("--sweep", default=None,
+    p_survey.add_argument("--sweep", type=heights, default=None,
                           help="comma-separated extra heights to sweep")
     p_survey.add_argument("--csv", default=None,
                           help="write rows to this CSV file ('-' = stdout)")
@@ -175,8 +180,7 @@ def _cmd_decide(args, store) -> int:
     return 0 if report.overall else 1
 
 
-_DENSITY_ROUTES = {"auto": rho_p, "closed": rho_p_closed_form,
-                   "enum": rho_p_exact, "generic": generic_sum}
+_DENSITY_ROUTES = {"auto": rho_p, "enum": rho_p_exact, "generic": generic_sum}
 
 
 def _cmd_rho(args, store) -> int:
@@ -198,11 +202,8 @@ def _cmd_rho(args, store) -> int:
         return 0
     if args.infinity:
         dens = rho_infinity(args.n, args.k)
-    elif args.p is not None:
-        dens = _DENSITY_ROUTES[args.route](args.n, args.k, args.p)
     else:
-        print("rho needs one of -p, --infinity, --loc", file=sys.stderr)
-        return USAGE_EXIT
+        dens = _DENSITY_ROUTES[args.route](args.n, args.k, args.p)
     if args.format == "json":
         print(json.dumps(dens.to_record()))
     else:
@@ -216,9 +217,7 @@ def _cmd_survey(args, store) -> int:
     reference = None
     if args.reference:
         reference = rho_loc_interval(args.n, args.k, args.cutoff)
-    heights = [args.box]
-    if args.sweep:
-        heights += [int(h) for h in args.sweep.split(",") if h.strip()]
+    heights = [args.box] + (args.sweep or [])
     reports = convergence_sweep(
         args.n, args.k, heights, mode=args.mode,
         sample_count=args.samples, seed=args.seed,

@@ -5,13 +5,13 @@ coefficient vectors in Z_p^(n+1) that admit a nontrivial zero, after
 conditioning every coordinate to be nonzero (hence the normalizing
 constant kappa).  Coefficients matter only through their (valuation mod
 k, unit class) symbol, so the density is a finite exact sum of cell
-measures, and for small (n, k) it collapses to published closed forms.
+measures.
 
-Three exact routes are exposed and cross-checked by tests: direct cell
-enumeration, the closed forms, and a sum over valuation layers.  rho_p
-is the one dispatcher between them, in a fixed order: the recorded
-closed form when k is 2 or 3 and n >= 2 (at every p, p | k included);
-else the generic sum when p does not divide k; else enumeration.
+Two exact routes compute it, one rule for each kind of prime and the
+same for every k: a sum over valuation layers when p does not divide k,
+and direct cell enumeration when p | k.  rho_p dispatches between them.
+The paper's closed forms for k = 2, 3 are not used here; they are the
+reference in verification that both routes are checked against.
 """
 
 from __future__ import annotations
@@ -23,14 +23,13 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, factorial, gcd
 
-from .errors import (DegenerateInput, PreconditionViolated, ResourceBound,
-                     UnsupportedPair)
+from .errors import DegenerateInput, PreconditionViolated, ResourceBound
 from .padic import all_cells, cell_representative, class_count, class_reps
 from .primes import is_prime
 from .solubility import _soluble_at, is_pathological
 
 ENUMERATION_CELL_CAP = 10**7
-# Memo bound for layer_terms(), one entry per (n, k, chance table).
+# Memo bound for layer_terms(), one entry per (n, k, count table).
 LAYER_TERMS_CACHE_SIZE = 256
 
 
@@ -121,78 +120,41 @@ def rho_p_exact(n: int, k: int, p: int) -> Density:
 
 
 def rho_p_closed_form(n: int, k: int, p: int) -> Density:
-    """Recorded exact formulas; k in {2, 3} and n >= 2 only."""
-    _validate(n, k, p)
-    if n < 2:
-        raise UnsupportedPair(f"no recorded formula for n = {n}")
-    q = power_ratio(p, k)
-    value = None
-    if k == 2:
-        if n == 2:
-            value = (Fraction(7, 12) if p == 2
-                     else 1 - Fraction(3, 2) * q**2 / p)
-        elif n == 3:
-            value = (Fraction(1231, 1296) if p == 2
-                     else 1 - Fraction(3, 2) * q**4 / p**2)
-        else:
-            value = Fraction(1)
-    elif k == 3:
-        if n == 2:
-            if p == 3:
-                value = Fraction(13831, 19773)
-            elif p % 3 == 1:
-                value = 1 - 2 * q / p
-            else:
-                value = 1 - 6 * q**3 / p**3
-        elif n == 3:
-            if p == 3:
-                value = Fraction(6391, 6591)
-            elif p % 3 == 1:
-                value = 1 - Fraction(8, 3) * (1 + Fraction(1, p))**2 \
-                    * q**3 / p**2
-            else:
-                value = Fraction(1)
-        elif n == 4:
-            value = 1 - Fraction(40, 3) * q**4 / p**4 if p % 3 == 1 \
-                else Fraction(1)
-        elif n == 5:
-            value = 1 - Fraction(80, 3) * q**6 / p**6 if p % 3 == 1 \
-                else Fraction(1)
-        else:
-            value = Fraction(1)
-    if value is None:
-        raise UnsupportedPair(f"no recorded formula for (n={n}, k={k})")
-    return Density(n=n, k=k, place=p, value=value, route="closed-form")
+    """verification's reference formulas, never called by rho_p; the
+    benchmark's trace (bench/spans.py) looks this name up in density."""
+    from .verification import rho_p_closed_form as reference
+    return reference(n, k, p)
 
 
 @lru_cache(maxsize=LAYER_TERMS_CACHE_SIZE)
-def layer_terms(n: int, k: int, chances: tuple[Fraction, ...]
-                ) -> tuple[tuple[int, Fraction], ...]:
-    """Pairs (w, c_w), c_w the x^w coefficient of (n+1)! [t^(n+1)]
-    prod_{e<k} sum_m chances[m] (t x^e)^m / m!, where chances[m] (0 past
-    the end, and then skipped) is the chance that m units on one layer
-    have no zero.  At x = 1/p it is the insoluble mass over q^(n+1)."""
-    poly = {(0, 0): Fraction(1)}
+def layer_terms(n: int, k: int, counts: tuple[int, ...]
+                ) -> tuple[tuple[int, int], ...]:
+    """Pairs (w, C_w), C_w the x^w coefficient of (n+1)! [t^(n+1)]
+    prod_{e<k} sum_m counts[m] (t x^e)^m / m!, where counts[m] / d^m (0
+    past the end, and then skipped) is the chance that m units on one
+    layer have no zero, d their number of unit classes.  Every C_w is
+    an integer, and at x = 1/p the sum is d^(n+1) times the insoluble
+    mass over q^(n+1)."""
+    poly = {(0, 0): 1}
     for e in range(k):
-        grown: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
+        grown: dict[tuple[int, int], int] = defaultdict(int)
         for (used, w), c in poly.items():
-            for m, chance in enumerate(chances[:n + 2 - used]):
-                if chance:
-                    grown[used + m, w + e * m] += c * chance / factorial(m)
+            for m, count in enumerate(counts[:n + 2 - used]):
+                if count:
+                    grown[used + m, w + e * m] += c * count * comb(used + m, m)
         poly = grown
-    return tuple(sorted((w, factorial(n + 1) * c)
-                        for (used, w), c in poly.items() if used == n + 1))
+    return tuple(sorted((w, c) for (used, w), c in poly.items()
+                        if used == n + 1))
 
 
-def _insoluble_chances(n: int, k: int, p: int) -> tuple[Fraction, ...]:
-    """The chances of layer_terms at p not dividing k, d = gcd(p-1, k):
-    1, 1, (d-1)/d (-v/u is a k-th power), and past 2 zero unless p is
+def _insoluble_counts(n: int, k: int, p: int, d: int) -> tuple[int, ...]:
+    """The counts of layer_terms at p not dividing k, d = gcd(p-1, k):
+    1, d, d(d-1) (-v/u is a k-th power), and past 2 none unless p is
     pathological for k, where the C(d+m-1, m) class multisets of m units
     are decided (ResourceBound past ENUMERATION_CELL_CAP of them)."""
-    d = gcd(p - 1, k)
-    chances = [Fraction(1), Fraction(1), Fraction(d - 1, d)]
+    counts = [1, d, d * (d - 1)]
     if n < 2 or not is_pathological(p, k):
-        return tuple(chances)
+        return tuple(counts)
     count = sum(comb(d + m - 1, m) for m in range(3, n + 2))
     if count > ENUMERATION_CELL_CAP:
         raise ResourceBound(
@@ -205,30 +167,38 @@ def _insoluble_chances(n: int, k: int, p: int) -> tuple[Fraction, ...]:
                 insoluble += _multinomial(classes)
         if not insoluble:
             break  # a zero of every m-multiset is one of every larger one
-        chances.append(Fraction(insoluble, d**m))
-    return tuple(chances)
+        counts.append(insoluble)
+    return tuple(counts)
 
 
 def generic_sum(n: int, k: int, p: int) -> Density:
     """Layer-sum density for gcd(p, k) = 1, exact at every such p: a
     form is soluble iff one valuation layer has a zero mod p (the
-    contraction in solubility), and layers are independent."""
+    contraction in solubility), and layers are independent.  The terms
+    are summed in p by Horner over integers, so one Fraction is built."""
     _validate(n, k, p)
     if gcd(p, k) != 1:
         raise PreconditionViolated("generic sum requires gcd(p, k) = 1")
-    terms = layer_terms(n, k, _insoluble_chances(n, k, p))
-    total = sum((c / p**w for w, c in terms), Fraction(0))
-    value = 1 - power_ratio(p, k)**(n + 1) * total
-    return Density(n=n, k=k, place=p, value=value, route="generic-sum")
+    d = gcd(p - 1, k)
+    insoluble, top = 0, 0
+    for w, c in layer_terms(n, k, _insoluble_counts(n, k, p, d)):
+        insoluble = insoluble * p**(w - top) + c
+        top = w
+    den = ((p**k - 1) * d)**(n + 1) * p**top
+    num = den - ((p - 1) * p**(k - 1))**(n + 1) * insoluble
+    return Density(n=n, k=k, place=p, value=Fraction(num, den),
+                   route="generic-sum")
 
 
 def rho_p(n: int, k: int, p: int) -> Density:
-    """Exact density at p by the first route that applies, in order:
-    the closed form (k in {2, 3}, n >= 2), the generic sum (p not
-    dividing k), enumeration (p | k).  Each route validates its input,
-    so p is proved prime once."""
-    if k in (2, 3) and n >= 2:
-        return rho_p_closed_form(n, k, p)
+    """Exact density at p: the generic sum when p does not divide k,
+    else enumeration.  Each route validates its input, so p is proved
+    prime once.  At p = k in {2, 3} with n >= 4 the density is 1 with no
+    enumeration: every cell is soluble at n = 4 (the classification
+    catalogue decides them all), and a zero survives adding a variable."""
+    if p == k and k in (2, 3) and n >= 4:
+        return Density(n=n, k=k, place=p, value=Fraction(1),
+                       route="saturated")
     if p > 1 and k % p == 0:
         return rho_p_exact(n, k, p)
     return generic_sum(n, k, p)

@@ -58,7 +58,8 @@ _STORED_TAILS = {
 def tail_hypothesis(n: int, k: int) -> TailBound:
     """A proven coefficient for the tail of the density product.
 
-    k in {2, 3} uses constants read off the closed forms.  Other k get a
+    k in {2, 3} uses constants read off the paper's closed forms (kept in
+    verification, where a test audits them).  Other k get a
     coarse but sound bound from the generic sum from p_min on, the first
     prime past the pathological primes of k: its layer chances there are
     at most (1, 1, (k-1)/k) as d <= k, and each term c_w p^-w is split
@@ -72,11 +73,12 @@ def tail_hypothesis(n: int, k: int) -> TailBound:
     if k in (2, 3):
         return _STORED_TAILS.get((n, k), TailBound(Fraction(0), 2, 2))
     p_min = next_prime(max(pathological_primes(k)))
-    terms = layer_terms(n, k, (Fraction(1), Fraction(1), Fraction(k - 1, k)))
+    terms = layer_terms(n, k, (1, k, k * (k - 1)))
     s = min((w for w, _ in terms), default=2)
     if s < 2:
         raise DivergentTail(f"tail exponent {s} does not converge")
-    constant = sum((c / p_min**(w - s) for w, c in terms), Fraction(0))
+    constant = sum((Fraction(c, k**(n + 1) * p_min**(w - s))
+                    for w, c in terms), Fraction(0))
     return TailBound(constant, s, p_min)
 
 

@@ -5,9 +5,10 @@ and reports pass/fail with a short detail line.  The same registry backs
 tests/test_acceptance.py and the `locsol verify-paper` subcommand, so a
 red line in one is a red line in the other.
 
-The recorded references live here: the p | k densities and the cell
-catalogues at (p, k) = (2, 2) and (3, 3), each catalogue stated as
-(cell, recorded verdict) pairs that one loop checks against decide_qp.
+The recorded references live here: the paper's closed forms for rho_p
+at k = 2, 3 (its p | k densities among them), and the cell catalogues
+at (p, k) = (2, 2) and (3, 3), each catalogue stated as (cell, recorded
+verdict) pairs that one loop checks against decide_qp.
 
 Criterion "certified-intervals" encodes one deliberate discrepancy: the
 reference catalogue prints 0.8268 for (n, k) = (3, 2), which matches the
@@ -27,10 +28,10 @@ from random import Random
 from time import perf_counter
 
 from .cache import CacheStore, load_verdicts
-from .density import (cell_measure, generic_sum, kappa, rho_p_closed_form,
-                      rho_p_exact)
+from .density import (Density, _validate, cell_measure, generic_sum, kappa,
+                      power_ratio, rho_p_exact)
 from .errors import (CacheCorrupt, ClassificationMismatch, OracleOverflow,
-                     PreconditionViolated)
+                     PreconditionViolated, UnsupportedPair)
 from .oracle import decide_by_lifting
 from .padic import (CoefficientVector, all_cells, cell_orbit,
                     cell_representative, class_label, signature)
@@ -46,6 +47,30 @@ PATHOLOGICAL_TARGETS = {
     (2, 3, 3): Fraction(13831, 19773),
     (3, 3, 3): Fraction(6391, 6591),
 }
+
+
+def rho_p_closed_form(n: int, k: int, p: int) -> Density:
+    """The paper's formulas for rho_p, k in {2, 3} and n >= 2 only, at
+    p = k read off PATHOLOGICAL_TARGETS.  Reference data: rho_p never
+    calls it."""
+    _validate(n, k, p)
+    if k not in (2, 3) or n < 2:
+        raise UnsupportedPair(f"no recorded formula for (n={n}, k={k})")
+    q = power_ratio(p, k)
+    if (n, k, p) in PATHOLOGICAL_TARGETS:
+        value = PATHOLOGICAL_TARGETS[n, k, p]
+    elif k == 2:
+        value = {2: 1 - Fraction(3, 2) * q**2 / p,
+                 3: 1 - Fraction(3, 2) * q**4 / p**2}.get(n, Fraction(1))
+    elif p % 3 == 1:
+        value = {2: 1 - 2 * q / p,
+                 3: 1 - Fraction(8, 3) * (1 + Fraction(1, p))**2 * q**3 / p**2,
+                 4: 1 - Fraction(40, 3) * q**4 / p**4,
+                 5: 1 - Fraction(80, 3) * q**6 / p**6}.get(n, Fraction(1))
+    else:
+        value = 1 - 6 * q**3 / p**3 if n == 2 else Fraction(1)
+    return Density(n=n, k=k, place=p, value=value, route="closed-form")
+
 
 SOLUBLE_CELLS_2_2_2 = (
     (1, 1, 3), (1, 1, 7), (1, 3, 7), (1, 1, 6),
@@ -173,7 +198,8 @@ def criterion_pathological_densities(subset: str) -> tuple[bool, str]:
 
 
 def criterion_route_agreement(subset: str) -> tuple[bool, str]:
-    """Enumeration, closed form, and generic sum agree exactly on a grid."""
+    """Enumeration, the generic sum and the paper's formula agree exactly
+    on a grid."""
     grids = []
     if _wants(2, subset):
         grids.append((2, (2, 3, 4), (3, 5, 7, 11, 13)))

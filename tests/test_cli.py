@@ -14,7 +14,10 @@ from locsol.solubility import clear_caches
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:   # argparse exits with 2 on bad usage
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -94,9 +97,10 @@ def test_decide_rejects_scale_route_at_p_dividing_k(capsys):
 
 
 def test_rho_closed_form_text(capsys):
+    # the paper's value at p = k = 2, reached by enumeration
     code, out, _ = run(capsys, "rho", "-n", "2", "-k", "2", "-p", "2")
     assert code == 0
-    assert "7/12" in out and "closed-form" in out
+    assert "7/12" in out and "[enumeration]" in out
 
 
 def test_rho_enum_route_json(capsys):
@@ -135,6 +139,21 @@ def test_rho_needs_a_place(capsys):
     code, _, err = run(capsys, "rho", "-n", "3", "-k", "2")
     assert code == 2
     assert "one of" in err
+
+
+def test_rho_takes_one_place(capsys):
+    for place in (("-p", "2", "--infinity"), ("-p", "2", "--loc"),
+                  ("--infinity", "--loc")):
+        code, out, err = run(capsys, "rho", "-n", "3", "-k", "2", *place)
+        assert code == 2 and out == "", place
+        assert "not allowed with" in err, place
+
+
+def test_decide_takes_one_place(capsys):
+    code, out, err = run(capsys, "decide", "-k", "2", "-p", "2", "--real",
+                         "1", "1", "1")
+    assert code == 2 and out == ""
+    assert "not allowed with" in err
 
 
 def test_rho_loc_interval_json(capsys):
@@ -181,6 +200,13 @@ def test_survey_sweep_json(capsys):
     rows = json.loads(out)
     assert [r["H"] for r in rows] == [2, 3, 4]
     assert [r["total"] for r in rows] == [27, 125, 343]
+
+
+def test_survey_sweep_rejects_a_bad_height(capsys):
+    code, out, err = run(capsys, "survey", "-n", "2", "-k", "2", "--box", "2",
+                         "--sweep", "3,x")
+    assert code == 2 and out == ""
+    assert "--sweep" in err and "'3,x'" in err
 
 
 def test_survey_with_reference(capsys):

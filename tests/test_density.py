@@ -4,13 +4,13 @@ import pytest
 
 from locsol import density
 from locsol.density import (cell_measure, generic_sum, kappa, power_ratio,
-                            rho_infinity, rho_p, rho_p_closed_form,
-                            rho_p_exact)
+                            rho_infinity, rho_p, rho_p_exact)
 from locsol.errors import (DegenerateInput, PreconditionViolated,
                            ResourceBound, UnsupportedPair)
 from locsol.padic import all_cells
 from locsol.primes import primes_below
 from locsol.solubility import pathological_primes
+from locsol.verification import rho_p_closed_form
 
 F = Fraction
 
@@ -37,6 +37,8 @@ def test_closed_form_frozen_values():
         got = rho_p_closed_form(n, k, p)
         assert got.value == want, (n, k, p)
         assert got.route == "closed-form"
+        # the name the benchmark's trace looks up in density
+        assert density.rho_p_closed_form(n, k, p) == got
 
 
 def test_exact_enumeration_reproduces_pathological_values():
@@ -47,11 +49,13 @@ def test_exact_enumeration_reproduces_pathological_values():
 
 
 def test_closed_form_at_p_dividing_k_matches_enumeration():
-    # rho_p takes the closed form at p | k too; for n >= 4 it reads 1
+    # for n >= 4 the formula, enumeration and rho_p's saturation rule
+    # all read 1
     for k, p in ((3, 3), (2, 2)):
         for n in (4, 5, 6):
             assert rho_p_closed_form(n, k, p).value == 1
             assert rho_p_exact(n, k, p).value == 1, (n, k, p)
+            assert rho_p(n, k, p).value == 1, (n, k, p)
 
 
 def test_rho_p_is_exact_at_every_small_prime():
@@ -66,8 +70,12 @@ def test_rho_p_is_exact_at_every_small_prime():
 
 
 def test_rho_p_route_order():
-    assert rho_p(2, 3, 3).route == "closed-form"
-    assert rho_p(4, 2, 2).route == "closed-form"
+    assert rho_p(2, 3, 3).route == "enumeration"
+    assert rho_p(3, 2, 2).route == "enumeration"
+    assert rho_p(4, 2, 2).route == "saturated"
+    assert rho_p(6, 3, 3).route == "saturated"
+    assert rho_p(4, 2, 3).route == "generic-sum"
+    assert rho_p(2, 3, 7).route == "generic-sum"
     assert rho_p(3, 4, 7).route == "generic-sum"
     assert rho_p(1, 2, 3).route == "generic-sum"
     assert rho_p(1, 2, 2).route == "enumeration"
@@ -115,6 +123,22 @@ def test_saturated_dimensions_give_one():
     assert rho_p_closed_form(7, 2, 3).value == 1
     assert rho_p_closed_form(6, 3, 7).value == 1
     assert rho_p_closed_form(9, 3, 13).value == 1
+
+
+def test_rho_p_matches_the_paper_grid():
+    # the paper's formulas at every p < 3000 not dividing k, and
+    # enumeration at p = k, where n >= 4 takes the saturation rule
+    for k in (2, 3):
+        for p in primes_below(3000):
+            if p == k:
+                continue
+            for n in range(2, 9):
+                got = rho_p(n, k, p)
+                assert got.route == "generic-sum", (n, k, p)
+                assert got.value == rho_p_closed_form(n, k, p).value, \
+                    (n, k, p)
+        for n in range(2, 6):
+            assert rho_p(n, k, k).value == rho_p_exact(n, k, k).value, (n, k)
 
 
 def test_three_routes_agree_on_small_grid():
@@ -177,9 +201,9 @@ def test_rho_infinity():
 
 
 def test_record_shape():
-    rec = rho_p_closed_form(2, 2, 5).to_record()
+    rec = rho_p(2, 2, 5).to_record()
     assert rec == {"n": 2, "k": 2, "p": 5, "numerator": 19,
-                   "denominator": 24, "route": "closed-form"}
+                   "denominator": 24, "route": "generic-sum"}
 
 
 def test_unsupported_and_invalid_inputs():

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from functools import reduce
 from operator import mul
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locsol.density import rho_infinity, rho_p, rho_p_closed_form
+from locsol.density import rho_infinity, rho_p
 from locsol.errors import (DegenerateInput, DivergentTail,
                            PreconditionViolated, ResourceBound)
 from locsol.primes import primes_below
@@ -14,6 +15,7 @@ from locsol.product import (CertifiedInterval, TailBound, _balanced_product,
                             decimalize, rho_loc_interval, tail_hypothesis)
 from locsol.padic import CoefficientVector
 from locsol.solubility import decide_everywhere_local, pathological_primes
+from locsol.verification import rho_p_closed_form
 
 F = Fraction
 
@@ -184,6 +186,27 @@ def test_balanced_product_matches_the_serial_product(n, k):
         iv = rho_loc_interval(n, k, cutoff=cutoff)
         got = (iv.lo, iv.hi, iv.finite_lo, iv.finite_hi)
         assert got == _serial_interval(n, k, cutoff), (n, k, cutoff)
+
+
+# sha256 of the hex numerators and denominators of (lo, hi, finite_lo,
+# finite_hi) at cutoff 10^4, recorded while rho_p still answered k = 2, 3
+# from the paper's closed forms
+PINNED_ENDPOINTS = {
+    (3, 2): "f56a4c2462d587c47a609e22370a1db1d06576e762054ff56bfc6098cae63de6",
+    (3, 3): "e64ccf287b837540c439d4e3fc903bd723bccff91c55057d22daf43ddae74a26",
+    (4, 3): "6f68a72f6d7c23ad8556a94f86ab2f52ee9619b7632973e7adc6b4a11c9835ef",
+    (5, 3): "4f4c080144b7cf674065b583b3daea241eb70cb8a3728d9a5752c6f62835756c",
+    (6, 3): "ad4e3b4f0ea93d2cbda4eee0326844788acc8d60c9eebbb2bd01bf47470f986d",
+}
+
+
+@pytest.mark.parametrize("n, k", sorted(PINNED_ENDPOINTS))
+def test_endpoints_are_pinned(n, k):
+    iv = rho_loc_interval(n, k, cutoff=10**4)
+    text = " ".join(f"{v.numerator:x}/{v.denominator:x}"
+                    for v in (iv.lo, iv.hi, iv.finite_lo, iv.finite_hi))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        PINNED_ENDPOINTS[n, k]
 
 
 _LENGTHS = (0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33)
