@@ -179,6 +179,11 @@ def generic_sum(n: int, k: int, p: int) -> Density:
     _validate(n, k, p)
     if gcd(p, k) != 1:
         raise PreconditionViolated("generic sum requires gcd(p, k) = 1")
+    return _generic_sum(n, k, p)
+
+
+def _generic_sum(n: int, k: int, p: int) -> Density:
+    """generic_sum at a p known to be a prime not dividing k, unchecked."""
     d = gcd(p - 1, k)
     insoluble, top = 0, 0
     for w, c in layer_terms(n, k, _insoluble_counts(n, k, p, d)):

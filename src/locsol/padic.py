@@ -8,18 +8,18 @@ that reduction: valuations, unit class labels, the signature, the
 coarse I/II/III pattern tags.
 
 Unit classes are labelled by one closed formula, kept (with its proof)
-in _labeller: a power of u mod p^(2*v_p(k)+1), except at p = 2 for
-even k, where it is u mod 2^(v_2(k)+2).  It costs O(log p) and stores
-nothing, at every (p, k), p | k included.  Cells carry the same labels
-as signatures; class_reps(p, k) gives the smallest unit of each label,
-and class_count(p, k) the number of labels.
+in _labeller as a pair: the label of u is pow(u, *_labeller(p, k)), a
+power of u mod p^(2*v_p(k)+1), except at p = 2 for even k, where the
+pair (1, 2^(v_2(k)+2)) makes it u mod 2^(v_2(k)+2).  It costs O(log p)
+and stores nothing, at every (p, k), p | k included.  Cells carry the
+same labels as signatures; class_reps(p, k) gives the smallest unit of
+each label, and class_count(p, k) the number of labels.
 
-_split is the one pass over the entries: it yields v_p, the unit
-x / p^v_p(x) and its class label, per entry.  signature(entries, p, k)
-(the sorted (v_p mod k less its minimum, label) pairs, which determine
-Q_p-solubility), classify_type, orbit_record and the decisions in
-locsol.solubility all start from it, and _reduced_exponents is the one
-place that reduces the valuations.
+_split is the one pass over the entries: it yields the reduced symbol
+(v_p(x) mod k less the least such, class label) and the unit
+x / p^v_p(x), per entry.  signature(entries, p, k) (the sorted symbols,
+which determine Q_p-solubility), classify_type, orbit_record and the
+decisions in locsol.solubility all start from it.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 from math import gcd
+from operator import index
 from types import MappingProxyType
 
 from .errors import DegenerateInput, PreconditionViolated
@@ -104,7 +105,7 @@ def class_label(u: int, p: int, k: int) -> int:
         raise DegenerateInput(f"degree must be at least 2, got {k}")
     if u % p == 0:
         raise PreconditionViolated(f"{u} is not a unit mod {p}")
-    return _labeller(p, k)(u)
+    return pow(u, *_labeller(p, k))
 
 
 def is_kth_power_unit(u: int, p: int, k: int) -> bool:
@@ -113,8 +114,9 @@ def is_kth_power_unit(u: int, p: int, k: int) -> bool:
 
 
 @lru_cache(maxsize=CLASS_TABLE_CACHE_SIZE)
-def _labeller(p: int, k: int):
-    """The class-label function of units at (p, k); see class_label.
+def _labeller(p: int, k: int) -> tuple[int, int]:
+    """The pair (exponent, modulus) with class_label(u, p, k) equal to
+    pow(u, exponent, modulus) for every unit u at (p, k).
 
     With c = class_precision(p, k), a unit ratio u/w is a k-th power in
     Z_p iff it is one mod p^c (Newton), so the classes are the cosets of
@@ -129,15 +131,13 @@ def _labeller(p: int, k: int):
     - p = 2, k even, tau = v_2(k): Z_2^* = {+-1} x (1 + 4Z_2), and
       squaring maps 1 + 2^j Z_2 onto 1 + 2^(j+1) Z_2 for j >= 2, while
       an odd power is a bijection of each.  So the k-th powers of units
-      are exactly 1 + 2^(tau+2) Z_2, and the label is u mod 2^(tau+2).
+      are exactly 1 + 2^(tau+2) Z_2: the label is u mod 2^(tau+2), the
+      pair (1, 2^(tau+2)), as pow(u, 1, m) == u % m for negative u too.
     """
     c = class_precision(p, k)
     if p == 2 and k % 2 == 0:
-        modulus = 2**(c // 2 + 2)  # c = 2*tau + 1
-        return lambda u: u % modulus
-    exponent = p**(c - 1) * (p - 1) // class_count(p, k, c)
-    modulus = p**c
-    return lambda u: pow(u, exponent, modulus)
+        return 1, 2**(c // 2 + 2)  # c = 2*tau + 1
+    return p**(c - 1) * (p - 1) // class_count(p, k, c), p**c
 
 
 @lru_cache(maxsize=CLASS_TABLE_CACHE_SIZE)
@@ -149,25 +149,25 @@ def class_reps(p: int, k: int) -> MappingProxyType[int, int]:
         raise PreconditionViolated(f"not a prime: {p}")
     if k < 2:
         raise DegenerateInput(f"degree must be at least 2, got {k}")
-    label, count = _labeller(p, k), class_count(p, k)
+    (exponent, modulus), count = _labeller(p, k), class_count(p, k)
     reps: dict[int, int] = {}
     u = 1
     while len(reps) < count:
         if u % p:
-            reps.setdefault(label(u), u)
+            reps.setdefault(pow(u, exponent, modulus), u)
         u += 1
     return MappingProxyType(dict(sorted(reps.items())))
 
 
 def _split(entries, p: int, k: int
-           ) -> tuple[list[int], list[int], list[int]]:
-    """v_p(x), the unit x / p^v_p(x) and its class label, per entry.
-
-    The one pass that signature(), classify_type(), orbit_record() and
-    the decisions share.
-    """
-    label = _labeller(p, k)
-    vals, units, labels = [], [], []
+           ) -> tuple[list[tuple[int, int]], list[int]]:
+    """The symbol (e, class label) and the unit x / p^v_p(x) per entry,
+    in source order: the one pass that signature(), classify_type(),
+    orbit_record() and the decisions share.  e = v_p(x) mod k - s, s the
+    least v_p(x) mod k: dividing every entry by p^s, and each by a k-th
+    power of p, carries p^v*u to p^e*u, every e in [0, k) and some 0."""
+    exponent, modulus = _labeller(p, k)
+    symbols, units = [], []
     for x in entries:
         if x == 0:
             raise DegenerateInput("cannot reduce a zero coefficient")
@@ -175,20 +175,12 @@ def _split(entries, p: int, k: int
         while x % p == 0:
             x //= p
             v += 1
-        vals.append(v)
+        symbols.append((v % k, pow(x, exponent, modulus)))
         units.append(x)
-        labels.append(label(x))
-    return vals, units, labels
-
-
-def _reduced_exponents(vals, k: int) -> tuple[int, list[int]]:
-    """The scalar exponent s = min(v mod k) and the reduced exponents
-    e = v mod k - s of valuations v: dividing every entry by p^s, and
-    each by a k-th power of p, carries p^v*u to p^e*u, with every e in
-    [0, k) and some e = 0."""
-    exps = [v % k for v in vals]
-    low = min(exps)
-    return low, [e - low for e in exps]
+    low = min(symbols)[0]
+    if low:
+        symbols = [(e - low, c) for e, c in symbols]
+    return symbols, units
 
 
 def signature(entries, p: int, k: int) -> tuple[tuple[int, int], ...]:
@@ -196,8 +188,24 @@ def signature(entries, p: int, k: int) -> tuple[tuple[int, int], ...]:
     the key that decides Q_p-solubility."""
     if not is_prime(p):
         raise PreconditionViolated(f"not a prime: {p}")
-    vals, _, labels = _split(CoefficientVector(entries, k).entries, p, k)
-    return tuple(sorted(zip(_reduced_exponents(vals, k)[1], labels)))
+    symbols, _ = _split(CoefficientVector(entries, k).entries, p, k)
+    return tuple(sorted(symbols))
+
+
+def _checked(entries, k: int) -> tuple[int, ...]:
+    """The entries of a form of degree k as a tuple of ints.  Anything
+    that is not an integer (a float, a string) is refused, not
+    truncated; so are fewer than two entries and k < 2."""
+    try:
+        entries = tuple(map(index, entries))
+    except TypeError:
+        raise PreconditionViolated(
+            f"coefficients must be integers, got {entries!r}") from None
+    if len(entries) < 2:
+        raise DegenerateInput("need at least two coefficients")
+    if k < 2:
+        raise DegenerateInput(f"degree must be at least 2, got {k}")
+    return entries
 
 
 @dataclass(frozen=True)
@@ -208,12 +216,7 @@ class CoefficientVector:
     k: int
 
     def __post_init__(self):
-        entries = tuple(int(a) for a in self.entries)
-        object.__setattr__(self, "entries", entries)
-        if len(entries) < 2:
-            raise DegenerateInput("need at least two coefficients")
-        if self.k < 2:
-            raise DegenerateInput(f"degree must be at least 2, got {self.k}")
+        object.__setattr__(self, "entries", _checked(self.entries, self.k))
 
     @property
     def n(self) -> int:
@@ -248,20 +251,19 @@ def orbit_record(a: CoefficientVector, p: int) -> dict:
         raise PreconditionViolated(f"not a prime: {p}")
     k = a.k
     m_star = certificate_exponent(p, k)
-    vals, units, labels = _split(a.entries, p, k)
-    scalar, exps = _reduced_exponents(vals, k)
+    symbols, units = _split(a.entries, p, k)
+    vals = [valuation(x, p) for x in a.entries]
     residues = [u % p**m_star for u in units]
-    order = sorted(range(len(exps)),
-                   key=lambda i: (exps[i], labels[i], residues[i]))
+    order = sorted(range(len(units)), key=lambda i: (symbols[i], residues[i]))
     return {
         "p": p,
         "k": k,
-        "exponents": [exps[i] for i in order],
+        "exponents": [symbols[i][0] for i in order],
         "unit_residues": [residues[i] for i in order],
-        "class_ids": [labels[i] for i in order],
-        "reduced_entries": [p**e * u for e, u in zip(exps, units)],
+        "class_ids": [symbols[i][1] for i in order],
+        "reduced_entries": [p**e * u for (e, _), u in zip(symbols, units)],
         "certificate_exponent": m_star,
-        "witness": {"scalar_exponent": scalar,
+        "witness": {"scalar_exponent": min(v % k for v in vals),
                     "power_shifts": [v // k for v in vals],
                     "permutation": order},
     }
@@ -279,15 +281,14 @@ def classify_type(a: CoefficientVector, p: int) -> str:
     """
     if not is_prime(p):
         raise PreconditionViolated(f"not a prime: {p}")
-    k = a.k
-    vals, units, labels = _split(a.entries, p, k)
+    symbols, units = _split(a.entries, p, a.k)
     groups: dict[int, list[tuple[int, int]]] = {}
-    for v, u, c in zip(vals, units, labels):
-        groups.setdefault(v % k, []).append((u, c))
+    for (e, c), u in zip(symbols, units):
+        groups.setdefault(e, []).append((u, c))
     if any(len(g) >= 3 for g in groups.values()):
         return "I"
-    label = _labeller(p, k)
-    if any(label(-u) == c for g in groups.values()
+    exponent, modulus = _labeller(p, a.k)
+    if any(pow(-u, exponent, modulus) == c for g in groups.values()
            for (u, _), (_, c) in permutations(g, 2)):
         return "II"
     return "III"
@@ -323,7 +324,8 @@ def cell_orbit(cell: tuple[tuple[int, int], ...], p: int, k: int
                ) -> set[tuple[tuple[int, int], ...]]:
     """Orbit of a cell under global exponent shifts and class rescaling."""
     reps = class_reps(p, k)
-    label = _labeller(p, k)
-    return {tuple(sorted(((e + shift) % k, label(reps[c] * w))
+    exponent, modulus = _labeller(p, k)
+    return {tuple(sorted(((e + shift) % k,
+                          pow(reps[c] * w, exponent, modulus))
                          for e, c in cell))
             for shift in range(k) for w in reps.values()}

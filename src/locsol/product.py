@@ -32,7 +32,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .density import layer_terms, rho_infinity, rho_p
+from .density import _generic_sum, layer_terms, rho_infinity, rho_p
 from .errors import DegenerateInput, DivergentTail, PreconditionViolated
 from .primes import next_prime, primes_below
 from .solubility import pathological_primes
@@ -154,8 +154,11 @@ def rho_loc_interval(n: int, k: int, cutoff: int = 10**4
     if penalty >= 1:
         raise PreconditionViolated(
             f"cutoff {cutoff} is too small for the tail constant")
-    finite_hi = _balanced_product(rho_p(n, k, p).value
-                                  for p in primes_below(cutoff))
+    # The sieve made every p prime, so a factor at p not dividing k (the
+    # generic sum, as in rho_p) skips the primality proof.
+    finite_hi = _balanced_product(
+        (_generic_sum(n, k, p) if k % p else rho_p(n, k, p)).value
+        for p in primes_below(cutoff))
     finite_lo = finite_hi * (1 - penalty)
     return CertifiedInterval(
         n=n, k=k, cutoff=cutoff, lo=real * finite_lo, hi=real * finite_hi,

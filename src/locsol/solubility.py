@@ -24,8 +24,9 @@ until G_r(y) = 0 mod p^(m*-r), m* = certificate_exponent(p, k), and
 mapped back by x_i = y_i (e_i >= r), x_i = p*y_i (e_i < r), so that the
 reduced form vanishes at x mod p^m* with a unit coordinate.  _settle,
 the one cache-or-decide step behind every decision, turns one pass over
-the entries (padic._split) into the verdict-cache key (p, k, signature)
-and the e_i and u_i the layers need; a hit costs that and a lookup.
+the entries (padic._split) into the verdict-cache key (p, k, signature),
+its reduced symbols sorted; a hit costs that and a lookup.  The e_i the
+layers need are taken out of the symbols only on a miss.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import DegenerateInput, PreconditionViolated, ResourceBound
-from .padic import (CoefficientVector, _reduced_exponents, _split,
-                    certificate_exponent, class_count, valuation)
+from .padic import (CoefficientVector, _split, certificate_exponent,
+                    class_count, valuation)
 from .primes import is_prime, prime_divisors, primes_below
 
 # Most modulus x value-set entries one layer walk may cost.
@@ -355,23 +356,23 @@ def _settle(entries, p: int, k: int, route: str = "auto",
     """Status at a prime p of nonzero entries, from the cache or decided.
 
     The key is (p, k, padic.signature(entries, p, k)).  Returns (status,
-    route, exps, units, witness) with the reduced exponents and units in
-    source order; route is "cache" when the cache answered, which it
-    does unless a witness is wanted for a soluble form.
+    route, symbols, units, witness) with the reduced (exponent, label)
+    symbols and the units in source order; route is "cache" when the
+    cache answered, which it does unless a witness is wanted for a
+    soluble form.
     """
-    vals, units, labels = _split(entries, p, k)
-    exps = _reduced_exponents(vals, k)[1]
-    key = (p, k, tuple(sorted(zip(exps, labels))))
+    symbols, units = _split(entries, p, k)
+    key = (p, k, tuple(sorted(symbols)))
     status = _VERDICTS.get(key)
     if status is not None and (status == "insoluble" or not want_witness):
-        return status, "cache", exps, units, None
+        return status, "cache", symbols, units, None
     if route == "auto":
         route = "scale" if gcd(p, k) == 1 else "dp"
-    soluble, witness = _decide_layers(p, k, exps, units, want_witness,
-                                      route == "scale")
+    soluble, witness = _decide_layers(p, k, [e for e, _ in symbols], units,
+                                      want_witness, route == "scale")
     status = "soluble" if soluble else "insoluble"
     _remember(key, status)
-    return status, route, exps, units, witness
+    return status, route, symbols, units, witness
 
 
 def _soluble_at(entries, p: int, k: int) -> bool:
@@ -401,11 +402,11 @@ def decide_qp(a: CoefficientVector, p: int, *, route: str = "auto",
             place=p, status="soluble-trivially", witness=witness,
             witness_form=a.entries, certificate_level=m_star,
             route="trivial")
-    status, route, exps, units, witness = _settle(a.entries, p, a.k, route,
-                                                  with_witness)
+    status, route, symbols, units, witness = _settle(a.entries, p, a.k,
+                                                     route, with_witness)
     return SolubilityVerdict(
         place=p, status=status, witness=witness,
-        witness_form=tuple(p**e * u for e, u in zip(exps, units)),
+        witness_form=tuple(p**e * u for (e, _), u in zip(symbols, units)),
         certificate_level=m_star, route=route)
 
 

@@ -21,8 +21,8 @@ from itertools import product as iter_product
 from random import Random
 
 from .errors import DegenerateInput, PreconditionViolated, ResourceBound
-from .padic import CoefficientVector
-from .solubility import (_real_soluble, _soluble_at, _tested_primes,
+from .padic import _checked
+from .solubility import (_real_soluble, _settle, _tested_primes,
                          dump_verdicts, load_verdicts)
 
 # Draws per sample chunk; an exhaustive chunk is as many whole rows (one
@@ -51,13 +51,18 @@ class SurveyReport:
 def is_everywhere_soluble(entries: tuple[int, ...], k: int) -> bool:
     """decide_everywhere_local(...).overall, through the verdict cache.
 
-    Box convention: any zero entry counts as soluble outright.
+    Box convention: any zero entry counts as soluble outright.  The
+    entries pass CoefficientVector's checks, but no vector is built.
     """
-    if any(a == 0 for a in entries):
+    entries = _checked(entries, k)
+    if 0 in entries:
         return True
-    entries = CoefficientVector(entries, k).entries
-    return _real_soluble(entries, k) and all(
-        _soluble_at(entries, p, k) for p in _tested_primes(entries, k))
+    if not _real_soluble(entries, k):
+        return False
+    for p in _tested_primes(entries, k):
+        if _settle(entries, p, k)[0] == "insoluble":
+            return False
+    return True
 
 
 def _count_chunk(task) -> tuple[int, dict[tuple, str]]:

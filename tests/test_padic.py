@@ -138,6 +138,27 @@ def test_power_residue_labels_agree_with_tables():
                 == len(cosets), (p, k)
 
 
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (2, 4), (2, 6), (2, 8),
+                                 (3, 2), (3, 3), (3, 6), (5, 2), (5, 4),
+                                 (5, 5), (7, 3), (7, 7), (13, 4), (13, 6)])
+def test_class_label_is_the_closed_formula(p, k):
+    # the formula as written before labels became (exponent, modulus)
+    # pairs: u mod 2^(tau+2) at p = 2 with k even, else u^(N/g) mod p^c
+    c = class_precision(p, k)
+    if p == 2 and k % 2 == 0:
+        def formula(u):
+            return u % 2**(c // 2 + 2)
+    else:
+        exponent = p**(c - 1) * (p - 1) // class_count(p, k)
+
+        def formula(u):
+            return pow(u, exponent, p**c)
+    for u in range(1, p**c):
+        if u % p:
+            for w in (u, -u, u + 5 * p**c):
+                assert class_label(w, p, k) == formula(w), (w, p, k)
+
+
 def test_coefficient_vector_validation():
     with pytest.raises(DegenerateInput):
         CoefficientVector((1,), 2)
@@ -147,6 +168,15 @@ def test_coefficient_vector_validation():
     assert v.is_zero and v.has_zero_entry
     assert CoefficientVector((1, -2, 3), 2).n == 2
     assert CoefficientVector((1, -2, 3), 2).max_norm == 3
+
+
+def test_coefficient_vector_refuses_non_integers():
+    # int() used to truncate these: (1.5, 2.5, -3.9) became (1, 2, -3),
+    # which decide_qp at p = 3 then answered soluble
+    for entries in ((1.5, 2.5, -3.9), ("3", 2), (1, 2.0), (1, None)):
+        with pytest.raises(PreconditionViolated):
+            CoefficientVector(entries, 2)
+    assert CoefficientVector((True, 2), 2).entries == (1, 2)
 
 
 def test_normalize_reduces_and_sorts():

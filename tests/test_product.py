@@ -133,6 +133,31 @@ def test_record_shape():
     assert "local-global" in rec["note"]
 
 
+def test_sieved_primes_are_not_proved_prime_again(monkeypatch):
+    # the sieve makes the factors' primes, and the factors skip the
+    # primality proof, so the count does not grow with the cutoff
+    import sys
+    from locsol import primes
+    calls = []
+    original = primes.is_prime
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    rho_loc_interval(3, 2, 10**3)        # fill the memos first
+    for name, module in list(sys.modules.items()):
+        if name.startswith("locsol") and \
+                getattr(module, "is_prime", None) is original:
+            monkeypatch.setattr(module, "is_prime", counting)
+    counts = []
+    for cutoff in (10**3, 10**4):
+        calls.clear()
+        rho_loc_interval(3, 2, cutoff)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 def test_cutoff_guards():
     with pytest.raises(PreconditionViolated):
         rho_loc_interval(3, 2, cutoff=2)

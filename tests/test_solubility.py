@@ -3,6 +3,8 @@ from random import Random
 from time import perf_counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locsol.errors import (ClassificationMismatch, DegenerateInput,
                            OracleOverflow, PreconditionViolated,
@@ -137,6 +139,28 @@ def test_no_walk_for_a_verdict_at_a_non_pathological_prime(monkeypatch):
     monkeypatch.undo()
     clear_caches()
     check_witness(decide_qp(vec((1, 1, 1)), 7, with_witness=True), 7, 2)
+
+
+@given(st.sampled_from([(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 8),
+                        (3, 2), (3, 3), (3, 4), (3, 6), (5, 2), (5, 3),
+                        (5, 5), (7, 2), (7, 3), (7, 7), (13, 2), (13, 4),
+                        (13, 6)]),
+       st.lists(st.tuples(st.sampled_from([-1, 1]),
+                          st.integers(min_value=0, max_value=17),
+                          st.integers(min_value=1, max_value=10**5)),
+                min_size=2, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_settle_keys_the_cache_by_signature(pk, parts):
+    # n = 1..5 nonzero entries; p | k at p = 2 with k in {2, 4, 6, 8}, and
+    # at (3, 3), (3, 6), (5, 5), (7, 7).  A miss stores the key, the
+    # signature, that the next call finds.
+    from locsol.solubility import _settle
+    p, k = pk
+    entries = tuple(s * p**e * u for s, e, u in parts)
+    clear_caches()
+    status = _settle(entries, p, k)[0]
+    assert dump_verdicts() == {(p, k, signature(entries, p, k)): status}
+    assert _settle(entries, p, k)[:2] == (status, "cache")
 
 
 def test_memo_caches_are_bounded(monkeypatch):

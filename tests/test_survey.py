@@ -1,3 +1,4 @@
+import hashlib
 import io
 from itertools import product
 
@@ -44,6 +45,35 @@ def test_sampling_is_deterministic_and_chunk_stable():
     b = survey_box(3, 2, 50, mode="sample", sample_count=12_345, seed=7)
     assert (a.soluble, a.total) == (b.soluble, b.total)
     assert a.proportion == b.proportion
+
+
+# Soluble counts of 3000 draws at seed 2024 and the sha256 of
+# repr(sorted(dump_verdicts().items())) after each survey from a cold
+# cache: the bytes of every verdict-cache key the survey wrote, so that a
+# saved verdicts.json stays valid.  Recorded before the cache-hit path
+# was rewritten.
+PINNED_SURVEYS = {
+    (3, 2, 200): (2198, "c6b86798cfe85344b58525caa327ad3c"
+                        "60f2372b791ff1c643199ac19b8850e6"),
+    (3, 3, 60): (2770, "de5bbb2d525ffbc5414b4e146594a5fb"
+                       "5e7d9007ac73c6f090718b064805591e"),
+    (3, 4, 30): (1120, "377b6a99d331d155b16d7577c265cb06"
+                       "daf3b5d7df09981962c7cff9e29aa3f2"),
+    (4, 5, 20): (2983, "27797d272de509a6fb93d2257dcffc66"
+                       "a12dab5f5458fc14421293e6698f46ea"),
+    (2, 6, 40): (239, "e440b542981df388ddb5ae762e9084ac"
+                      "15c8d5de64938dc37475f6388ecbe183"),
+}
+
+
+@pytest.mark.parametrize("n,k,height", sorted(PINNED_SURVEYS))
+def test_sampled_counts_and_verdict_keys_are_pinned(n, k, height):
+    clear_caches()
+    report = survey_box(n, k, height, mode="sample", sample_count=3000,
+                        seed=2024)
+    keys = repr(sorted(dump_verdicts().items())).encode()
+    assert (report.soluble, hashlib.sha256(keys).hexdigest()) == \
+        PINNED_SURVEYS[n, k, height]
 
 
 def test_second_survey_is_answered_by_signature(monkeypatch):
@@ -194,6 +224,17 @@ def test_convergence_sweep_and_csv_round_trip():
     num, den = int(first[7]), int(first[8])
     assert reports[0].proportion.numerator == num
     assert reports[0].proportion.denominator == den
+
+
+def test_direct_calls_keep_typed_errors():
+    with pytest.raises(DegenerateInput):
+        is_everywhere_soluble((5,), 2)
+    with pytest.raises(DegenerateInput):
+        is_everywhere_soluble((1, 2), 1)
+    # a float or a string is refused, not truncated to a form that counts
+    for entries in ((1.5, 2.5, -3.9), (1.0, 0.5), ("3", 2, 1)):
+        with pytest.raises(PreconditionViolated):
+            is_everywhere_soluble(entries, 2)
 
 
 def test_zero_entry_convention():
