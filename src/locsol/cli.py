@@ -3,8 +3,9 @@
 Exit codes for `decide`: 0 soluble at the requested scope, 1 insoluble,
 2 for bad usage or infeasible requests.  `verify-paper` exits 0 exactly
 when every suite item passes.  All numeric output is exact (integers or
-numerator/denominator pairs); decimals appear only as outward-rounded
-interval endpoints rendered to a requested digit count.
+numerator/denominator pairs), except decimals: interval endpoints are
+rounded outward (lower down, upper up) to a requested digit count, and
+survey proportions are rounded to nearest.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ import sys
 
 from . import cache as cache_mod
 from . import solubility
-from .density import generic_sum, rho_infinity, rho_p, rho_p_exact
+from .density import rho_infinity, rho_p
 from .errors import LocsolError
 from .padic import CoefficientVector, classify_type, orbit_record
-from .product import decimalize, rho_loc_interval
+from .product import _decimal, decimalize, rho_loc_interval
 from .solubility import decide_everywhere_local, decide_qp, decide_real
 from .survey import convergence_sweep, survey_box, write_csv
 from .verification import run_suite
@@ -48,8 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="decide at this prime only")
     decide_place.add_argument("--real", action="store_true",
                               help="decide at the real place only")
-    p_decide.add_argument("--route", default="auto",
-                          choices=("auto", "dp", "scale"))
     p_decide.add_argument("--no-witness", action="store_true",
                           help="skip witness construction")
     p_decide.add_argument("--format", default="text",
@@ -68,11 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rho_place.add_argument("--loc", action="store_true",
                            help="certified enclosure of the all-places "
                                 "product")
-    p_rho.add_argument("--route", default="auto",
-                       choices=("auto", "enum", "generic"),
-                       help="auto: the generic sum when p does not divide "
-                            "k, else enumeration, which p = k in {2, 3} "
-                            "skips for n >= 4 (rho_p = 1); both are exact")
     p_rho.add_argument("--cutoff", type=int, default=10**4,
                        help="prime cutoff for --loc (default 10000)")
     p_rho.add_argument("--digits", type=int, default=6,
@@ -158,8 +152,7 @@ def _cmd_decide(args, store) -> int:
         _print_verdict(verdict, args.format)
         return 0 if verdict.is_soluble else 1
     if args.p is not None:
-        verdict = decide_qp(vec, args.p, route=args.route,
-                            with_witness=want_witness)
+        verdict = decide_qp(vec, args.p, with_witness=want_witness)
         _print_verdict(verdict, args.format)
         return 0 if verdict.is_soluble else 1
     report = decide_everywhere_local(vec)
@@ -180,9 +173,6 @@ def _cmd_decide(args, store) -> int:
     return 0 if report.overall else 1
 
 
-_DENSITY_ROUTES = {"auto": rho_p, "enum": rho_p_exact, "generic": generic_sum}
-
-
 def _cmd_rho(args, store) -> int:
     if args.loc:
         interval = rho_loc_interval(args.n, args.k, args.cutoff)
@@ -194,16 +184,16 @@ def _cmd_rho(args, store) -> int:
                   f"(cutoff {interval.cutoff}; exact rational bounds in "
                   f"--format json)")
             print(f"finite-prime part in "
-                  f"[{float(interval.finite_lo):.{args.digits}f}, "
-                  f"{float(interval.finite_hi):.{args.digits}f}] before the "
-                  f"real factor "
+                  f"[{_decimal(interval.finite_lo, args.digits, False)}, "
+                  f"{_decimal(interval.finite_hi, args.digits, True)}] "
+                  f"before the real factor "
                   f"{interval.real_factor.numerator}/"
                   f"{interval.real_factor.denominator}")
         return 0
     if args.infinity:
         dens = rho_infinity(args.n, args.k)
     else:
-        dens = _DENSITY_ROUTES[args.route](args.n, args.k, args.p)
+        dens = rho_p(args.n, args.k, args.p)
     if args.format == "json":
         print(json.dumps(dens.to_record()))
     else:
@@ -248,8 +238,8 @@ def _cmd_survey(args, store) -> int:
             line = (f"H={r.height} ({r.mode}): {r.soluble}/{r.total} "
                     f"soluble = {float(r.proportion):.6f}")
             if r.ref_lo is not None:
-                line += (f"  vs certified [{float(r.ref_lo):.6f}, "
-                         f"{float(r.ref_hi):.6f}]")
+                line += (f"  vs certified [{_decimal(r.ref_lo, 6, False)}, "
+                         f"{_decimal(r.ref_hi, 6, True)}]")
             print(line)
     return 0
 

@@ -194,13 +194,15 @@ def signature(entries, p: int, k: int) -> tuple[tuple[int, int], ...]:
 
 def _checked(entries, k: int) -> tuple[int, ...]:
     """The entries of a form of degree k as a tuple of ints.  Anything
-    that is not an integer (a float, a string) is refused, not
-    truncated; so are fewer than two entries and k < 2."""
+    that is not an integer (a float, a string), entry or k, is refused,
+    not truncated; so are fewer than two entries and k < 2."""
     try:
         entries = tuple(map(index, entries))
+        index(k)
     except TypeError:
         raise PreconditionViolated(
-            f"coefficients must be integers, got {entries!r}") from None
+            f"coefficients and degree must be integers, got {entries!r} "
+            f"and {k!r}") from None
     if len(entries) < 2:
         raise DegenerateInput("need at least two coefficients")
     if k < 2:

@@ -14,10 +14,11 @@ by its smallest term valuation gives one, and since dG_r/dy_j has
 valuation tau, Newton iteration in y_j lifts one back.
 
 The test is a bitset walk over Z/p^(2*tau+1) that carries a flag for
-"a layer-r unit has been used".  Route "dp" runs it on every layer.
-Route "scale" (gcd(p, k) = 1, so the walk is mod p over the layer's
-units) first tries two shortcuts: a pair -u_t/u_s that is a k-th power
-mod p, and the Hasse-Weil bound when p is not pathological for k.
+"a layer-r unit has been used".  Which route runs follows from (p, k):
+at p | k ("dp") the walk decides every layer; at p not dividing k
+("scale", tau = 0, so the walk is mod p over the layer's units) two
+shortcuts are tried first: a pair -u_t/u_s that is a k-th power mod p,
+and the Hasse-Weil bound when p is not pathological for k.
 
 A soluble verdict can carry a witness: the layer zero y is Newton-lifted
 until G_r(y) = 0 mod p^(m*-r), m* = certificate_exponent(p, k), and
@@ -301,8 +302,7 @@ def _shortcut(p: int, k: int, members, want_witness: bool):
 # --- layer by layer ---------------------------------------------------------
 
 
-def _decide_layers(p: int, k: int, exps, units, want_witness: bool,
-                   shortcuts: bool):
+def _decide_layers(p: int, k: int, exps, units, want_witness: bool):
     """Test the layers G_r in increasing r (see the module docstring).
 
     exps and units are the reduced exponents e_i and the units u_i of
@@ -310,13 +310,13 @@ def _decide_layers(p: int, k: int, exps, units, want_witness: bool,
     soluble layer, lifted until G_r(y) = 0 mod p^(m*-r) and mapped back
     to x with F(x) = p^r G_r(y).
     """
-    tau = valuation(k, p) if k % p == 0 else 0
+    tau = valuation(k, p)
     for r in sorted(set(exps)):
         coeffs = [u * p**(e - r if e >= r else e - r + k)
                   for e, u in zip(exps, units)]
         layer = [i for i, e in enumerate(exps) if e == r]
         decided = None
-        if shortcuts:
+        if tau == 0:
             decided = _shortcut(p, k, [(i, units[i]) for i in layer],
                                 want_witness)
         if decided is None:
@@ -351,28 +351,26 @@ def _check_witness(p: int, k: int, exps, units, m_star: int,
 # --- the one cache-or-decide step --------------------------------------------
 
 
-def _settle(entries, p: int, k: int, route: str = "auto",
-            want_witness: bool = False):
+def _settle(entries, p: int, k: int, want_witness: bool = False):
     """Status at a prime p of nonzero entries, from the cache or decided.
 
     The key is (p, k, padic.signature(entries, p, k)).  Returns (status,
     route, symbols, units, witness) with the reduced (exponent, label)
     symbols and the units in source order; route is "cache" when the
     cache answered, which it does unless a witness is wanted for a
-    soluble form.
+    soluble form, else "scale" when p does not divide k and "dp" when
+    it does.
     """
     symbols, units = _split(entries, p, k)
     key = (p, k, tuple(sorted(symbols)))
     status = _VERDICTS.get(key)
     if status is not None and (status == "insoluble" or not want_witness):
         return status, "cache", symbols, units, None
-    if route == "auto":
-        route = "scale" if gcd(p, k) == 1 else "dp"
     soluble, witness = _decide_layers(p, k, [e for e, _ in symbols], units,
-                                      want_witness, route == "scale")
+                                      want_witness)
     status = "soluble" if soluble else "insoluble"
     _remember(key, status)
-    return status, route, symbols, units, witness
+    return status, "scale" if k % p else "dp", symbols, units, witness
 
 
 def _soluble_at(entries, p: int, k: int) -> bool:
@@ -383,17 +381,17 @@ def _soluble_at(entries, p: int, k: int) -> bool:
 # --- public decisions --------------------------------------------------------
 
 
-def decide_qp(a: CoefficientVector, p: int, *, route: str = "auto",
+def decide_qp(a: CoefficientVector, p: int, *,
               with_witness: bool = False) -> SolubilityVerdict:
-    """Decide whether sum a_i x_i^k = 0 has a nontrivial zero over Q_p."""
+    """Decide whether sum a_i x_i^k = 0 has a nontrivial zero over Q_p.
+
+    The route follows from (p, k), see the module docstring; the
+    verdict's route is "trivial" or "cache" when no decision ran.
+    """
     if not is_prime(p):
         raise PreconditionViolated(f"not a prime: {p}")
     if a.is_zero:
         raise DegenerateInput("all-zero coefficient vector")
-    if route not in ("auto", "dp", "scale"):
-        raise PreconditionViolated(f"unknown route: {route}")
-    if route == "scale" and gcd(p, a.k) != 1:
-        raise PreconditionViolated("scale route requires gcd(p, k) = 1")
     m_star = certificate_exponent(p, a.k)
     if a.has_zero_entry:
         j = a.entries.index(0)
@@ -403,7 +401,7 @@ def decide_qp(a: CoefficientVector, p: int, *, route: str = "auto",
             witness_form=a.entries, certificate_level=m_star,
             route="trivial")
     status, route, symbols, units, witness = _settle(a.entries, p, a.k,
-                                                     route, with_witness)
+                                                     with_witness)
     return SolubilityVerdict(
         place=p, status=status, witness=witness,
         witness_form=tuple(p**e * u for (e, _), u in zip(symbols, units)),

@@ -107,6 +107,8 @@ def survey_box(n: int, k: int, height: int, *, mode: str = "exhaustive",
     if n < 1 or k < 2 or height < 1:
         raise DegenerateInput(
             f"need n >= 1, k >= 2, height >= 1, got ({n}, {k}, {height})")
+    if jobs < 1:
+        raise PreconditionViolated(f"need jobs >= 1, got {jobs}")
     ref_lo = reference.lo if reference is not None else None
     ref_hi = reference.hi if reference is not None else None
     if mode == "exhaustive":

@@ -67,33 +67,26 @@ def test_decide_real_only(capsys):
     assert code == 1
 
 
-def test_decide_routes_match(capsys):
-    base = run(capsys, "decide", "-k", "3", "-p", "5", "--no-witness",
-               "--route", "dp", "2", "3", "10")
-    other = run(capsys, "decide", "-k", "3", "-p", "5", "--no-witness",
-                "--route", "scale", "2", "3", "10")
-    assert base == other
-
-
 def test_decide_rejects_composite_place(capsys):
     code, _, err = run(capsys, "decide", "-k", "2", "-p", "4", "1", "1", "1")
     assert code == 2
-    assert "error:" in err
-
+    assert err.startswith("error: ")
 
 
 def test_decide_refuses_a_sieve_past_the_cap(capsys):
     # the pathological primes of k = 10^4 lie below about 10^16
     code, _, err = run(capsys, "decide", "-k", "10000", "1", "1", "1")
     assert code == 2
-    assert err.startswith("error:")
+    assert err.startswith("error: ")
 
-def test_decide_rejects_scale_route_at_p_dividing_k(capsys):
-    for coefficients in (("1", "0", "1"), ("1", "1", "1")):
-        code, _, err = run(capsys, "decide", "-k", "2", "-p", "2",
-                           "--route", "scale", *coefficients)
-        assert code == 2
-        assert "error:" in err
+
+def test_route_options_are_usage_errors(capsys):
+    for argv in (("decide", "-k", "2", "-p", "3", "1", "1", "1",
+                  "--route", "dp"),
+                 ("rho", "-n", "2", "-k", "2", "-p", "3", "--route", "enum")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert "unrecognized arguments: --route" in err, argv
 
 
 def test_rho_closed_form_text(capsys):
@@ -105,7 +98,7 @@ def test_rho_closed_form_text(capsys):
 
 def test_rho_enum_route_json(capsys):
     code, out, _ = run(capsys, "rho", "-n", "2", "-k", "2", "-p", "2",
-                       "--route", "enum", "--format", "json")
+                       "--format", "json")
     assert code == 0
     rec = json.loads(out)
     assert (rec["numerator"], rec["denominator"]) == (7, 12)
@@ -113,19 +106,21 @@ def test_rho_enum_route_json(capsys):
 
 
 def test_rho_auto_falls_back_to_enumeration(capsys):
-    # no recorded formula for k = 5: auto takes the generic sum at every
+    # no recorded formula for k = 5: rho takes the generic sum at every
     # p not dividing 5, the pathological p = 11 included, where it equals
     # enumeration, and enumerates at p = 5
-    def rho(p, *route):
+    from locsol.density import rho_p_exact
+
+    def rho(p):
         code, out, _ = run(capsys, "rho", "-n", "2", "-k", "5", "-p", p,
-                           *route, "--format", "json")
+                           "--format", "json")
         assert code == 0
         return json.loads(out)
 
-    auto, enum = rho("11"), rho("11", "--route", "enum")
+    auto, enum = rho("11"), rho_p_exact(2, 5, 11).value
     assert auto["route"] == "generic-sum"
     assert (auto["numerator"], auto["denominator"]) == \
-        (enum["numerator"], enum["denominator"])
+        (enum.numerator, enum.denominator)
     assert rho("5")["route"] == "enumeration"
 
 
@@ -176,6 +171,17 @@ def test_rho_loc_plane_case_is_zero(capsys):
     assert "[0.000000, 0.000000]" in out
 
 
+def test_text_bounds_round_outward(capsys):
+    # rounding to nearest gave 0.826758 and 0.720408, above the lower ends
+    code, out, _ = run(capsys, "rho", "-n", "3", "-k", "2", "--loc")
+    assert code == 0
+    assert "finite-prime part in [0.826757, 0.826882]" in out
+    code, out, _ = run(capsys, "survey", "-n", "3", "-k", "2", "--box", "2",
+                       "--reference", "--cutoff", "300")
+    assert code == 0
+    assert "vs certified [0.720407, 0.724040]" in out
+
+
 def test_survey_exhaustive_text(capsys):
     code, out, _ = run(capsys, "survey", "-n", "3", "-k", "2", "--box", "2")
     assert code == 0
@@ -223,7 +229,14 @@ def test_survey_sample_needs_seed(capsys):
     code, _, err = run(capsys, "survey", "-n", "2", "-k", "2", "--box", "5",
                        "--mode", "sample", "--samples", "10")
     assert code == 2
-    assert "error:" in err
+    assert err.startswith("error: ")
+
+
+def test_survey_refuses_fewer_than_one_job(capsys):
+    code, out, err = run(capsys, "survey", "-n", "2", "-k", "2", "--box",
+                         "2", "--jobs", "-5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_classify(capsys):

@@ -176,6 +176,10 @@ def test_coefficient_vector_refuses_non_integers():
     for entries in ((1.5, 2.5, -3.9), ("3", 2), (1, 2.0), (1, None)):
         with pytest.raises(PreconditionViolated):
             CoefficientVector(entries, 2)
+    # a float degree used to pass and end in a bare TypeError later
+    for k in (2.0, "2", None):
+        with pytest.raises(PreconditionViolated):
+            CoefficientVector((1, 2, 3), k)
     assert CoefficientVector((True, 2), 2).entries == (1, 2)
 
 

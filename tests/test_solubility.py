@@ -190,11 +190,12 @@ def test_memo_caches_are_bounded(monkeypatch):
         assert len(dump_verdicts()) <= 3
     assert len(dump_verdicts()) == 3
     clear_caches()
-    # a walk mod 673 (above VALUE_SETS_MEMO_MODULUS) rebuilds its sets
-    decide_qp(vec((1, 1, 1)), 673, route="dp")
+    # the walk mod 7^3 at k = p = 7 (above VALUE_SETS_MEMO_MODULUS)
+    # rebuilds its sets; the walk mod 8 at k = p = 2 memoizes them
+    assert decide_qp(vec((1, 1, 1), 7), 7).route == "dp"
     assert _value_sets.cache_info().currsize == 0
     clear_caches()
-    decide_qp(vec((1, 1, 1)), 2, route="dp")
+    assert decide_qp(vec((1, 1, 1)), 2).route == "dp"
     assert _value_sets.cache_info().currsize > 0
 
 
@@ -228,15 +229,6 @@ def test_primality_checked_once_per_decision(monkeypatch):
     assert calls == [2]
     with pytest.raises(PreconditionViolated):
         orbit_record(vec((1, 1, 1)), 9)
-
-
-def test_route_is_validated_before_the_zero_shortcut():
-    for entries in ((1, 0, 1), (1, 1, 1)):
-        with pytest.raises(PreconditionViolated):
-            decide_qp(vec(entries), 2, route="nonsense")
-        with pytest.raises(PreconditionViolated):
-            decide_qp(vec(entries), 2, route="scale")
-    assert decide_qp(vec((1, 0, 1)), 3, route="scale").route == "trivial"
 
 
 def test_decisions_build_no_normal_form(monkeypatch):
@@ -289,28 +281,29 @@ def test_trivial_zero_coefficient():
     verdict = decide_qp(vec((1, 0, 3)), 5)
     assert verdict.status == "soluble-trivially"
     assert verdict.witness == (0, 1, 0)
+    assert decide_qp(vec((1, 0, 1)), 3).route == "trivial"
     with pytest.raises(DegenerateInput):
         decide_qp(vec((0, 0, 0)), 5)
 
 
-def test_route_validation():
-    with pytest.raises(PreconditionViolated):
-        decide_qp(vec((1, 1, 1)), 2, route="scale")
-    with pytest.raises(PreconditionViolated):
-        decide_qp(vec((1, 1, 1)), 2, route="nonsense")
+def test_composite_place_and_walk_work_cap():
     with pytest.raises(PreconditionViolated):
         decide_qp(vec((1, 1, 1)), 6)
-    # the walk at p not dividing k is mod p, so p = 673 is now cheap; a
-    # walk mod 100,003 is refused from its work estimate before any work
+    # the walk at p not dividing k is mod p, so a witness at p = 683
+    # (-1 is no square, so no pair shortcut) is cheap; the walk mod
+    # 101^3 at k = p = 101 is refused from its work estimate before any
+    # work
     from locsol.solubility import WALK_WORK_CAP
     clear_caches()
     start = perf_counter()
     with pytest.raises(ResourceBound) as info:
-        decide_qp(vec((1, 1, 1)), 100_003, route="dp")
+        decide_qp(vec((1, 1, 1), 101), 101)
     assert perf_counter() - start < 1.0
     assert info.value.required > WALK_WORK_CAP
     clear_caches()
-    assert decide_qp(vec((1, 1, 1)), 673, route="dp").is_soluble
+    verdict = decide_qp(vec((1, 1, 1)), 683, with_witness=True)
+    assert verdict.route == "scale"
+    check_witness(verdict, 683, 2)
 
 
 def test_walk_work_estimate_counts_value_sets():
@@ -328,24 +321,31 @@ def test_walk_work_estimate_counts_value_sets():
                                 == len(_value_sets(p, k, level, c)[2]))
 
 
-def test_routes_agree_randomized():
-    # forcing the walk route at k = 3 needs a small modulus to stay quick,
-    # so cubic comparisons stick to p in {5, 7}
+def test_walk_at_pathological_primes_agrees_with_lifting(monkeypatch):
+    # at a pathological p not dividing k a unit layer with no k-th power
+    # pair, or any layer of three when a witness is wanted, is walked
+    from locsol import solubility
+    walked = []
+    walk = solubility._walk
+
+    def counting(*args):
+        walked.append(args[:2])
+        return walk(*args)
+
+    monkeypatch.setattr(solubility, "_walk", counting)
     rng = Random(11)
-    for _ in range(150):
-        k = rng.choice((2, 3))
-        p = rng.choice((5, 7, 11, 13)) if k == 2 else rng.choice((5, 7))
-        n = rng.choice((1, 2, 3))
-        entries = tuple(rng.choice((-1, 1)) * rng.randint(1, 60)
-                        for _ in range(n + 1))
-        a = vec(entries, k)
+    for _ in range(40):
+        k, p = rng.choice(((4, 5), (4, 13), (5, 11), (6, 7), (6, 13)))
+        entries = tuple(rng.choice((-1, 1)) * rng.randint(1, p - 1)
+                        for _ in range(rng.choice((3, 4))))
         clear_caches()
-        dp = decide_qp(a, p, route="dp")
-        clear_caches()
-        scale = decide_qp(a, p, route="scale")
-        assert (dp.route, scale.route) == ("dp", "scale")
-        dp, scale = dp.status, scale.status
-        assert dp == scale, (entries, k, p)
+        verdict = decide_qp(vec(entries, k), p, with_witness=True)
+        assert verdict.route == "scale"
+        assert verdict.is_soluble == decide_by_lifting(entries, k, p), \
+            (entries, k, p)
+        if verdict.is_soluble:
+            check_witness(verdict, p, k)
+    assert len(walked) >= 10
 
 
 def test_projective_and_permutation_invariance():

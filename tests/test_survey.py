@@ -208,6 +208,9 @@ def test_input_guards():
         survey_box(2, 2, 2, mode="sample", seed=1)
     with pytest.raises(ResourceBound):
         survey_box(3, 2, 40)
+    for jobs in (0, -5):
+        with pytest.raises(PreconditionViolated):
+            survey_box(2, 2, 2, jobs=jobs)
 
 
 def test_convergence_sweep_and_csv_round_trip():
@@ -235,6 +238,8 @@ def test_direct_calls_keep_typed_errors():
     for entries in ((1.5, 2.5, -3.9), (1.0, 0.5), ("3", 2, 1)):
         with pytest.raises(PreconditionViolated):
             is_everywhere_soluble(entries, 2)
+    with pytest.raises(PreconditionViolated):
+        is_everywhere_soluble((1, 2, 3), 2.0)
 
 
 def test_zero_entry_convention():
