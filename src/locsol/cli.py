@@ -22,7 +22,7 @@ from .errors import LocsolError
 from .padic import CoefficientVector, classify_type, orbit_record
 from .product import _decimal, decimalize, rho_loc_interval
 from .solubility import decide_everywhere_local, decide_qp, decide_real
-from .survey import convergence_sweep, survey_box, write_csv
+from .survey import convergence_sweep, write_csv
 from .verification import run_suite
 
 USAGE_EXIT = 2

@@ -233,18 +233,50 @@ def _lift(p: int, k: int, tau: int, level: int, coeffs, y, lead: int):
 
 
 def _kth_root_mod(value: int, k: int, p: int) -> int:
-    """A unit y with y^k = value mod p; the caller guarantees one exists."""
+    """The least unit y with y^k = value mod p; the caller guarantees one.
+
+    Up to _ROOT_SCAN_LIMIT a scan finds it.  Above, the roots are y0
+    times the g-th roots of unity, g = gcd(k, p-1), and y0 is built per
+    Sylow subgroup of the units (Adleman-Manders-Miller): on the part of
+    order t prime to g, k is invertible mod t; on the q-Sylow subgroup,
+    of order q^e and generated by zeta = c^((p-1)/q^e) for a q-th
+    non-residue c, the discrete log of value's component is read one
+    base-q digit at a time and divided by k.  p - 1 is never factored.
+    """
     value %= p
     if p <= _ROOT_SCAN_LIMIT:
         for y in range(1, p):
             if pow(y, k, p) == value:
                 return y
-    else:
-        from sympy.ntheory.residue_ntheory import nthroot_mod
-        root = nthroot_mod(value, k, p)
-        if root is not None:
-            return int(root)
-    raise PreconditionViolated(f"no {k}-th root of {value} mod {p}")
+        raise PreconditionViolated(f"no {k}-th root of {value} mod {p}")
+    order = t = p - 1
+    sylow = []
+    for q in prime_divisors(gcd(k, order)):
+        e = 0
+        while t % q == 0:
+            t, e = t // q, e + 1
+        sylow.append((q, e))
+    y = pow(value, order // t * pow(order // t, -1, t) * pow(k, -1, t), p)
+    unity = [1]
+    for q, e in sylow:
+        size = q**e
+        rest = order // size
+        c = next(c for c in range(2, p) if pow(c, order // q, p) != 1)
+        zeta = pow(c, rest, p)
+        digits = {pow(zeta, j * size // q, p): j for j in range(q)}
+        h = pow(value, rest * pow(rest, -1, size), p)
+        log = 0
+        for i in range(e):
+            step = pow(h * pow(zeta, -log, p), size // q**(i + 1), p)
+            log += digits[step] * q**i
+        f = min(valuation(k, q), e)
+        free = q**(e - f)
+        y = y * pow(zeta, log // q**f * pow(k // q**f, -1, free), p) % p
+        gen = pow(zeta, free, p)
+        unity = [u * pow(gen, j, p) % p for u in unity for j in range(q**f)]
+    if pow(y, k, p) != value:
+        raise PreconditionViolated(f"no {k}-th root of {value} mod {p}")
+    return min(y * u % p for u in unity)
 
 
 def _power_pair(p: int, k: int, members):

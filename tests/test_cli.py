@@ -376,16 +376,20 @@ def test_public_names_resolve():
         assert getattr(locsol, name) is not None, name
 
 
-def test_import_locsol_loads_no_tooling_module():
-    # the checks, the oracle, the command line and the disk cache load
-    # only when asked for, which keeps `import locsol` light
+def child(*argv):
+    """Run python with argv in a fresh process on the tests' locsol."""
     src = Path(locsol.__file__).parents[1]
     path = os.pathsep.join(filter(None, [str(src),
                                          os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, locsol; print(*sys.modules)"],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=path))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_import_locsol_loads_no_tooling_module():
+    # the checks, the oracle, the command line and the disk cache load
+    # only when asked for, which keeps `import locsol` light
+    proc = child("-c", "import sys, locsol; print(*sys.modules)")
     assert proc.returncode == 0
     loaded = set(proc.stdout.split())
     assert "locsol.solubility" in loaded
@@ -395,13 +399,27 @@ def test_import_locsol_loads_no_tooling_module():
 
 def test_installed_entry_point():
     # the child imports the same package as the tests, installed or not
-    src = Path(locsol.__file__).parents[1]
-    path = os.pathsep.join(filter(None, [str(src),
-                                         os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "locsol", "rho", "-n", "2", "-k", "2",
-         "-p", "2"],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=path))
+    proc = child("-m", "locsol", "rho", "-n", "2", "-k", "2", "-p", "2")
     assert proc.returncode == 0
     assert "7/12" in proc.stdout
+
+
+def test_witnesses_above_the_scan_limit_load_no_sympy():
+    # k-th roots mod p > 3000, for the pair and for the curve point, are
+    # taken in house; sympy loads only to factor integers past 10^12
+    proc = child("-c", """if True:
+        import sys
+        from locsol import CoefficientVector
+        from locsol.solubility import decide_qp
+        p = 9973
+        g = next(g for g in range(2, p) if pow(g, (p - 1) // 3, p) != 1)
+        for entries in ((1, 2, 5), (1, g, g * g % p)):
+            v = decide_qp(CoefficientVector(entries, 3), p, with_witness=True)
+            assert v.status == "soluble" and v.witness
+        print("sympy" in sys.modules)""")
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
+    proc = child("-X", "importtime", "-m", "locsol", "decide", "-k", "3",
+                 "-p", "9973", "1", "2", "5")
+    assert proc.returncode == 0 and "witness" in proc.stdout
+    assert "locsol.solubility" in proc.stderr
+    assert "sympy" not in proc.stderr

@@ -277,6 +277,61 @@ def test_pinned_witnesses():
         "ad2daee045d993c1a11be4e7e0822b43ec87d4c116349fe30057a9cfe0b7b92c")
 
 
+def test_pinned_witnesses_above_the_scan_limit(monkeypatch):
+    # recorded while sympy's nthroot_mod (the least root) took the k-th
+    # roots above _ROOT_SCAN_LIMIT; both the pair and the curve point
+    # take one
+    from locsol import solubility
+    curve_points = []
+    curve = solubility._group_curve_solution
+    monkeypatch.setattr(solubility, "_group_curve_solution",
+                        lambda *args: curve_points.append(1) or curve(*args))
+    clear_caches()
+    rng = Random(20261019)
+    rows = []
+    for _ in range(150):
+        p = rng.choice((3001, 7919, 9973, 10007, 65537, 998244353))
+        k = rng.randint(2, 8)
+        n = rng.choice((2, 2, 3, 4))
+        entries = tuple(rng.choice((-1, 1)) * p**rng.choice((0, 0, 0, 1))
+                        * rng.randint(1, 10**6) for _ in range(n + 1))
+        v = decide_qp(vec(entries, k), p, with_witness=True)
+        rows.append((v.status, v.witness, v.witness_form,
+                     v.certificate_level))
+    assert len(curve_points) == 14
+    assert sum(row[0] == "soluble" for row in rows) == 123
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "c9cecc61d0e84a0451eb86b6be29ad883b5a6a38f12f89d4c6f2b811763d8b75")
+
+
+def test_kth_root_is_the_least_root():
+    # every k-th power unit at primes above the scan limit, p - 1 with
+    # small factors of several kinds
+    from locsol.solubility import _ROOT_SCAN_LIMIT, _kth_root_mod
+    for p in (3001, 3889, 7681):     # 2^3 3 5^3, 2^4 3^5, 2^9 3 5
+        assert p > _ROOT_SCAN_LIMIT
+        for k in range(2, 13):
+            least = {}
+            for y in range(1, p):
+                least.setdefault(pow(y, k, p), y)
+            assert all(_kth_root_mod(v, k, p) == y for v, y in least.items())
+    with pytest.raises(PreconditionViolated):
+        _kth_root_mod(7, 2, 3001)    # 7 is no square mod 3001
+
+
+def test_kth_root_matches_sympy():
+    from sympy.ntheory.residue_ntheory import nthroot_mod
+
+    from locsol.solubility import _kth_root_mod
+    rng = Random(5)
+    # p - 1 = 2^16, 7 17 2^23, 2^12 3, 2^3 3^8, 2 3^9, and 2^61 - 2
+    for p in (65537, 998244353, 12289, 52489, 39367, 2**61 - 1):
+        for k in range(2, 13):
+            for _ in range(12):
+                v = pow(rng.randrange(1, p), k, p)
+                assert _kth_root_mod(v, k, p) == nthroot_mod(v, k, p)
+
+
 def test_trivial_zero_coefficient():
     verdict = decide_qp(vec((1, 0, 3)), 5)
     assert verdict.status == "soluble-trivially"
