@@ -40,7 +40,7 @@ from math import gcd
 from .errors import DegenerateInput, PreconditionViolated, ResourceBound
 from .padic import (CoefficientVector, _split, certificate_exponent,
                     class_count, valuation)
-from .primes import is_prime, prime_divisors, primes_below
+from .primes import factor, is_prime, prime_divisors, primes_below
 
 # Most modulus x value-set entries one layer walk may cost.
 WALK_WORK_CAP = 10**10
@@ -486,14 +486,23 @@ def pathological_primes(k: int) -> tuple[int, ...]:
 
 
 def relevant_primes(a: CoefficientVector) -> list[int]:
-    """Finite places that decide everywhere-local solubility (no zeros):
-    the pathological primes of k and the divisors of the coefficients.
+    """Finite places that decide everywhere-local solubility (no zeros).
 
-    For n >= 2 any other p finds n+1 >= 3 units at valuation 0, which
-    have a zero (see is_pathological).  For n = 1, a zero at p makes
-    -a_1/a_0 a k-th power in Q_p; so if the real place and each
-    p | a_0*a_1 are soluble, -a_1/a_0 = +-m^k has a real k-th root, is a
-    k-th power in Q, and every place is soluble.
+    Write each entry as p^v_i * u_i.  Three entries whose v_i agree mod k
+    become three units on one layer after x_i -> p^(-floor(v_i/k)) x_i,
+    and at a prime that is not pathological for k three units have a
+    zero (see is_pathological).  So a prime is listed when it is in
+    pathological_primes(k), which holds every p | k, or when it divides
+    an entry and no class of v_p mod k holds three entries, the entries
+    that p does not divide counting in class 0.  A prime that divides no
+    entry and is not pathological finds n+1 units at valuation 0, so for
+    n >= 2 it is soluble.  For k = 2 and n >= 4, five or more entries
+    put three in one class at every prime, so only p = 2 is listed.
+
+    For n = 1 no class holds three entries and every divisor is listed:
+    a zero at p makes -a_1/a_0 a k-th power in Q_p; so if the real place
+    and each p | a_0*a_1 are soluble, -a_1/a_0 = +-m^k has a real k-th
+    root, is a k-th power in Q, and every place is soluble.
     """
     if a.has_zero_entry:
         raise DegenerateInput("zero coefficient present")
@@ -501,10 +510,22 @@ def relevant_primes(a: CoefficientVector) -> list[int]:
 
 
 def _tested_primes(entries, k: int) -> list[int]:
-    """relevant_primes of nonzero entries."""
+    """relevant_primes of nonzero entries: the pathological primes of k
+    and every divisor whose v_p mod k classes hold at most two entries."""
     out = set(pathological_primes(k))
+    n = len(entries)
+    residues: dict[int, list[int]] = {}
     for x in entries:
-        out.update(prime_divisors(x))
+        for p, e in factor(abs(x)):
+            residues.setdefault(p, []).append(e % k)
+    for p, rs in residues.items():
+        # class 0 holds the n - len(rs) entries that p does not divide;
+        # three of them settle p without counting the rest
+        if len(rs) + 2 < n or p in out:
+            continue
+        rs += [0] * (n - len(rs))
+        if all(rs.count(r) <= 2 for r in rs):
+            out.add(p)
     return sorted(out)
 
 
@@ -519,10 +540,12 @@ class EverywhereLocalReport:
 
 
 def decide_everywhere_local(a: CoefficientVector) -> EverywhereLocalReport:
-    """Test the real place and every prime that can possibly obstruct.
+    """Test the real place and every prime that can obstruct.
 
     With a zero coefficient the form vanishes on a coordinate axis, so
-    every place is soluble outright; else the primes are relevant_primes.
+    every place is soluble outright; else the primes are relevant_primes,
+    and by the rule stated there a prime left out is soluble whenever
+    every tested place is.
     """
     if a.is_zero:
         raise DegenerateInput("all-zero coefficient vector")
@@ -540,5 +563,7 @@ def decide_everywhere_local(a: CoefficientVector) -> EverywhereLocalReport:
     return EverywhereLocalReport(
         coefficients=a.entries, k=a.k, overall=overall,
         verdicts=tuple(verdicts), tested_primes=tested,
-        note="a prime outside the tested set is soluble whenever every "
-             "tested place is (see relevant_primes)")
+        note="a prime outside the tested set is not pathological for k; "
+             "with three or more coefficients three share its class of "
+             "v_p mod k, so it is soluble, and with two it is soluble "
+             "whenever every tested place is (see relevant_primes)")

@@ -60,6 +60,24 @@ def test_decide_everywhere(capsys):
     assert "overall: soluble" in out
 
 
+def test_decide_everywhere_skips_a_prime_that_cannot_obstruct(capsys):
+    # 1, 1, 1 are three units at p = 3, which is not pathological for
+    # k = 2, so only p = 2 is tested
+    code, out, _ = run(capsys, "decide", "-k", "2", "--format", "json",
+                       "1", "1", "-3", "1")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["tested_primes"] == [2]
+    assert [v["place"] for v in rec["verdicts"]] == ["real", 2]
+    code, out, _ = run(capsys, "decide", "-k", "2", "1", "1", "-3", "1")
+    assert code == 0
+    assert "place 2:" in out and "place 3" not in out
+    code, out, _ = run(capsys, "decide", "-k", "2", "--format", "json",
+                       "1", "1", "1", "1")
+    assert code == 1
+    assert json.loads(out)["tested_primes"] == [2]
+
+
 def test_decide_real_only(capsys):
     code, out, _ = run(capsys, "decide", "-k", "2", "--real", "1", "-2", "3")
     assert code == 0

@@ -517,6 +517,13 @@ def test_relevant_primes_worked_examples():
     # two coefficients: the divisors of the data are complete too
     assert relevant_primes(vec((1, 2))) == [2]
     assert relevant_primes(vec((3, -5), 3)) == [3, 5]
+    # 1, 1, 1 are three units at p = 3, which is not pathological for k = 2
+    assert relevant_primes(vec((1, 1, -3, 1))) == [2]
+    # five entries put three in one class of v_p mod 2 at every prime
+    assert relevant_primes(vec((3, 15, -35, 77, 6))) == [2]
+    assert relevant_primes(vec((7**3, -11, 13 * 17, 19, 23**2))) == [2]
+    # three entries in one class at a pathological prime keep it
+    assert relevant_primes(vec((13, 26, 39, 1), 4)) == [2, 5, 13, 17, 29]
     with pytest.raises(DegenerateInput):
         relevant_primes(vec((1, 0, 2)))
 
@@ -530,18 +537,28 @@ def test_quartic_obstruction_at_thirteen():
 
 
 def test_relevant_primes_complete_against_scan():
-    # primes outside the set never obstruct: scan a band beyond it
+    # primes outside the set never obstruct: every divisor the set leaves
+    # out, and a band beyond it.  Entries +-q^e*u over small q often put
+    # three in one class of v_q mod k, which is what drops q.
     rng = Random(23)
-    from locsol.primes import primes_below
-    for _ in range(25):
-        k = rng.choice((2, 3, 4))
-        entries = tuple(rng.choice((-1, 1)) * rng.randint(1, 30)
-                        for _ in range(3))
+    from locsol.primes import prime_divisors, primes_below
+    dropped = 0
+    for _ in range(300):
+        k = rng.randint(2, 6)
+        n = rng.randint(2, 5)
+        entries = tuple(rng.choice((-1, 1)) * rng.choice((2, 3, 5, 7))
+                        ** rng.randint(0, 2 * k) * rng.randint(1, 30)
+                        for _ in range(n + 1))
         a = vec(entries, k)
         listed = set(relevant_primes(a))
-        for p in primes_below(60):
+        divisors = set().union(*map(prime_divisors, entries))
+        assert set(pathological_primes(k)) <= listed
+        assert listed <= divisors | set(pathological_primes(k))
+        dropped += len(divisors - listed)
+        for p in divisors | set(primes_below(60)):
             if p not in listed:
                 assert decide_qp(a, p).is_soluble, (entries, k, p)
+    assert dropped > 300
 
 
 def test_everywhere_local_reports():
@@ -553,6 +570,13 @@ def test_everywhere_local_reports():
 
     report = decide_everywhere_local(vec((1, 1, -3, 1)))
     assert report.overall
+    assert report.tested_primes == (2,)
+    assert [v.place for v in report.verdicts] == ["real", 2]
+
+    # p = 13 is pathological for k = 4, so three entries in one class of
+    # v_13 mod 4 do not settle it
+    report = decide_everywhere_local(vec((13, 26, 39, 1), 4))
+    assert 13 in report.tested_primes
 
     report = decide_everywhere_local(vec((1, 0, 3)))
     assert report.overall and report.tested_primes == ()

@@ -1,13 +1,20 @@
 import hashlib
 import io
 from itertools import product
+from random import Random
 
 import pytest
 
+from locsol import solubility
+from locsol.cache import CacheStore, load_verdicts, save_verdicts
 from locsol.errors import (DegenerateInput, PreconditionViolated,
                            ResourceBound)
+from locsol.padic import CoefficientVector, signature
+from locsol.primes import prime_divisors
 from locsol.product import rho_loc_interval
-from locsol.solubility import clear_caches, dump_verdicts
+from locsol.solubility import (clear_caches, decide_qp, dump_verdicts,
+                               pathological_primes, relevant_primes)
+from locsol.solubility import load_verdicts as load_into_session
 from locsol.survey import (CSV_COLUMNS, convergence_sweep,
                            is_everywhere_soluble, survey_box, write_csv)
 
@@ -50,19 +57,20 @@ def test_sampling_is_deterministic_and_chunk_stable():
 # Soluble counts of 3000 draws at seed 2024 and the sha256 of
 # repr(sorted(dump_verdicts().items())) after each survey from a cold
 # cache: the bytes of every verdict-cache key the survey wrote, so that a
-# saved verdicts.json stays valid.  Recorded before the cache-hit path
-# was rewritten.
+# saved verdicts.json stays valid.  The counts were recorded before the
+# cache-hit path was rewritten; the digests moved, and the counts did
+# not, when the survey stopped testing primes that cannot obstruct.
 PINNED_SURVEYS = {
-    (3, 2, 200): (2198, "c6b86798cfe85344b58525caa327ad3c"
-                        "60f2372b791ff1c643199ac19b8850e6"),
-    (3, 3, 60): (2770, "de5bbb2d525ffbc5414b4e146594a5fb"
-                       "5e7d9007ac73c6f090718b064805591e"),
-    (3, 4, 30): (1120, "377b6a99d331d155b16d7577c265cb06"
-                       "daf3b5d7df09981962c7cff9e29aa3f2"),
-    (4, 5, 20): (2983, "27797d272de509a6fb93d2257dcffc66"
-                       "a12dab5f5458fc14421293e6698f46ea"),
-    (2, 6, 40): (239, "e440b542981df388ddb5ae762e9084ac"
-                      "15c8d5de64938dc37475f6388ecbe183"),
+    (3, 2, 200): (2198, "3d8abf92fa6b3291cc878df153fd40c3"
+                        "7fd5cc4215b434f395ab10a0efc2f59f"),
+    (3, 3, 60): (2770, "6cf52f563d7be9a23761f4d29d2b0bf7"
+                       "6c1f56e24e254426835704d43d4ced82"),
+    (3, 4, 30): (1120, "d795bb8ebba7c4d7e82d0c1b985e2c07"
+                       "f4aff8fdbbe30f59564934e64cc8e9a3"),
+    (4, 5, 20): (2983, "27ba8588b5576c32a6e318e92287fd61"
+                       "61dc9ec761dd199ba08dd52836b80d12"),
+    (2, 6, 40): (239, "bf47cd0c18d5184d181f4d06083ce8bd"
+                      "5c16e0095e9f0d5c348963a69d5bded0"),
 }
 
 
@@ -74,6 +82,76 @@ def test_sampled_counts_and_verdict_keys_are_pinned(n, k, height):
     keys = repr(sorted(dump_verdicts().items())).encode()
     assert (report.soluble, hashlib.sha256(keys).hexdigest()) == \
         PINNED_SURVEYS[n, k, height]
+
+
+# The same digests for a survey that tests every pathological prime of k
+# and every prime divisor of every entry: the keys of a verdicts.json
+# saved before the survey skipped the primes that cannot obstruct.
+DIVISOR_RULE_DIGESTS = {
+    (3, 2, 200): "c6b86798cfe85344b58525caa327ad3c"
+                 "60f2372b791ff1c643199ac19b8850e6",
+    (3, 3, 60): "de5bbb2d525ffbc5414b4e146594a5fb"
+                "5e7d9007ac73c6f090718b064805591e",
+    (3, 4, 30): "377b6a99d331d155b16d7577c265cb06"
+                "daf3b5d7df09981962c7cff9e29aa3f2",
+    (4, 5, 20): "27797d272de509a6fb93d2257dcffc66"
+                "a12dab5f5458fc14421293e6698f46ea",
+    (2, 6, 40): "e440b542981df388ddb5ae762e9084ac"
+                "15c8d5de64938dc37475f6388ecbe183",
+}
+
+
+def pinned_draws(n, height):
+    """The 3000 vectors of the pinned surveys: one chunk, seed 2024."""
+    rng = Random(2024 * 1_000_003)
+    return [tuple(rng.randint(-(height - 1), height - 1)
+                  for _ in range(n + 1)) for _ in range(3000)]
+
+
+@pytest.mark.parametrize("n,k,height", sorted(PINNED_SURVEYS))
+def test_survey_keys_are_signatures_at_relevant_primes(n, k, height):
+    # what keeps a saved verdicts.json valid: every key the survey
+    # writes is (p, k, signature) of a drawn vector at a prime that
+    # relevant_primes lists for it
+    clear_caches()
+    survey_box(n, k, height, mode="sample", sample_count=3000, seed=2024)
+    written = set(dump_verdicts())
+    allowed = {(p, k, signature(v, p, k))
+               for v in pinned_draws(n, height) if 0 not in v
+               for p in relevant_primes(CoefficientVector(v, k))}
+    assert written and written <= allowed
+
+
+@pytest.mark.parametrize("n,k,height", sorted(PINNED_SURVEYS))
+def test_a_store_of_divisor_rule_keys_still_answers(n, k, height,
+                                                    tmp_path, monkeypatch):
+    # rebuild the verdicts the divisor rule wrote: every pathological
+    # prime and every divisor, in order, up to the first insoluble one
+    clear_caches()
+    for v in pinned_draws(n, height):
+        if 0 in v or not (k % 2 or min(v) < 0 < max(v)):
+            continue
+        a = CoefficientVector(v, k)
+        for p in sorted(set(pathological_primes(k)).union(
+                *map(prime_divisors, v))):
+            if not decide_qp(a, p).is_soluble:
+                break
+    stored = dump_verdicts()
+    digest = hashlib.sha256(repr(sorted(stored.items())).encode())
+    assert digest.hexdigest() == DIVISOR_RULE_DIGESTS[n, k, height]
+    store = CacheStore(tmp_path)
+    save_verdicts(store, stored)
+    clear_caches()
+    load_into_session(load_verdicts(store))
+
+    def refuse(*args):
+        raise AssertionError("a stored verdict was decided again")
+
+    monkeypatch.setattr(solubility, "_decide_layers", refuse)
+    report = survey_box(n, k, height, mode="sample", sample_count=3000,
+                        seed=2024)
+    assert report.soluble == PINNED_SURVEYS[n, k, height][0]
+    assert dump_verdicts() == stored
 
 
 def test_second_survey_is_answered_by_signature(monkeypatch):
