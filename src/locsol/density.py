@@ -12,6 +12,12 @@ same for every k: a sum over valuation layers when p does not divide k,
 and direct cell enumeration when p | k.  rho_p dispatches between them.
 The paper's closed forms for k = 2, 3 are not used here; they are the
 reference in verification that both routes are checked against.
+
+Both routes sum integer weights under one normalisation (_density).
+Enumeration decides signatures, not vectors: the cells of least exponent
+0, a prefix of all_cells, are each decided once, and each carries the
+weight of its shifts by s = 0 .. k-1-max e.  Neither route reads or
+writes the verdict cache.
 """
 
 from __future__ import annotations
@@ -20,13 +26,13 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, takewhile
 from math import comb, factorial, gcd
 
 from .errors import DegenerateInput, PreconditionViolated, ResourceBound
-from .padic import all_cells, cell_representative, class_count, class_reps
+from .padic import _integers, all_cells, class_count, class_reps
 from .primes import is_prime
-from .solubility import _soluble_at, is_pathological
+from .solubility import _decide_layers, is_pathological
 
 ENUMERATION_CELL_CAP = 10**7
 # Memo bound for layer_terms(), one entry per (n, k, count table).
@@ -55,6 +61,7 @@ class Density:
 
 
 def _validate(n: int, k: int, p: int | None = None) -> None:
+    _integers((n, k) if p is None else (n, k, p))
     if n < 1:
         raise DegenerateInput(f"need n >= 1, got {n}")
     if k < 2:
@@ -65,7 +72,7 @@ def _validate(n: int, k: int, p: int | None = None) -> None:
 
 def kappa(n: int, k: int, p: int) -> Fraction:
     """Normalizer (1 - p^-k)^-(n+1) for nonzero-coefficient conditioning."""
-    _validate(n, k)
+    _validate(n, k, p)
     return Fraction(p**k, p**k - 1)**(n + 1)
 
 
@@ -98,25 +105,47 @@ def cell_measure(cell: tuple[tuple[int, int], ...], p: int, k: int
 
 
 def rho_p_exact(n: int, k: int, p: int) -> Density:
-    """Density at p by deciding one representative per cell.  Exact.
+    """Density at p by deciding each cell's signature once.  Exact.
 
-    Refuses with ResourceBound past ENUMERATION_CELL_CAP cells.
+    all_cells is lexicographic in (e, class), so the cells of least
+    exponent 0 are a prefix of it; each is the signature of its shifts
+    by s = 0 .. k-1-max e, of weight multinomial * p^(top - sum e -
+    (n+1)s) in the normalisation _density shares with the generic sum,
+    and all weights must make mass 1.  Refuses with ResourceBound past
+    ENUMERATION_CELL_CAP cells, shifts included.
     """
     _validate(n, k, p)
-    cell_count = comb(k * class_count(p, k) + n, n + 1)
+    d = class_count(p, k)
+    cell_count = comb(k * d + n, n + 1)
     if cell_count > ENUMERATION_CELL_CAP:
         raise ResourceBound(
             f"cell enumeration needs {cell_count} cells", required=cell_count)
-    total = Fraction(0)
-    soluble = Fraction(0)
-    for cell in all_cells(p, k, n):
-        mass = cell_measure(cell, p, k)
-        total += mass
-        if _soluble_at(cell_representative(cell, p, k), p, k):
-            soluble += mass
-    if total != 1:
+    reps = class_reps(p, k)
+    m, top = n + 1, (k - 1) * (n + 1)
+    total = insoluble = 0
+    for cell in takewhile(lambda cell: cell[0][0] == 0, all_cells(p, k, n)):
+        exps = [e for e, _ in cell]
+        low = top - sum(exps)
+        weight = _multinomial(cell) * sum(
+            p**(low - m * s) for s in range(k - exps[-1]))
+        total += weight
+        if not _decide_layers(p, k, exps, [reps[c] for _, c in cell],
+                              False)[0]:
+            insoluble += weight
+    # every cell insoluble leaves density 0 exactly when the masses sum to 1
+    if _density(n, k, p, d, total, top, "enumeration").value:
         raise PreconditionViolated("cell masses failed to sum to 1")
-    return Density(n=n, k=k, place=p, value=soluble, route="enumeration")
+    return _density(n, k, p, d, insoluble, top, "enumeration")
+
+
+def _density(n: int, k: int, p: int, d: int, insoluble: int, top: int,
+             route: str) -> Density:
+    """1 minus the insoluble integer weight sum_w c_w p^(top-w) in units
+    of (q / d)^(n+1) / p^top, q = power_ratio(p, k), d the number of unit
+    classes: the normalisation both routes share."""
+    den = ((p**k - 1) * d)**(n + 1) * p**top
+    num = den - ((p - 1) * p**(k - 1))**(n + 1) * insoluble
+    return Density(n=n, k=k, place=p, value=Fraction(num, den), route=route)
 
 
 def rho_p_closed_form(n: int, k: int, p: int) -> Density:
@@ -163,7 +192,7 @@ def _insoluble_counts(n: int, k: int, p: int, d: int) -> tuple[int, ...]:
     for m in range(3, n + 2):
         insoluble = 0
         for classes in combinations_with_replacement(reps, m):
-            if not _soluble_at(classes, p, k):
+            if not _decide_layers(p, k, [0] * m, classes, False)[0]:
                 insoluble += _multinomial(classes)
         if not insoluble:
             break  # a zero of every m-multiset is one of every larger one
@@ -189,18 +218,17 @@ def _generic_sum(n: int, k: int, p: int) -> Density:
     for w, c in layer_terms(n, k, _insoluble_counts(n, k, p, d)):
         insoluble = insoluble * p**(w - top) + c
         top = w
-    den = ((p**k - 1) * d)**(n + 1) * p**top
-    num = den - ((p - 1) * p**(k - 1))**(n + 1) * insoluble
-    return Density(n=n, k=k, place=p, value=Fraction(num, den),
-                   route="generic-sum")
+    return _density(n, k, p, d, insoluble, top, "generic-sum")
 
 
 def rho_p(n: int, k: int, p: int) -> Density:
     """Exact density at p: the generic sum when p does not divide k,
-    else enumeration.  Each route validates its input, so p is proved
-    prime once.  At p = k in {2, 3} with n >= 4 the density is 1 with no
-    enumeration: every cell is soluble at n = 4 (the classification
-    catalogue decides them all), and a zero survives adding a variable."""
+    else enumeration.  Non-integers are refused first; each route
+    validates the rest, so p is proved prime once.  At p = k in {2, 3}
+    with n >= 4 the density is 1 with no enumeration: every cell is
+    soluble at n = 4 (the classification catalogue decides them all),
+    and a zero survives adding a variable."""
+    _integers((n, k, p))
     if p == k and k in (2, 3) and n >= 4:
         return Density(n=n, k=k, place=p, value=Fraction(1),
                        route="saturated")

@@ -192,10 +192,22 @@ def signature(entries, p: int, k: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(symbols))
 
 
+def _integers(values) -> tuple[int, ...]:
+    """The iterable values as a tuple of ints.  Anything that is not an
+    integer (a float, a string) is refused with PreconditionViolated, not
+    truncated, as _checked does for a form's entries."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise PreconditionViolated(
+            f"expected integers, got {values!r}") from None
+
+
 def _checked(entries, k: int) -> tuple[int, ...]:
     """The entries of a form of degree k as a tuple of ints.  Anything
     that is not an integer (a float, a string), entry or k, is refused,
-    not truncated; so are fewer than two entries and k < 2."""
+    not truncated; so are fewer than two entries and k < 2.  It inlines
+    _integers: a survey checks every draw."""
     try:
         entries = tuple(map(index, entries))
         index(k)

@@ -34,6 +34,7 @@ from fractions import Fraction
 
 from .density import _generic_sum, layer_terms, rho_infinity, rho_p
 from .errors import DegenerateInput, DivergentTail, PreconditionViolated
+from .padic import _integers
 from .primes import next_prime, primes_below
 from .solubility import pathological_primes
 
@@ -65,6 +66,7 @@ def tail_hypothesis(n: int, k: int) -> TailBound:
     at most (1, 1, (k-1)/k) as d <= k, and each term c_w p^-w is split
     off the minimal weight s, the remainder bounded at p_min.
     """
+    _integers((n, k))
     if n < 2 or k < 2:
         raise DegenerateInput(f"need n >= 2 and k >= 2, got ({n}, {k})")
     if n == 2:
@@ -137,6 +139,7 @@ def rho_loc_interval(n: int, k: int, cutoff: int = 10**4
     tail past the cutoff is bounded by tail_hypothesis.  Requires
     n >= 2; for n = 2 the result is the exact point [0, 0].
     """
+    _integers((n, k, cutoff))
     if n < 2 or k < 2:
         raise DegenerateInput(f"need n >= 2 and k >= 2, got ({n}, {k})")
     real = rho_infinity(n, k).value

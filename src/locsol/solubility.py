@@ -23,11 +23,14 @@ and the Hasse-Weil bound when p is not pathological for k.
 A soluble verdict can carry a witness: the layer zero y is Newton-lifted
 until G_r(y) = 0 mod p^(m*-r), m* = certificate_exponent(p, k), and
 mapped back by x_i = y_i (e_i >= r), x_i = p*y_i (e_i < r), so that the
-reduced form vanishes at x mod p^m* with a unit coordinate.  _settle,
-the one cache-or-decide step behind every decision, turns one pass over
-the entries (padic._split) into the verdict-cache key (p, k, signature),
-its reduced symbols sorted; a hit costs that and a lookup.  The e_i the
-layers need are taken out of the symbols only on a miss.
+reduced form vanishes at x mod p^m* with a unit coordinate.  _settle is
+the cache-or-decide step for decisions on vectors (decide_qp and the
+survey): it turns one pass over the entries (padic._split) into the
+verdict-cache key (p, k, signature), its reduced symbols sorted; a hit
+costs that and a lookup.  The e_i the layers need are taken out of the
+symbols only on a miss.  An enumeration of signatures (locsol.density)
+meets each one once, so it calls _decide_layers directly and stores
+nothing.
 """
 
 from __future__ import annotations
@@ -380,7 +383,7 @@ def _check_witness(p: int, k: int, exps, units, m_star: int,
         raise PreconditionViolated("produced witness fails its own check")
 
 
-# --- the one cache-or-decide step --------------------------------------------
+# --- the cache-or-decide step for vectors ------------------------------------
 
 
 def _settle(entries, p: int, k: int, want_witness: bool = False):
@@ -403,11 +406,6 @@ def _settle(entries, p: int, k: int, want_witness: bool = False):
     status = "soluble" if soluble else "insoluble"
     _remember(key, status)
     return status, "scale" if k % p else "dp", symbols, units, witness
-
-
-def _soluble_at(entries, p: int, k: int) -> bool:
-    """decide_qp(...).is_soluble for a prime p and nonzero entries."""
-    return _settle(entries, p, k)[0] != "insoluble"
 
 
 # --- public decisions --------------------------------------------------------

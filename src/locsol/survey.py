@@ -21,7 +21,7 @@ from itertools import product as iter_product
 from random import Random
 
 from .errors import DegenerateInput, PreconditionViolated, ResourceBound
-from .padic import _checked
+from .padic import _checked, _integers
 from .solubility import (_real_soluble, _settle, _tested_primes,
                          dump_verdicts, load_verdicts)
 
@@ -104,6 +104,8 @@ def survey_box(n: int, k: int, height: int, *, mode: str = "exhaustive",
     provided, is a CertifiedInterval whose bounds are copied into the
     report for side-by-side output.
     """
+    _integers([v for v in (n, k, height, sample_count, seed, jobs)
+               if v is not None])
     if n < 1 or k < 2 or height < 1:
         raise DegenerateInput(
             f"need n >= 1, k >= 2, height >= 1, got ({n}, {k}, {height})")

@@ -329,6 +329,8 @@ def test_a_command_that_decides_nothing_new_keeps_the_cache_file(
     path = tmp_path / "verdicts.json"
     before = path.stat().st_ino, path.read_bytes()
     for command in (("rho", "-n", "3", "-k", "2", "--infinity"),
+                    ("rho", "-n", "2", "-k", "2", "-p", "2"),
+                    ("rho", "-n", "3", "-k", "2", "--loc", "--cutoff", "100"),
                     ("classify", "-k", "2", "-p", "2", "1", "1", "3"),
                     ("orbit", "-k", "2", "-p", "2", "1", "1", "3")):
         code, _, _ = run(capsys, "--cache-dir", str(tmp_path), *command)

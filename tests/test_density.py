@@ -1,4 +1,6 @@
+import hashlib
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -7,9 +9,12 @@ from locsol.density import (cell_measure, generic_sum, kappa, power_ratio,
                             rho_infinity, rho_p, rho_p_exact)
 from locsol.errors import (DegenerateInput, PreconditionViolated,
                            ResourceBound, UnsupportedPair)
-from locsol.padic import all_cells
+from locsol.padic import CoefficientVector, all_cells, class_count
 from locsol.primes import primes_below
-from locsol.solubility import pathological_primes
+from locsol.product import rho_loc_interval, tail_hypothesis
+from locsol.solubility import (clear_caches, decide_qp, dump_verdicts,
+                               pathological_primes)
+from locsol.survey import survey_box
 from locsol.verification import rho_p_closed_form
 
 F = Fraction
@@ -98,6 +103,27 @@ def test_rho_p_proves_primality_once(monkeypatch):
         assert calls == [p], (n, k, p)
 
 
+def test_non_integer_numbers_are_refused():
+    # each used to end in a bare TypeError deep inside, or to answer
+    # (rho_infinity(3, 2.0) read 7/8, tail_hypothesis(3.0, 2) a bound)
+    probes = (lambda: rho_p(3, 2, 5.0),
+              lambda: rho_p(2.0, 2, 3),
+              lambda: generic_sum(3, 2.0, 5),
+              lambda: rho_p_exact(3, 2, 2.0),
+              lambda: rho_loc_interval(3, 2, 1e4),
+              lambda: rho_loc_interval(3.0, 2, 100),
+              lambda: survey_box(3, 2, 10.5),
+              lambda: survey_box(3, 2, 50, mode="sample", sample_count=10.0,
+                                 seed=1),
+              lambda: rho_infinity(3, 2.0),
+              lambda: tail_hypothesis(3.0, 2),
+              lambda: kappa(3, 2, 2.0))
+    for i, probe in enumerate(probes):
+        with pytest.raises(PreconditionViolated):
+            probe()
+            pytest.fail(f"probe {i} answered")
+
+
 def test_rho_p_input_errors():
     for k in (2, 4):
         for p in (0, 1, -3, 4, 9):
@@ -183,6 +209,62 @@ def test_power_ratio_and_kappa():
     assert kappa(2, 2, 2) == F(64, 27)
     assert kappa(3, 2, 2) == F(256, 81)
     assert kappa(2, 3, 3) == F(27, 26)**3
+
+
+def test_density_calls_leave_the_verdict_cache_alone(monkeypatch):
+    # enumeration decides each signature once and stores nothing, so a
+    # density never evicts what decisions and surveys cached
+    clear_caches()
+    for entries, k, p in (((1, 1, 3), 2, 2), ((1, 2, 4), 3, 3),
+                          ((1, 3, 9, 6), 3, 3)):
+        decide_qp(CoefficientVector(entries, k), p)
+    cached = dump_verdicts()
+    assert len(cached) == 3
+    calls = []
+    decide = density._decide_layers
+
+    def counting(*args):
+        calls.append(args)
+        return decide(*args)
+
+    monkeypatch.setattr(density, "_decide_layers", counting)
+    for (n, k, p), want in (((3, 2, 2), 295), ((3, 3, 3), 369),
+                            ((2, 3, 3), 109)):
+        calls.clear()
+        assert rho_p_exact(n, k, p).value == FROZEN[(n, k, p)]
+        assert len(calls) == want, (n, k, p)
+        # the cells with least exponent 0, one distinct signature each
+        signatures = {tuple(zip(exps, units)) for _, _, exps, units, _
+                      in calls}
+        assert len(signatures) == want, (n, k, p)
+    calls.clear()
+    rho_p(3, 4, 13)   # the pathological layer counts
+    assert calls
+    rho_loc_interval(3, 2, cutoff=100)
+    assert dump_verdicts() == cached
+    clear_caches()
+
+
+# sha256 of "n k p num/den\n" over every rho_p_exact(n, k, p) with n <= 4,
+# k <= 6, p in (2, 3, 5, 7, 11, 13) and at most 60,000 cells (110 of
+# them), recorded when each cell was still decided through a vector and
+# the verdict cache
+ENUMERATION_GRID_DIGEST = (
+    "f7c4bedfbd1c79e9dbdb47c93ebbf7686402173eca6aa1b88b10a292e6332efd")
+
+
+def test_enumeration_values_are_pinned():
+    lines = []
+    for n in range(1, 5):
+        for k in range(2, 7):
+            for p in (2, 3, 5, 7, 11, 13):
+                if comb(k * class_count(p, k) + n, n + 1) <= 60_000:
+                    v = rho_p_exact(n, k, p).value
+                    lines.append(f"{n} {k} {p} {v.numerator}/"
+                                 f"{v.denominator}\n")
+    assert len(lines) == 110
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == ENUMERATION_GRID_DIGEST
 
 
 def test_cell_measures_sum_to_one():

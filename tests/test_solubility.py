@@ -444,13 +444,12 @@ def test_cell_orbits_share_a_verdict_away_from_p_dividing_k():
     # global exponent shifts and class rescaling preserve solubility, so
     # each orbit of cells can be decided once
     from locsol.padic import all_cells, cell_orbit, cell_representative
-    from locsol.solubility import _soluble_at
     for k in (3, 4, 6):
         for p in (5, 7, 11, 13, 17, 19, 23, 29):
             if k % p == 0:
                 continue
-            decided = {cell: _soluble_at(cell_representative(cell, p, k),
-                                         p, k)
+            decided = {cell: decide_qp(CoefficientVector(
+                           cell_representative(cell, p, k), k), p).is_soluble
                        for cell in all_cells(p, k, 2)}
             seen = set()
             for cell, soluble in decided.items():
