@@ -3,13 +3,16 @@
 A cache directory keeps its verdicts in one file, verdicts.json.  Line 1
 is the sha256 hex digest of the rest of the file, which is one compact
 JSON body {"version": ..., "rows": [[p, k, [[e, label], ...], status]]}.
-A read hashes the stored bytes, parses them once and validates every
-row; a bad digest, body or row raises CacheCorrupt, which callers treat
-as a miss (and the verification suite as a failure).  A body of another
-version reads as empty; the verdicts.jsonl of version 3 and earlier is
-never read.  A save merges into the stored verdicts and rewrites through
-a temporary file and os.replace, so a crash never leaves a torn file; a
-save that adds or changes no verdict writes nothing.
+A read always hashes the stored bytes and checks the digest; it parses
+the body and validates every row only if this store has not already
+validated or written a body of that digest, and otherwise returns a copy
+of that table.  A bad digest, body or row raises CacheCorrupt, which
+callers treat as a miss (and the verification suite as a failure).  A
+body of another version reads as empty; the verdicts.jsonl of version 3
+and earlier is never read.  A save merges into the stored verdicts and
+rewrites through a temporary file and os.replace, so a crash never
+leaves a torn file; a save that adds or changes no verdict writes
+nothing.
 """
 
 from __future__ import annotations
@@ -45,6 +48,9 @@ class CacheStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.path = self.root / "verdicts.json"
+        # (stamp, table) of the last current body this store validated
+        # or wrote: a body with the same digest needs no second parse.
+        self._known: tuple[bytes, dict[tuple, str]] | None = None
 
     def _read(self) -> dict[tuple, str] | None:
         """The stored verdicts; None for a body of another version."""
@@ -55,13 +61,17 @@ class CacheStore:
         stamp, _, body = raw.partition(b"\n")
         if stamp != hashlib.sha256(body).hexdigest().encode():
             raise CacheCorrupt(f"{self.path}: checksum mismatch")
+        if self._known is not None and self._known[0] == stamp:
+            return dict(self._known[1])
         try:
             doc = json.loads(body)
             if doc["version"] != CACHE_VERSION:
                 return None
-            return dict(_row(*row) for row in doc["rows"])
+            table = dict(_row(*row) for row in doc["rows"])
         except (ValueError, KeyError, TypeError) as exc:
             raise CacheCorrupt(f"{self.path}: unreadable body") from exc
+        self._known = stamp, table
+        return dict(table)
 
     def _write(self, verdicts: dict[tuple, str]) -> None:
         rows = [[p, k, sig, status] for (p, k, sig), status in verdicts.items()]
@@ -77,6 +87,7 @@ class CacheStore:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
+        self._known = stamp, dict(verdicts)
 
     def self_test(self) -> None:
         """Round-trip and corruption-detection check in a scratch subdir."""
@@ -85,7 +96,8 @@ class CacheStore:
             verdicts = {(2, 2, ((0, 3),)): "soluble",
                         (3, 3, ((1, 2),)): "insoluble"}
             probe._write(verdicts)
-            if probe._read() != verdicts:
+            # a fresh store parses the body: probe would answer from memory
+            if CacheStore(scratch)._read() != verdicts:
                 raise CacheCorrupt("round-trip self test lost data")
             # still a well-formed row: only the checksum can catch it
             raw = probe.path.read_bytes()

@@ -99,8 +99,7 @@ def class_label(u: int, p: int, k: int) -> int:
     Two units share a label exactly when their ratio is a k-th power in
     Z_p; the label is the closed formula of _labeller, at every (p, k).
     """
-    if not is_prime(p):
-        raise PreconditionViolated(f"not a prime: {p}")
+    _require_prime(p)
     if k < 2:
         raise DegenerateInput(f"degree must be at least 2, got {k}")
     if u % p == 0:
@@ -140,13 +139,13 @@ def _labeller(p: int, k: int) -> tuple[int, int]:
     return p**(c - 1) * (p - 1) // class_count(p, k, c), p**c
 
 
-@lru_cache(maxsize=CLASS_TABLE_CACHE_SIZE)
+# typed: 5.0 == 5 would otherwise hit the entry of 5, unchecked
+@lru_cache(maxsize=CLASS_TABLE_CACHE_SIZE, typed=True)
 def class_reps(p: int, k: int) -> MappingProxyType[int, int]:
     """Smallest unit with each class label at (p, k), in label order:
     a scan u = 1, 2, ... over the units (multiples of p skipped) that
     stops once all class_count(p, k) labels are seen."""
-    if not is_prime(p):
-        raise PreconditionViolated(f"not a prime: {p}")
+    _require_prime(p)
     if k < 2:
         raise DegenerateInput(f"degree must be at least 2, got {k}")
     (exponent, modulus), count = _labeller(p, k), class_count(p, k)
@@ -186,8 +185,7 @@ def _split(entries, p: int, k: int
 def signature(entries, p: int, k: int) -> tuple[tuple[int, int], ...]:
     """Sorted (reduced exponent, class label) pairs of nonzero entries:
     the key that decides Q_p-solubility."""
-    if not is_prime(p):
-        raise PreconditionViolated(f"not a prime: {p}")
+    _require_prime(p)
     symbols, _ = _split(CoefficientVector(entries, k).entries, p, k)
     return tuple(sorted(symbols))
 
@@ -201,6 +199,17 @@ def _integers(values) -> tuple[int, ...]:
     except TypeError:
         raise PreconditionViolated(
             f"expected integers, got {values!r}") from None
+
+
+def _require_prime(p) -> None:
+    """Refuse a p that is not a prime int (a float, a string, a composite)
+    with PreconditionViolated."""
+    try:
+        prime = is_prime(index(p))
+    except TypeError:
+        prime = False
+    if not prime:
+        raise PreconditionViolated(f"not a prime: {p!r}")
 
 
 def _checked(entries, k: int) -> tuple[int, ...]:
@@ -261,8 +270,7 @@ def orbit_record(a: CoefficientVector, p: int) -> dict:
     p, a.k); on an already reduced input the group element is the
     identity apart from the sorting permutation.
     """
-    if not is_prime(p):
-        raise PreconditionViolated(f"not a prime: {p}")
+    _require_prime(p)
     k = a.k
     m_star = certificate_exponent(p, k)
     symbols, units = _split(a.entries, p, k)
@@ -293,8 +301,7 @@ def classify_type(a: CoefficientVector, p: int) -> str:
     most two coordinates and every equal-valuation pair fails the power
     test.  Overlaps resolve in the order I > II > III.
     """
-    if not is_prime(p):
-        raise PreconditionViolated(f"not a prime: {p}")
+    _require_prime(p)
     symbols, units = _split(a.entries, p, a.k)
     groups: dict[int, list[tuple[int, int]]] = {}
     for (e, c), u in zip(symbols, units):

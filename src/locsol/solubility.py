@@ -41,9 +41,10 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import DegenerateInput, PreconditionViolated, ResourceBound
-from .padic import (CoefficientVector, _split, certificate_exponent,
-                    class_count, valuation)
-from .primes import factor, is_prime, prime_divisors, primes_below
+from .padic import (CoefficientVector, _require_prime, _split,
+                    certificate_exponent, class_count, valuation)
+from .primes import factor, prime_divisors, primes_below
+from .primes import is_prime  # noqa: F401  (kept as a patch point)
 
 # Most modulus x value-set entries one layer walk may cost.
 WALK_WORK_CAP = 10**10
@@ -418,8 +419,7 @@ def decide_qp(a: CoefficientVector, p: int, *,
     The route follows from (p, k), see the module docstring; the
     verdict's route is "trivial" or "cache" when no decision ran.
     """
-    if not is_prime(p):
-        raise PreconditionViolated(f"not a prime: {p}")
+    _require_prime(p)
     if a.is_zero:
         raise DegenerateInput("all-zero coefficient vector")
     m_star = certificate_exponent(p, a.k)

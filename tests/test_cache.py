@@ -1,12 +1,15 @@
 import hashlib
 import json
+import random
 
 import pytest
 
+from locsol import cache
 from locsol.cache import CACHE_VERSION, CacheStore, load_verdicts, save_verdicts
 from locsol.errors import CacheCorrupt
 from locsol.padic import CoefficientVector
-from locsol.solubility import clear_caches, decide_qp, dump_verdicts
+from locsol.solubility import (clear_caches, decide_qp, dump_verdicts,
+                               load_verdicts as load_live)
 from locsol.verification import _cache_integrity
 
 VERDICTS = {(2, 2, ((0, 3), (0, 3), (1, 5))): "soluble",
@@ -194,3 +197,96 @@ def test_unreadable_active_cache_fails_the_integrity_line(tmp_path):
     (tmp_path / "verdicts.json").mkdir()
     passed, detail = _cache_integrity(CacheStore(tmp_path))
     assert not passed and "damaged" in detail
+
+
+def test_a_save_after_a_load_parses_nothing(tmp_path, monkeypatch):
+    save_verdicts(CacheStore(tmp_path), VERDICTS)
+    rows = []
+    real = cache._row
+
+    def counting(*row):
+        rows.append(row)
+        return real(*row)
+
+    monkeypatch.setattr(cache, "_row", counting)
+    store = CacheStore(tmp_path)
+    assert load_verdicts(store) == VERDICTS
+    assert len(rows) == len(VERDICTS)
+    del rows[:]
+    save_verdicts(store, {(7, 2, ((0, 1),)): "soluble"})
+    assert rows == []
+    assert load_verdicts(store) == {**VERDICTS, (7, 2, ((0, 1),)): "soluble"}
+    assert rows == []
+
+
+def test_a_body_written_by_another_process_is_parsed(tmp_path):
+    store = CacheStore(tmp_path)
+    save_verdicts(store, VERDICTS)
+    assert load_verdicts(store) == VERDICTS
+    old, fresh = (5, 3, ((0, 1), (1, 2))), (11, 2, ((0, 1),))
+    write_body(tmp_path / "verdicts.json",
+               {"version": CACHE_VERSION,
+                "rows": [[5, 3, [[0, 1], [1, 2]], "soluble"],
+                         [11, 2, [[0, 1]], "insoluble"]]})
+    save_verdicts(store, {old: "insoluble"})
+    assert load_verdicts(CacheStore(tmp_path)) == {
+        old: "insoluble", fresh: "insoluble"}
+    write_body(tmp_path / "verdicts.json",
+               {"version": CACHE_VERSION, "rows": [[2, 2, [[0, 1]], "maybe"]]})
+    with pytest.raises(CacheCorrupt):
+        load_verdicts(store)
+
+
+def test_a_body_altered_after_a_load_is_detected(tmp_path):
+    store = CacheStore(tmp_path)
+    save_verdicts(store, VERDICTS)
+    assert load_verdicts(store) == VERDICTS
+    path = tmp_path / "verdicts.json"
+    stamp, _, body = path.read_bytes().partition(b"\n")
+    path.write_bytes(stamp + b"\n" + body.replace(b'"insoluble"',
+                                                  b'"soluble"'))
+    with pytest.raises(CacheCorrupt):
+        load_verdicts(store)
+    passed, detail = _cache_integrity(store)
+    assert not passed and "damaged" in detail
+
+
+def test_a_loaded_table_is_the_callers_own(tmp_path):
+    store = CacheStore(tmp_path)
+    save_verdicts(store, VERDICTS)
+    for _ in range(2):
+        loaded = load_verdicts(store)
+        assert loaded == VERDICTS
+        loaded.clear()
+        loaded[(2, 2, ((0, 1),))] = "soluble"
+
+
+def decision_sessions(root, one_store: bool) -> bytes:
+    """Ten load/decide/save sessions on seeded forms; the file they leave."""
+    rng = random.Random(3)
+    store = CacheStore(root)
+    for _ in range(10):
+        clear_caches()
+        if not one_store:
+            store = CacheStore(root)
+        load_live(load_verdicts(store))
+        for _ in range(15):
+            k = rng.choice((2, 3))
+            entries = tuple(rng.choice((-1, 1)) * rng.randint(1, 60)
+                            for _ in range(3))
+            decide_qp(CoefficientVector(entries, k), rng.choice((2, 3, 5, 7)))
+        save_verdicts(store, dump_verdicts())
+    clear_caches()
+    return (root / "verdicts.json").read_bytes()
+
+
+def test_one_store_and_fresh_stores_leave_the_same_file(tmp_path):
+    assert (decision_sessions(tmp_path / "one", True)
+            == decision_sessions(tmp_path / "fresh", False))
+
+
+def test_self_test_parses_what_it_wrote(tmp_path, monkeypatch):
+    monkeypatch.setattr(cache.json, "loads",
+                        lambda body: {"version": CACHE_VERSION, "rows": []})
+    with pytest.raises(CacheCorrupt):
+        CacheStore(tmp_path).self_test()

@@ -183,6 +183,19 @@ def test_coefficient_vector_refuses_non_integers():
     assert CoefficientVector((True, 2), 2).entries == (1, 2)
 
 
+def test_a_prime_argument_that_is_not_an_int_is_refused():
+    # each of these used to end in a bare TypeError, past is_prime(5.0)
+    a = CoefficientVector((1, 2, 3), 2)
+    probes = (lambda: decide_qp(a, 5.0), lambda: class_reps(5.0, 2),
+              lambda: class_label(2, 5.0, 2),
+              lambda: signature((1, 2, 3), 5.0, 2),
+              lambda: classify_type(a, 5.0), lambda: orbit_record(a, 5.0),
+              lambda: decide_qp(a, "5"))
+    for probe in probes:
+        with pytest.raises(PreconditionViolated):
+            probe()
+
+
 def test_normalize_reduces_and_sorts():
     rec = orbit_record(CoefficientVector((50, 1, -4), 2), 5)
     assert rec["exponents"] == [0, 0, 0]
