@@ -19,7 +19,10 @@ _split is the one pass over the entries: it yields the reduced symbol
 (v_p(x) mod k less the least such, class label) and the unit
 x / p^v_p(x), per entry.  signature(entries, p, k) (the sorted symbols,
 which determine Q_p-solubility), classify_type, orbit_record and the
-decisions in locsol.solubility all start from it.
+decisions in locsol.solubility all start from it.  From its second
+time on, a coefficient's symbol and unit are read from a bounded table
+(_BoxTables) instead of reduced again, so a survey, whose entries take
+2H - 1 values, mostly reads them.
 """
 
 from __future__ import annotations
@@ -36,6 +39,34 @@ from .primes import is_prime
 
 # Memo bound for _labeller() and class_reps(), per (p, k).
 CLASS_TABLE_CACHE_SIZE = 256
+# Most coefficients _split's tables (see _BoxTables) hold together.
+BOX_TABLE_SIZE = 1 << 15
+
+
+class _BoxTables(dict):
+    """_split's memo per (p, k): (table, exponent, modulus), the
+    _labeller pair and a table from x to its (v_p(x) mod k, label)
+    symbol and its unit x / p^v_p(x).  A box of height H has 2H - 1
+    values, and a survey meets each of them many times.  A value is
+    stored from its second time on; the first time leaves False, so a
+    coefficient that never repeats costs one lookup and one store.
+    grew() counts the coefficients stored: past BOX_TABLE_SIZE, every
+    table goes.
+    """
+
+    entries = 0
+
+    def grew(self, count: int) -> None:
+        self.entries += count
+        if self.entries > BOX_TABLE_SIZE:
+            self.clear()
+
+    def clear(self) -> None:
+        super().clear()
+        self.entries = 0
+
+
+_BOX_TABLES = _BoxTables()
 
 
 def valuation(x: int, p: int) -> int:
@@ -107,11 +138,6 @@ def class_label(u: int, p: int, k: int) -> int:
     return pow(u, *_labeller(p, k))
 
 
-def is_kth_power_unit(u: int, p: int, k: int) -> bool:
-    """Whether the unit u is a k-th power in Z_p (exact)."""
-    return class_label(u, p, k) == class_label(1, p, k)
-
-
 @lru_cache(maxsize=CLASS_TABLE_CACHE_SIZE)
 def _labeller(p: int, k: int) -> tuple[int, int]:
     """The pair (exponent, modulus) with class_label(u, p, k) equal to
@@ -164,18 +190,37 @@ def _split(entries, p: int, k: int
     in source order: the one pass that signature(), classify_type(),
     orbit_record() and the decisions share.  e = v_p(x) mod k - s, s the
     least v_p(x) mod k: dividing every entry by p^s, and each by a k-th
-    power of p, carries p^v*u to p^e*u, every e in [0, k) and some 0."""
-    exponent, modulus = _labeller(p, k)
+    power of p, carries p^v*u to p^e*u, every e in [0, k) and some 0.
+    From its second time on, an x is read from the (p, k) box table."""
+    box = _BOX_TABLES.get((p, k))
+    if box is None:
+        box = _BOX_TABLES[p, k] = ({}, *_labeller(p, k))
+    table, exponent, modulus = box
     symbols, units = [], []
-    for x in entries:
-        if x == 0:
-            raise DegenerateInput("cannot reduce a zero coefficient")
-        v = 0
-        while x % p == 0:
-            x //= p
-            v += 1
-        symbols.append((v % k, pow(x, exponent, modulus)))
-        units.append(x)
+    fresh = 0
+    try:
+        for x in entries:
+            known = table.get(x)
+            if known:
+                symbol, u = known
+            else:
+                if x == 0:
+                    raise DegenerateInput("cannot reduce a zero coefficient")
+                u, v = x, 0
+                while u % p == 0:
+                    u //= p
+                    v += 1
+                symbol = (v % k, pow(u, exponent, modulus))
+                if known is None:  # first time: only mark it
+                    table[x] = False
+                    fresh += 1
+                else:
+                    table[x] = symbol, u
+            symbols.append(symbol)
+            units.append(u)
+    finally:
+        if fresh:
+            _BOX_TABLES.grew(fresh)
     low = min(symbols)[0]
     if low:
         symbols = [(e - low, c) for e, c in symbols]

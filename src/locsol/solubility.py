@@ -41,8 +41,8 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import DegenerateInput, PreconditionViolated, ResourceBound
-from .padic import (CoefficientVector, _require_prime, _split,
-                    certificate_exponent, class_count, valuation)
+from .padic import (_BOX_TABLES, CoefficientVector, _require_prime,
+                    _split, certificate_exponent, class_count, valuation)
 from .primes import factor, prime_divisors, primes_below
 from .primes import is_prime  # noqa: F401  (kept as a patch point)
 
@@ -90,8 +90,10 @@ class SolubilityVerdict:
 
 
 def clear_caches() -> None:
-    """Drop all memoized verdicts and value tables (mainly for tests)."""
+    """Drop all memoized verdicts, value tables and box tables (mainly
+    for tests)."""
     _VERDICTS.clear()
+    _BOX_TABLES.clear()
     _value_sets.cache_clear()
     _value_count.cache_clear()
 
@@ -509,22 +511,25 @@ def relevant_primes(a: CoefficientVector) -> list[int]:
 
 def _tested_primes(entries, k: int) -> list[int]:
     """relevant_primes of nonzero entries: the pathological primes of k
-    and every divisor whose v_p mod k classes hold at most two entries."""
-    out = set(pathological_primes(k))
+    and every divisor whose v_p mod k classes hold at most two entries.
+    Residues mod k are taken only at primes that divide enough entries
+    to be tested."""
+    always = pathological_primes(k)
     n = len(entries)
-    residues: dict[int, list[int]] = {}
+    exponents: dict[int, list[int]] = {}
     for x in entries:
         for p, e in factor(abs(x)):
-            residues.setdefault(p, []).append(e % k)
-    for p, rs in residues.items():
-        # class 0 holds the n - len(rs) entries that p does not divide;
+            exponents.setdefault(p, []).append(e)
+    more = []
+    for p, es in exponents.items():
+        # class 0 holds the n - len(es) entries that p does not divide;
         # three of them settle p without counting the rest
-        if len(rs) + 2 < n or p in out:
+        if len(es) + 2 < n or p in always:
             continue
-        rs += [0] * (n - len(rs))
-        if all(rs.count(r) <= 2 for r in rs):
-            out.add(p)
-    return sorted(out)
+        rs = [e % k for e in es] + [0] * (n - len(es))
+        if max(map(rs.count, rs)) <= 2:
+            more.append(p)
+    return sorted(always + tuple(more)) if more else list(always)
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,15 @@ most 3(n+1)/(2H-1) but washes out as H grows.
 Both modes run in chunks, so a count is the same no matter how many
 workers run: sample chunk c draws from random.Random(seed * 1000003 + c),
 and an exhaustive chunk is a run of values of a_0 with every completion.
+A draw is the vector of n + 1 calls rng.randint(-(H-1), H-1): the survey
+runs randint's loop on getrandbits itself, and a test checks that the
+vectors are the same.  Only a worker process copies out the verdicts it
+added to the cache; a serial survey adds them to this process's cache.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
@@ -65,14 +68,12 @@ def is_everywhere_soluble(entries: tuple[int, ...], k: int) -> bool:
     return True
 
 
-def _count_chunk(task) -> tuple[int, dict[tuple, str]]:
-    """Soluble count of one chunk and the verdicts it added to the cache.
+def _count_chunk(task) -> int:
+    """Soluble count of one chunk.
 
     A sample chunk is count draws from Random(seed * 1_000_003 + index);
     with seed None, the chunk is every vector whose a_0 is one of count
-    box values from the index-th on.  A worker process returns its
-    verdicts so that the parent's cache, and any --cache-dir saved from
-    it, keeps what the workers computed.
+    box values from the index-th on.
     """
     n, k, height, seed, index, count = task
     lo, hi = -(height - 1), height - 1
@@ -80,14 +81,36 @@ def _count_chunk(task) -> tuple[int, dict[tuple, str]]:
         values = range(lo, hi + 1)
         vectors = iter_product(values[index:index + count], *[values] * n)
     else:
-        rng = Random(seed * 1_000_003 + index)
-        vectors = (tuple(rng.randint(lo, hi) for _ in range(n + 1))
-                   for _ in range(count))
-    known = dump_verdicts()
+        vectors = _draws(Random(seed * 1_000_003 + index), lo, hi, n + 1,
+                         count)
     soluble = 0
     for entries in vectors:
         if is_everywhere_soluble(entries, k):
             soluble += 1
+    return soluble
+
+
+def _draws(rng: Random, lo: int, hi: int, size: int, count: int):
+    """count vectors of size entries, each rng.randint(lo, hi): the loop
+    randint runs on getrandbits, without its three calls per entry."""
+    width = hi - lo + 1
+    bits, getrandbits = width.bit_length(), rng.getrandbits
+    for _ in range(count):
+        entries = []
+        for _ in range(size):
+            r = getrandbits(bits)
+            while r >= width:
+                r = getrandbits(bits)
+            entries.append(lo + r)
+        yield entries
+
+
+def _pooled_chunk(task) -> tuple[int, dict[tuple, str]]:
+    """_count_chunk in a worker process, with the verdicts it added to
+    the worker's cache, so that the parent's cache, and any --cache-dir
+    saved from it, keeps what the workers computed."""
+    known = dump_verdicts()
+    soluble = _count_chunk(task)
     added = {key: status for key, status in dump_verdicts().items()
              if key not in known}
     return soluble, added
@@ -133,15 +156,19 @@ def survey_box(n: int, k: int, height: int, *, mode: str = "exhaustive",
     else:
         raise PreconditionViolated(f"unknown mode: {mode}")
     if jobs > 1 and len(tasks) > 1:
+        # imported here: it pulls in multiprocessing, about a third of a
+        # cold `import locsol`
+        from concurrent.futures import ProcessPoolExecutor
+
         # a pool forks all its workers at once: no more than the chunks
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            results = list(pool.map(_count_chunk, tasks))
+            results = list(pool.map(_pooled_chunk, tasks))
+        soluble = 0
+        for count, added in results:
+            soluble += count
+            load_verdicts(added)
     else:
-        results = [_count_chunk(t) for t in tasks]
-    soluble = 0
-    for count, added in results:
-        soluble += count
-        load_verdicts(added)
+        soluble = sum(_count_chunk(t) for t in tasks)
     return SurveyReport(n=n, k=k, height=height, mode=mode, seed=seed,
                         total=total, soluble=soluble,
                         ref_lo=ref_lo, ref_hi=ref_hi)

@@ -417,6 +417,14 @@ def test_import_locsol_loads_no_tooling_module():
                          "locsol.cli", "locsol.cache"}
 
 
+def test_import_starts_no_process_pool_machinery():
+    # survey_box imports the pool only when it runs one (jobs > 1)
+    proc = child("-c", "import sys, locsol, locsol.cli; "
+                       "print('concurrent.futures.process' in sys.modules, "
+                       "'multiprocessing' in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, "False False\n")
+
+
 def test_installed_entry_point():
     # the child imports the same package as the tests, installed or not
     proc = child("-m", "locsol", "rho", "-n", "2", "-k", "2", "-p", "2")

@@ -3,12 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locsol.errors import DegenerateInput, PreconditionViolated
-from locsol.padic import (CoefficientVector, all_cells, cell_orbit,
+from locsol import padic
+from locsol.padic import (CoefficientVector, _split, all_cells, cell_orbit,
                           cell_representative, certificate_exponent,
                           class_count, class_label, class_precision,
-                          class_reps, classify_type, is_kth_power_unit,
-                          orbit_record, signature, symbol_alphabet,
-                          valuation)
+                          class_reps, classify_type, orbit_record,
+                          signature, symbol_alphabet, valuation)
 from locsol.primes import primes_below
 from locsol.solubility import clear_caches, decide_qp, load_verdicts
 
@@ -84,8 +84,9 @@ def test_unit_classes_mod_27():
 def test_unit_classes_mod_5_squares():
     assert class_count(5, 2) == 2
     assert dict(class_reps(5, 2)) == {1: 1, 4: 2}
-    assert is_kth_power_unit(4, 5, 2) and is_kth_power_unit(-1, 5, 2)
-    assert not is_kth_power_unit(2, 5, 2) and not is_kth_power_unit(3, 5, 2)
+    square = class_label(1, 5, 2)
+    assert class_label(4, 5, 2) == square and class_label(-1, 5, 2) == square
+    assert class_label(2, 5, 2) != square and class_label(3, 5, 2) != square
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
@@ -106,7 +107,7 @@ def test_power_detection_matches_sympy(p, k):
     from sympy.ntheory.residue_ntheory import nthroot_mod
     for u in range(1, p):
         direct = nthroot_mod(u, k, p) is not None
-        assert is_kth_power_unit(u, p, k) == direct
+        assert (class_label(u, p, k) == class_label(1, p, k)) == direct
 
 
 def test_class_label_large_prime_path():
@@ -132,7 +133,8 @@ def test_power_residue_labels_agree_with_tables():
                          for u in coset for j in (-1, 0, 3)}
                 assert len(found) == 1, (p, k, sorted(coset))
                 labels |= found
-                assert is_kth_power_unit(min(coset), p, k) == (1 in coset)
+                assert (class_label(min(coset), p, k)
+                        == class_label(1, p, k)) == (1 in coset)
             assert len(labels) == len(cosets), (p, k)
             assert class_count(p, k) == len(class_reps(p, k)) \
                 == len(cosets), (p, k)
@@ -322,11 +324,11 @@ def test_class_labels_reject_non_primes():
     with pytest.raises(PreconditionViolated):
         class_label(3, 9, 2)
     with pytest.raises(PreconditionViolated):
-        is_kth_power_unit(4, 15, 2)
+        class_label(4, 15, 2) == class_label(1, 15, 2)
     with pytest.raises(DegenerateInput):
         class_label(2, 5, 1)
     with pytest.raises(DegenerateInput):
-        is_kth_power_unit(2, 5, 1)
+        class_label(2, 5, 1) == class_label(1, 5, 1)
     with pytest.raises(PreconditionViolated):
         class_reps(9, 2)
     with pytest.raises(DegenerateInput):
@@ -358,3 +360,58 @@ def test_cells_carry_signature_labels():
     # at p not dividing k no table is needed, whatever the size of p
     for n, k, p in [(2, 4, 1_000_003), (2, 6, 300_007)]:
         assert rho_p_exact(n, k, p).value == generic_sum(n, k, p).value
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(2, 2), (2, 3), (2, 4), (2, 6), (3, 2), (3, 3),
+                        (3, 6), (5, 5), (7, 2), (13, 4)]),
+       st.lists(st.tuples(st.integers(-10**6, 10**6).filter(bool),
+                          st.integers(0, 9)), min_size=2, max_size=6),
+       st.lists(st.tuples(st.integers(-10**6, 10**6).filter(bool),
+                          st.integers(0, 9)), min_size=0, max_size=4))
+def test_split_from_a_warm_table_equals_a_cold_pass(pk, first, more):
+    # negative entries, p | k and p = 2 with even k; the second pass
+    # reads the entries of the first from the (p, k) table
+    p, k = pk
+    first = [x * p**e for x, e in first]
+    entries = first + [x * p**e for x, e in more] + first[:1]
+    clear_caches()
+    _split(first, p, k)
+    warm = _split(entries, p, k)
+    clear_caches()
+    cold = _split(entries, p, k)
+    assert warm == cold
+    vals = [valuation(x, p) for x in entries]
+    low = min(v % k for v in vals)
+    units = [x // p**v for x, v in zip(entries, vals)]
+    assert cold == ([(v % k - low, class_label(u, p, k))
+                     for u, v in zip(units, vals)], units)
+
+
+def test_a_zero_entry_is_refused_by_a_warm_table():
+    clear_caches()
+    _split((3, 5, 7), 5, 2)
+    for entries in ((3, 0, 5), (0, 3), (11, 3, 0)):
+        with pytest.raises(DegenerateInput):
+            _split(entries, 5, 2)
+    with pytest.raises(DegenerateInput):
+        signature((3, 0, 5), 5, 2)
+    # 11 was reduced and stored before the zero was met, and counted
+    assert padic._BOX_TABLES.entries == 4
+    assert sorted(padic._BOX_TABLES[5, 2][0]) == [3, 5, 7, 11]
+
+
+def test_a_value_is_kept_from_its_second_time_on():
+    # a value met once leaves a marker; the second time stores its symbol
+    # and unit, and the third reads them
+    clear_caches()
+    table = None
+    for seen in range(3):
+        assert _split((75, -3, 2), 5, 2) == ([(0, 4), (0, 4), (0, 4)],
+                                             [3, -3, 2])
+        table = table or padic._BOX_TABLES[5, 2][0]
+        if seen == 0:
+            assert set(table.values()) == {False}
+        else:
+            assert table[75] == ((0, 4), 3)
+    assert padic._BOX_TABLES.entries == 3

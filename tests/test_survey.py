@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import io
 from itertools import product
@@ -5,7 +6,7 @@ from random import Random
 
 import pytest
 
-from locsol import solubility
+from locsol import padic, solubility, survey
 from locsol.cache import CacheStore, load_verdicts, save_verdicts
 from locsol.errors import (DegenerateInput, PreconditionViolated,
                            ResourceBound)
@@ -15,7 +16,7 @@ from locsol.product import rho_loc_interval
 from locsol.solubility import (clear_caches, decide_qp, dump_verdicts,
                                pathological_primes, relevant_primes)
 from locsol.solubility import load_verdicts as load_into_session
-from locsol.survey import (CSV_COLUMNS, convergence_sweep,
+from locsol.survey import (CSV_COLUMNS, _count_chunk, convergence_sweep,
                            is_everywhere_soluble, survey_box, write_csv)
 
 
@@ -155,7 +156,7 @@ def test_a_store_of_divisor_rule_keys_still_answers(n, k, height,
 
 
 def test_second_survey_is_answered_by_signature(monkeypatch):
-    from locsol import solubility
+    from locsol import padic, solubility, survey
     calls = []
     original = solubility._decide_layers
 
@@ -212,7 +213,6 @@ def test_parallel_jobs_do_not_change_counts():
 def test_pool_never_outnumbers_the_chunks(monkeypatch):
     # a pool forks all its workers at once; a fake one records how many
     # were asked for and maps in this process
-    from locsol import survey
     asked = []
 
     class SerialPool:
@@ -228,7 +228,8 @@ def test_pool_never_outnumbers_the_chunks(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(survey, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        SerialPool)
     clear_caches()
     survey_box(3, 2, 30, mode="sample", sample_count=25_000, seed=11,
                jobs=64)
@@ -238,7 +239,6 @@ def test_pool_never_outnumbers_the_chunks(monkeypatch):
 def test_exhaustive_boxes_run_in_chunks_on_the_pool(monkeypatch):
     # at height 6 the 11 values of a_0 make two chunks of 7 and 4 rows;
     # a fake pool records the workers asked for and maps in this process
-    from locsol import survey
     asked = []
 
     class SerialPool:
@@ -256,7 +256,8 @@ def test_exhaustive_boxes_run_in_chunks_on_the_pool(monkeypatch):
 
     clear_caches()
     serial = survey_box(3, 2, 6)
-    monkeypatch.setattr(survey, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        SerialPool)
     clear_caches()
     pooled = survey_box(3, 2, 6, jobs=2)
     assert asked == [2]
@@ -325,3 +326,64 @@ def test_zero_entry_convention():
     assert is_everywhere_soluble((0, 0, 0), 2)
     assert not is_everywhere_soluble((1, 1, 1, 1), 2)
     assert is_everywhere_soluble((1, 1, -3, 1), 2)
+
+
+@pytest.mark.parametrize("height", [1, 2, 3, 5, 200, 257, 10**5, 10**6])
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_sample_chunks_draw_the_vectors_of_randint(height, n, monkeypatch):
+    # the box widths 2H - 1 include 2^j - 1 (H = 2) and 2^j + 1 (H = 2,
+    # 3, 5, 257), where the rejection loop is tightest and loosest
+    drawn = []
+
+    def record(entries, k):
+        drawn.append(tuple(entries))
+        return True
+
+    monkeypatch.setattr(survey, "is_everywhere_soluble", record)
+    lo, hi = -(height - 1), height - 1
+    for seed, index in ((0, 0), (7, 2), (2024, 0), (31, 5)):
+        drawn.clear()
+        assert _count_chunk((n, 2, height, seed, index, 300)) == 300
+        rng = Random(seed * 1_000_003 + index)
+        assert drawn == [tuple(rng.randint(lo, hi) for _ in range(n + 1))
+                         for _ in range(300)]
+
+
+def test_a_serial_survey_copies_no_verdicts(monkeypatch):
+    # with jobs = 1 the verdicts are already in this process's cache
+    def refuse():
+        raise AssertionError("a serial survey copied the verdict cache")
+
+    monkeypatch.setattr(survey, "dump_verdicts", refuse)
+    monkeypatch.setattr(solubility, "dump_verdicts", refuse)
+    clear_caches()
+    sampled = survey_box(3, 2, 30, mode="sample", sample_count=25_000,
+                         seed=11)
+    exhaustive = survey_box(3, 2, 6)
+    monkeypatch.undo()
+    clear_caches()
+    assert sampled == survey_box(3, 2, 30, mode="sample",
+                                 sample_count=25_000, seed=11)
+    assert exhaustive == survey_box(3, 2, 6)
+
+
+def stored(tables):
+    """Coefficients the box tables hold, over every (p, k)."""
+    return sum(len(table) for table, _, _ in tables.values())
+
+
+def test_box_tables_hold_at_most_their_bound(monkeypatch):
+    draws = pinned_draws(3, 200)[:1500]
+    clear_caches()
+    expected = [is_everywhere_soluble(v, 2) for v in draws]
+    tables = padic._BOX_TABLES
+    assert 0 < stored(tables) == tables.entries <= padic.BOX_TABLE_SIZE
+    clear_caches()
+    assert len(tables) == tables.entries == 0
+    monkeypatch.setattr(padic, "BOX_TABLE_SIZE", 40)
+    seen = set()
+    for v, soluble in zip(draws, expected):
+        assert is_everywhere_soluble(v, 2) == soluble
+        assert stored(tables) == tables.entries <= 40
+        seen.add(tables.entries)
+    assert max(seen) > 30    # the tables filled up and were dropped
