@@ -105,6 +105,9 @@ def _remember(key: tuple, status: str) -> None:
 
 
 def load_verdicts(items: dict[tuple, str]) -> None:
+    if len(_VERDICTS) + len(items) <= VERDICT_CACHE_SIZE:
+        _VERDICTS.update(items)  # nothing to evict: one C-level pass
+        return
     for key, status in items.items():
         _remember(key, status)
 
@@ -225,13 +228,19 @@ def _lift(p: int, k: int, tau: int, level: int, coeffs, y, lead: int):
     """
     q = p**(level + tau)
     target = p**level
+    shift = p**tau
+    c = coeffs[lead]
+    # only y[lead] moves: the other terms are summed once
+    fixed = sum(ci * pow(t, k, q) for i, (ci, t) in enumerate(zip(coeffs, y))
+                if i != lead)
     for _ in range(level + 2):
-        g = sum(c * pow(t, k, q) for c, t in zip(coeffs, y)) % q
+        t = y[lead]
+        power = pow(t, k - 1, q)
+        g = (fixed + c * power * t) % q
         if g % target == 0:
             return y
-        d = k * coeffs[lead] * pow(y[lead], k - 1, q) % q
-        step = (g // p**tau) * pow(d // p**tau, -1, target)
-        y[lead] = (y[lead] - step) % target
+        step = (g // shift) * pow(k * c * power % q // shift, -1, target)
+        y[lead] = (t - step) % target
     raise PreconditionViolated("witness lift failed to converge")
 
 

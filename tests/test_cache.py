@@ -1,8 +1,14 @@
 import hashlib
 import json
 import random
+import sys
+import tempfile
+import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from locsol import cache
 from locsol.cache import CACHE_VERSION, CacheStore, load_verdicts, save_verdicts
@@ -11,6 +17,12 @@ from locsol.padic import CoefficientVector
 from locsol.solubility import (clear_caches, decide_qp, dump_verdicts,
                                load_verdicts as load_live)
 from locsol.verification import _cache_integrity
+
+try:
+    import fcntl
+except ImportError:
+    fcntl = None
+needs_flock = pytest.mark.skipif(fcntl is None, reason="no flock here")
 
 VERDICTS = {(2, 2, ((0, 3), (0, 3), (1, 5))): "soluble",
             (5, 3, ((0, 1), (1, 2))): "insoluble"}
@@ -290,3 +302,223 @@ def test_self_test_parses_what_it_wrote(tmp_path, monkeypatch):
                         lambda body: {"version": CACHE_VERSION, "rows": []})
     with pytest.raises(CacheCorrupt):
         CacheStore(tmp_path).self_test()
+
+
+def canonical(table) -> bytes:
+    """The body a full rewrite of this verdict table writes."""
+    rows = [[p, k, sig, status] for (p, k, sig), status in table.items()]
+    return json.dumps({"version": CACHE_VERSION, "rows": rows},
+                      separators=(",", ":")).encode()
+
+
+def stored_body(root) -> bytes:
+    return (root / "verdicts.json").read_bytes().partition(b"\n")[2]
+
+
+# The inputs of the decide-witness benchmark workload (bench/workloads.py):
+# 3,000 (entries, k, p) decisions, rotating over these (p, k) pairs.
+DECIDE_PAIRS = ((2, 2), (3, 3), (2, 4), (3, 2), (5, 2), (7, 3), (13, 3),
+                (5, 4), (13, 4), (7919, 2), (9973, 3), (9973, 4))
+
+
+def benchmark_decisions(seed: int) -> list[tuple[tuple, int, int]]:
+    rng = random.Random(seed)
+    out = []
+    for i in range(3000):
+        p, k = DECIDE_PAIRS[i % len(DECIDE_PAIRS)]
+        entries = []
+        for _ in range(rng.choice((2, 3, 4)) + 1):
+            e = 0 if rng.random() < 0.5 else rng.randint(1, k + 1)
+            u = rng.randrange(1, 10**4)
+            while u % p == 0:
+                u = rng.randrange(1, 10**4)
+            entries.append(rng.choice((-1, 1)) * p**e * u)
+        out.append((tuple(entries), k, p))
+    return out
+
+
+# sha256 prefixes of the verdicts.json that the workload's ten sessions
+# leave, as written by full rewrites before saves appended rows
+PINNED_SESSION_FILES = {1: "d7f2b7dd971c95c6", 2: "fa4517eda7421dc4",
+                        3: "b1e656856598ec32"}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_SESSION_FILES))
+def test_benchmark_sessions_leave_the_pinned_file(tmp_path, seed):
+    decisions = benchmark_decisions(seed)
+    for one_store in (True, False):
+        root = tmp_path / f"one-store-{one_store}"
+        store = CacheStore(root)
+        for session in range(10):
+            clear_caches()
+            if not one_store:
+                store = CacheStore(root)
+            load_live(load_verdicts(store))
+            for entries, k, p in decisions[300 * session:300 * (session + 1)]:
+                decide_qp(CoefficientVector(entries, k), p, with_witness=True)
+            save_verdicts(store, dump_verdicts())
+        clear_caches()
+        raw = (root / "verdicts.json").read_bytes()
+        assert (hashlib.sha256(raw).hexdigest()[:16]
+                == PINNED_SESSION_FILES[seed])
+
+
+KEYS = st.tuples(st.sampled_from((2, 3)), st.sampled_from((2, 3)),
+                 st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2)),
+                          min_size=1, max_size=2).map(tuple))
+TABLES = st.dictionaries(KEYS, st.sampled_from(("soluble", "insoluble")),
+                         max_size=6)
+STARTS = {"missing": None,
+          "empty rows": canonical({}),
+          "stale": json.dumps({"version": "locsol-cache-3",
+                               "rows": [[2, 2, [[0, 1]], "soluble"]]}).encode(),
+          "damaged": b"garbage"}
+A, B = (2, 2, ((0, 1),)), (3, 2, ((1, 2),))
+
+
+@settings(max_examples=80, deadline=None)
+@given(start=st.sampled_from(sorted(STARTS)),
+       steps=st.lists(st.tuples(st.booleans(), TABLES), min_size=1,
+                      max_size=5))
+@example(start="missing", steps=[(False, {A: "soluble"}),
+                                 (False, {A: "insoluble", B: "soluble"})])
+@example(start="empty rows", steps=[(False, {A: "soluble"})])
+@example(start="missing", steps=[(False, {A: "soluble"}),
+                                 (True, {B: "soluble"}),
+                                 (False, {A: "soluble", (2, 3, ((0, 0),)):
+                                          "insoluble"})])
+def test_every_saved_body_is_the_full_encoding(start, steps):
+    # each step saves through one of two stores on one directory, so a
+    # store also saves onto a body the other one wrote
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "verdicts.json"
+        if STARTS[start] is not None:
+            body = STARTS[start]
+            path.write_bytes(hashlib.sha256(body).hexdigest().encode()
+                             + b"\n" + body)
+        stores = CacheStore(root), CacheStore(root)
+        model = {}
+        for other, verdicts in steps:
+            save_verdicts(stores[other], verdicts)
+            model = {**model, **verdicts}
+            if start != "missing" or model:
+                assert stored_body(path.parent) == canonical(model)
+                assert load_verdicts(CacheStore(root)) == model
+            else:
+                assert not path.exists()
+
+
+def test_a_save_encodes_only_the_rows_it_adds(tmp_path, monkeypatch):
+    base = {(p, 2, ((0, i),)): "soluble" for p in (3, 5) for i in range(1000)}
+    added = {(7, 3, ((0, i), (1, 1))): "insoluble" for i in range(100)}
+    store = CacheStore(tmp_path)
+    save_verdicts(store, base)
+    live = load_verdicts(store)
+    encoded, rows = [], []
+    real_dumps, real_row = json.dumps, cache._row
+
+    def dumps(obj, **kwargs):
+        encoded.append(obj)
+        return real_dumps(obj, **kwargs)
+
+    monkeypatch.setattr(cache.json, "dumps", dumps)
+    monkeypatch.setattr(cache, "_row",
+                        lambda *row: rows.append(row) or real_row(*row))
+    save_verdicts(store, {**live, **added})
+    assert encoded == [[[7, 3, ((0, i), (1, 1)), "insoluble"]
+                        for i in range(100)]]
+    assert rows == []
+    monkeypatch.undo()
+    assert stored_body(tmp_path) == canonical({**base, **added})
+
+
+@pytest.mark.parametrize("layout", [
+    {"rows": [[2, 2, [[0, 1]], "soluble"]], "version": CACHE_VERSION},
+    {"version": CACHE_VERSION, "rows": [[2, 2, [[0, 1]], "soluble"]],
+     "note": [1]},
+])
+def test_a_body_not_ending_in_its_rows_is_rewritten(tmp_path, layout):
+    # appending to either body would put the rows outside "rows"
+    write_body(tmp_path / "verdicts.json", layout)
+    store = CacheStore(tmp_path)
+    save_verdicts(store, {B: "insoluble"})
+    merged = {(2, 2, ((0, 1),)): "soluble", B: "insoluble"}
+    assert stored_body(tmp_path) == canonical(merged)
+    assert load_verdicts(CacheStore(tmp_path)) == merged
+
+
+def test_rows_appended_to_another_writers_body_are_read(tmp_path):
+    write_body(tmp_path / "verdicts.json",
+               {"version": CACHE_VERSION, "rows": [[2, 2, [[0, 1]], "soluble"]]})
+    save_verdicts(CacheStore(tmp_path), {B: "insoluble"})
+    assert load_verdicts(CacheStore(tmp_path)) == {
+        (2, 2, ((0, 1),)): "soluble", B: "insoluble"}
+
+
+@needs_flock
+def test_a_save_inside_another_saves_merge_keeps_both(tmp_path, monkeypatch):
+    first, second = CacheStore(tmp_path), CacheStore(tmp_path)
+    save_verdicts(first, VERDICTS)
+    mine, theirs = {A: "soluble"}, {B: "insoluble"}
+    # set once the rival's save has ended or is waiting for the lock
+    waiting, failures = threading.Event(), []
+
+    def rival_save():
+        try:
+            save_verdicts(second, theirs)
+        except BaseException as exc:
+            failures.append(exc)
+        finally:
+            waiting.set()
+
+    rival = threading.Thread(target=rival_save)
+    real_flock, real_write = fcntl.flock, first._write
+
+    def flock(fd, operation):
+        if threading.current_thread() is rival:
+            waiting.set()
+        return real_flock(fd, operation)
+
+    def write(*args):
+        # first has read the file and merged; the rival saves now
+        rival.start()
+        assert waiting.wait(timeout=30)
+        real_write(*args)
+
+    monkeypatch.setattr(fcntl, "flock", flock)
+    monkeypatch.setattr(first, "_write", write)
+    save_verdicts(first, mine)
+    rival.join(timeout=30)
+    assert not rival.is_alive() and failures == []
+    assert load_verdicts(CacheStore(tmp_path)) == {**VERDICTS, **mine,
+                                                   **theirs}
+
+
+@needs_flock
+def test_concurrent_saves_lose_no_rows(tmp_path):
+    # more savers than cores, each through its own store, with frequent
+    # thread switches: a save that replaced the file from a stale read
+    # would drop another saver's rows
+    failures = []
+
+    def saver(worker):
+        try:
+            store = CacheStore(tmp_path)
+            for round_ in range(8):
+                save_verdicts(store, {(worker + 2, 2, ((round_, i),)):
+                                      "soluble" for i in range(3)})
+        except BaseException as exc:
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=saver, args=(w,)) for w in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and failures == []
+    assert len(load_verdicts(CacheStore(tmp_path))) == 4 * 8 * 3

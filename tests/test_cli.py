@@ -7,7 +7,10 @@ from fractions import Fraction
 from pathlib import Path
 from random import Random
 
+import pytest
+
 import locsol
+from locsol import cache
 from locsol.cache import CacheStore, load_verdicts, save_verdicts
 from locsol.cli import main
 from locsol.solubility import clear_caches
@@ -368,6 +371,21 @@ def test_unusable_cache_dir_warns_and_keeps_the_exit_code(capsys, tmp_path,
         assert (code, out) == plain[:2] and code == 1
         assert err.count("warning: ignoring unusable cache") == (
             1 if cache_dir == not_a_dir else 2)
+    clear_caches()
+
+
+@pytest.mark.skipif(cache.fcntl is None, reason="no flock here")
+def test_a_cache_dir_without_a_usable_lock_warns_on_save(capsys, tmp_path,
+                                                        monkeypatch):
+    monkeypatch.delenv("LOCSOL_CACHE_DIR", raising=False)
+    # the lock file cannot be opened, as in a directory one cannot write
+    (tmp_path / "verdicts.lock").mkdir()
+    clear_caches()
+    code, out, err = run(capsys, "--cache-dir", str(tmp_path), "decide",
+                         "-k", "2", "-p", "2", "1", "1", "3")
+    assert code == 0 and "soluble" in out
+    assert err.count("warning: ignoring unusable cache") == 1
+    assert not (tmp_path / "verdicts.json").exists()
     clear_caches()
 
 

@@ -199,6 +199,31 @@ def test_memo_caches_are_bounded(monkeypatch):
     assert _value_sets.cache_info().currsize > 0
 
 
+@pytest.mark.parametrize("held", [0, 3, 8])
+@pytest.mark.parametrize("loaded", [0, 4, 5, 9, 14])
+def test_loading_verdicts_evicts_as_one_row_at_a_time(monkeypatch, held,
+                                                      loaded):
+    from collections import OrderedDict
+
+    from locsol import solubility
+    bound = 8
+    monkeypatch.setattr(solubility, "VERDICT_CACHE_SIZE", bound)
+    old = {(2, 2, ((0, i),)): "soluble" for i in range(held)}
+    # half the loaded keys are already held, some with another status
+    new = {(2, 2, ((0, i),)): ("insoluble" if i % 3 else "soluble")
+           for i in range(held // 2, held // 2 + loaded)}
+    expected = OrderedDict(old)
+    for key, status in new.items():
+        if key not in expected and len(expected) >= bound:
+            expected.popitem(last=False)
+        expected[key] = status
+    clear_caches()
+    solubility.load_verdicts(old)
+    solubility.load_verdicts(new)
+    assert list(dump_verdicts().items()) == list(expected.items())
+    clear_caches()
+
+
 def test_primality_checked_once_per_decision(monkeypatch):
     from locsol import density, padic, solubility
     from locsol.density import rho_p_exact
