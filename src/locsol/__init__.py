@@ -7,8 +7,7 @@ densities over all places.  Everything numeric is exact rational
 arithmetic; floating point appears only in rendered output.
 """
 
-from .density import (Density, generic_sum, kappa, rho_infinity, rho_p,
-                      rho_p_exact)
+from .density import Density, generic_sum, rho_infinity, rho_p, rho_p_exact
 from .errors import (CacheCorrupt, ClassificationMismatch, DegenerateInput,
                      DivergentTail, LocsolError, OracleOverflow,
                      PreconditionViolated, ResourceBound, UnsupportedPair)
@@ -29,7 +28,7 @@ __all__ = [
     "PreconditionViolated", "ResourceBound", "SolubilityVerdict",
     "SurveyReport", "TailBound", "UnsupportedPair", "classify_type",
     "convergence_sweep", "decide_everywhere_local", "decide_qp",
-    "decide_real", "decimalize", "generic_sum", "kappa", "relevant_primes",
+    "decide_real", "decimalize", "generic_sum", "relevant_primes",
     "rho_infinity", "rho_loc_interval", "rho_p", "rho_p_exact", "signature",
     "survey_box", "tail_hypothesis", "valuation",
 ]

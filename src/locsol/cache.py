@@ -18,10 +18,11 @@ nothing.  A save that only adds keys to a non-empty stored table encodes
 just the added rows and appends them to the stored body (onto a body
 this module wrote, that gives the bytes a full rewrite would); any other
 save (a changed status, a missing, empty, stale or damaged file, or a
-body that does not end in its rows) encodes the whole table.  Only the digest runs over the whole body.  From its read through
-os.replace a save holds an advisory lock (flock) on verdicts.lock in the
-cache directory, so two processes sharing the directory keep each
-other's rows; where fcntl does not exist a save runs unlocked.
+body that does not end in its rows) encodes the whole table.  Only the
+digest runs over the whole body.  From its read through os.replace a
+save holds an advisory lock (flock) on verdicts.lock in the cache
+directory, so two processes sharing the directory keep each other's
+rows; where fcntl does not exist a save runs unlocked.
 """
 
 from __future__ import annotations
@@ -121,25 +122,6 @@ class CacheStore:
         with open(self.root / "verdicts.lock", "ab") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)
             yield  # closing the file releases the lock
-
-    def self_test(self) -> None:
-        """Round-trip and corruption-detection check in a scratch subdir."""
-        with tempfile.TemporaryDirectory(dir=self.root) as scratch:
-            probe = CacheStore(scratch)
-            verdicts = {(2, 2, ((0, 3),)): "soluble",
-                        (3, 3, ((1, 2),)): "insoluble"}
-            save_verdicts(probe, verdicts)
-            # a fresh store parses the body: probe would answer from memory
-            if load_verdicts(CacheStore(scratch)) != verdicts:
-                raise CacheCorrupt("round-trip self test lost data")
-            # still a well-formed row: only the checksum can catch it
-            raw = probe.path.read_bytes()
-            probe.path.write_bytes(raw.replace(b'"insoluble"', b'"soluble"'))
-            try:
-                load_verdicts(probe)
-            except CacheCorrupt:
-                return
-            raise CacheCorrupt("corruption went undetected in self test")
 
 
 def load_verdicts(store: CacheStore) -> dict[tuple, str]:

@@ -2,10 +2,10 @@
 
 The density at p of sum a_i x_i^k = 0 is the Haar measure of the set of
 coefficient vectors in Z_p^(n+1) that admit a nontrivial zero, after
-conditioning every coordinate to be nonzero (hence the normalizing
-constant kappa).  Coefficients matter only through their (valuation mod
-k, unit class) symbol, so the density is a finite exact sum of cell
-measures.
+conditioning every coordinate to be nonzero (_density folds in the
+normalizer kappa, which lives in verification with the cell measures).
+Coefficients matter only through their (valuation mod k, unit class)
+symbol, so the density is a finite exact sum of cell measures.
 
 Two exact routes compute it, one rule for each kind of prime and the
 same for every k: a sum over valuation layers when p does not divide k,
@@ -70,38 +70,12 @@ def _validate(n: int, k: int, p: int | None = None) -> None:
         raise PreconditionViolated(f"not a prime: {p}")
 
 
-def kappa(n: int, k: int, p: int) -> Fraction:
-    """Normalizer (1 - p^-k)^-(n+1) for nonzero-coefficient conditioning."""
-    _validate(n, k, p)
-    return Fraction(p**k, p**k - 1)**(n + 1)
-
-
-def power_ratio(p: int, k: int) -> Fraction:
-    """(1 - 1/p) / (1 - p^-k): unit-valuation mass after conditioning."""
-    return Fraction((p - 1) * p**(k - 1), p**k - 1)
-
-
 def _multinomial(items: tuple) -> int:
     """Orderings of the multiset items: len(items)! / prod(count!)."""
     weight = factorial(len(items))
     for c in Counter(items).values():
         weight //= factorial(c)
     return weight
-
-
-def cell_measure(cell: tuple[tuple[int, int], ...], p: int, k: int
-                 ) -> Fraction:
-    """Mass of the multiset cell of m = n+1 symbols (e_i, class):
-
-        multinomial * q^m / (d^m * p^(sum e_i)),
-
-    with q = power_ratio(p, k) the conditioned unit mass and d the
-    number of unit classes, each class carrying an equal share.
-    """
-    m = len(cell)
-    d = class_count(p, k)
-    return Fraction(_multinomial(cell) * ((p - 1) * p**(k - 1))**m,
-                    ((p**k - 1) * d)**m * p**sum(e for e, _ in cell))
 
 
 def rho_p_exact(n: int, k: int, p: int) -> Density:
@@ -141,8 +115,8 @@ def rho_p_exact(n: int, k: int, p: int) -> Density:
 def _density(n: int, k: int, p: int, d: int, insoluble: int, top: int,
              route: str) -> Density:
     """1 minus the insoluble integer weight sum_w c_w p^(top-w) in units
-    of (q / d)^(n+1) / p^top, q = power_ratio(p, k), d the number of unit
-    classes: the normalisation both routes share."""
+    of (q / d)^(n+1) / p^top, q = (p-1) p^(k-1) / (p^k - 1), d the number
+    of unit classes: the normalisation both routes share."""
     den = ((p**k - 1) * d)**(n + 1) * p**top
     num = den - ((p - 1) * p**(k - 1))**(n + 1) * insoluble
     return Density(n=n, k=k, place=p, value=Fraction(num, den), route=route)

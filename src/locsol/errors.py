@@ -34,7 +34,7 @@ class UnsupportedPair(LocsolError):
 
 
 class DivergentTail(LocsolError):
-    """The tail over large primes has no convergent majorant (surfaces only)."""
+    """The large-prime tail has no convergent majorant (surfaces only)."""
 
 
 class ClassificationMismatch(LocsolError):

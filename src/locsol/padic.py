@@ -13,7 +13,8 @@ power of u mod p^(2*v_p(k)+1), except at p = 2 for even k, where the
 pair (1, 2^(v_2(k)+2)) makes it u mod 2^(v_2(k)+2).  It costs O(log p)
 and stores nothing, at every (p, k), p | k included.  Cells carry the
 same labels as signatures; class_reps(p, k) gives the smallest unit of
-each label, and class_count(p, k) the number of labels.
+each label, and class_count(p, k) the number of labels.  The orbits of
+cells, which only the checks compare, live in locsol.verification.
 
 _split is the one pass over the entries: it yields the reduced symbol
 (v_p(x) mod k less the least such, class label) and the unit
@@ -298,10 +299,6 @@ class CoefficientVector:
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
 
-    @property
-    def max_norm(self) -> int:
-        return max(abs(a) for a in self.entries)
-
 
 def orbit_record(a: CoefficientVector, p: int) -> dict:
     """The record `locsol orbit` prints: a reduced, sorted presentation
@@ -363,10 +360,10 @@ def classify_type(a: CoefficientVector, p: int) -> str:
 # --- cells: multisets of (exponent, class) symbols -------------------------
 #
 # A cell stands for the set of coefficient vectors whose coordinates
-# realize the given multiset of (e, class) symbols.  The scaling group
-# acts by shifting all exponents by a constant mod k and multiplying all
-# classes by a fixed class; orbits of cells are what the exhaustive
-# classification checks compare.
+# realize the given multiset of (e, class) symbols.  The density routes
+# enumerate them here; a cell's representative vector and its orbit
+# under the scaling group (exponent shifts mod k, class rescaling), which
+# the exhaustive classification checks compare, live in verification.
 
 
 def symbol_alphabet(p: int, k: int) -> list[tuple[int, int]]:
@@ -377,21 +374,3 @@ def symbol_alphabet(p: int, k: int) -> list[tuple[int, int]]:
 def all_cells(p: int, k: int, n: int):
     """Every cell of n+1 symbols, as sorted tuples, in a fixed order."""
     return combinations_with_replacement(symbol_alphabet(p, k), n + 1)
-
-
-def cell_representative(cell: tuple[tuple[int, int], ...], p: int, k: int
-                        ) -> tuple[int, ...]:
-    """A vector whose signature is the cell shifted to minimum exponent 0."""
-    reps = class_reps(p, k)
-    return tuple(p**e * reps[c] for e, c in cell)
-
-
-def cell_orbit(cell: tuple[tuple[int, int], ...], p: int, k: int
-               ) -> set[tuple[tuple[int, int], ...]]:
-    """Orbit of a cell under global exponent shifts and class rescaling."""
-    reps = class_reps(p, k)
-    exponent, modulus = _labeller(p, k)
-    return {tuple(sorted(((e + shift) % k,
-                          pow(reps[c] * w, exponent, modulus))
-                         for e, c in cell))
-            for shift in range(k) for w in reps.values()}

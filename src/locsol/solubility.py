@@ -44,7 +44,6 @@ from .errors import DegenerateInput, PreconditionViolated, ResourceBound
 from .padic import (_BOX_TABLES, CoefficientVector, _require_prime,
                     _split, certificate_exponent, class_count, valuation)
 from .primes import factor, prime_divisors, primes_below
-from .primes import is_prime  # noqa: F401  (kept as a patch point)
 
 # Most modulus x value-set entries one layer walk may cost.
 WALK_WORK_CAP = 10**10

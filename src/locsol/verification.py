@@ -8,7 +8,8 @@ red line in one is a red line in the other.
 The recorded references live here: the paper's closed forms for rho_p
 at k = 2, 3 (its p | k densities among them), and the cell catalogues
 at (p, k) = (2, 2) and (3, 3), each catalogue stated as (cell, recorded
-verdict) pairs that one loop checks against decide_qp.
+verdict) pairs that one loop checks against decide_qp; and the helpers
+only the checks use: kappa, cell measures, cell representatives, orbits.
 
 Criterion "certified-intervals" encodes one deliberate discrepancy: the
 reference catalogue prints 0.8268 for (n, k) = (3, 2), which matches the
@@ -27,14 +28,14 @@ from math import ceil
 from random import Random
 from time import perf_counter
 
-from .cache import CacheStore, load_verdicts
-from .density import (Density, _validate, cell_measure, generic_sum, kappa,
-                      power_ratio, rho_p_exact)
+from .cache import CacheStore, load_verdicts, save_verdicts
+from .density import (Density, _multinomial, _validate, generic_sum,
+                      rho_p_exact)
 from .errors import (CacheCorrupt, ClassificationMismatch, OracleOverflow,
                      PreconditionViolated, UnsupportedPair)
 from .oracle import decide_by_lifting
-from .padic import (CoefficientVector, all_cells, cell_orbit,
-                    cell_representative, class_label, signature)
+from .padic import (CoefficientVector, _labeller, all_cells, class_count,
+                    class_label, class_reps, signature)
 from .product import decimalize, rho_loc_interval
 from .solubility import decide_qp
 from .survey import survey_box
@@ -47,6 +48,50 @@ PATHOLOGICAL_TARGETS = {
     (2, 3, 3): Fraction(13831, 19773),
     (3, 3, 3): Fraction(6391, 6591),
 }
+
+
+def kappa(n: int, k: int, p: int) -> Fraction:
+    """Normalizer (1 - p^-k)^-(n+1) for nonzero-coefficient conditioning."""
+    _validate(n, k, p)
+    return Fraction(p**k, p**k - 1)**(n + 1)
+
+
+def power_ratio(p: int, k: int) -> Fraction:
+    """(1 - 1/p) / (1 - p^-k): unit-valuation mass after conditioning."""
+    return Fraction((p - 1) * p**(k - 1), p**k - 1)
+
+
+def cell_measure(cell: tuple[tuple[int, int], ...], p: int, k: int
+                 ) -> Fraction:
+    """Mass of the multiset cell of m = n+1 symbols (e_i, class):
+
+        multinomial * q^m / (d^m * p^(sum e_i)),
+
+    with q = power_ratio(p, k) the conditioned unit mass and d the
+    number of unit classes, each class carrying an equal share.
+    """
+    m = len(cell)
+    d = class_count(p, k)
+    return Fraction(_multinomial(cell) * ((p - 1) * p**(k - 1))**m,
+                    ((p**k - 1) * d)**m * p**sum(e for e, _ in cell))
+
+
+def cell_representative(cell: tuple[tuple[int, int], ...], p: int, k: int
+                        ) -> tuple[int, ...]:
+    """A vector whose signature is the cell shifted to minimum exponent 0."""
+    reps = class_reps(p, k)
+    return tuple(p**e * reps[c] for e, c in cell)
+
+
+def cell_orbit(cell: tuple[tuple[int, int], ...], p: int, k: int
+               ) -> set[tuple[tuple[int, int], ...]]:
+    """Orbit of a cell under global exponent shifts and class rescaling."""
+    reps = class_reps(p, k)
+    exponent, modulus = _labeller(p, k)
+    return {tuple(sorted(((e + shift) % k,
+                          pow(reps[c] * w, exponent, modulus))
+                         for e, c in cell))
+            for shift in range(k) for w in reps.values()}
 
 
 def rho_p_closed_form(n: int, k: int, p: int) -> Density:
@@ -325,9 +370,9 @@ def criterion_oracle_agreement(subset: str) -> tuple[bool, str]:
             verdict = decide_qp(CoefficientVector(entries, k), p,
                                 with_witness=want_witness)
             if verdict.is_soluble != reference:
+                lifting = "soluble" if reference else "insoluble"
                 return False, (f"disagreement at k={k}, p={p}, a={entries}: "
-                               f"fast={verdict.status}, "
-                               f"lifting={'soluble' if reference else 'insoluble'}")
+                               f"fast={verdict.status}, lifting={lifting}")
             done += 1
             decided += 1
     return True, (f"{decided} random instances agreed "
@@ -394,13 +439,30 @@ class ItemResult:
 
 
 def _cache_integrity(cache_store: CacheStore | None) -> tuple[bool, str]:
+    """Self test on a scratch cache, then a load of the active one."""
+    verdicts = {(2, 2, ((0, 3),)): "soluble",
+                (3, 3, ((1, 2),)): "insoluble"}
     with tempfile.TemporaryDirectory() as scratch:
+        probe = CacheStore(scratch)
+        save_verdicts(probe, verdicts)
         try:
-            CacheStore(scratch).self_test()
+            # a fresh store parses the body: probe would answer from memory
+            if load_verdicts(CacheStore(scratch)) != verdicts:
+                return False, "self test failed: round trip lost data"
         except CacheCorrupt as exc:
             return False, f"self test failed: {exc}"
+        # still a well-formed row: only the checksum can catch it
+        raw = probe.path.read_bytes()
+        probe.path.write_bytes(raw.replace(b'"insoluble"', b'"soluble"'))
+        try:
+            load_verdicts(probe)
+        except CacheCorrupt:
+            pass
+        else:
+            return False, "self test failed: corruption went undetected"
     if cache_store is None:
-        return True, "round-trip and corruption detection pass (no active cache)"
+        return True, ("round-trip and corruption detection pass "
+                      "(no active cache)")
     try:
         loaded = load_verdicts(cache_store)
     except (CacheCorrupt, OSError) as exc:

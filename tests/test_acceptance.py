@@ -11,13 +11,14 @@ from locsol.verification import CRITERIA
 _BY_NAME = dict(CRITERIA)
 
 
-def _run(number: int, name: str) -> None:
+def _run(number: int, name: str) -> str:
     start = perf_counter()
     passed, detail = _BY_NAME[name]("all")
     elapsed = perf_counter() - start
     flag = "PASS" if passed else "FAIL"
     print(f"criterion-{number} {name}: {flag} ({elapsed:.1f}s): {detail}")
     assert passed, f"{name}: {detail}"
+    return detail
 
 
 def test_criterion_1_pathological_densities():
@@ -29,7 +30,12 @@ def test_criterion_2_route_agreement():
 
 
 def test_criterion_3_classification_catalogue():
-    _run(3, "classification-catalogue")
+    # the cell counts of every regime, each cell decided on its
+    # representative (verification.cell_representative)
+    assert _run(3, "classification-catalogue") == (
+        "(p=2,k=2,n=2): 120 cells; (p=2,k=2,n=3): 330 cells; "
+        "(p=2,k=2,n=4): 792 cells; (p=3,k=3,n=2): 165 cells; "
+        "(p=3,k=3,n=3): 495 cells; (p=3,k=3,n=4): 1287 cells")
 
 
 def test_criterion_4_certified_intervals():
@@ -41,7 +47,9 @@ def test_criterion_5_lifting_oracle_agreement():
 
 
 def test_criterion_6_measure_normalization():
-    _run(6, "measure-normalization")
+    # verification.cell_measure and verification.kappa, on every grid point
+    assert _run(6, "measure-normalization") == (
+        "7 cell systems sum to 1; 3 normalizers exact")
 
 
 def test_criterion_7_survey_midpoint():

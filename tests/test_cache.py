@@ -201,8 +201,9 @@ def test_verdict_adapters_round_trip(tmp_path):
     clear_caches()
 
 
-def test_self_test_passes_on_healthy_store(tmp_path):
-    CacheStore(tmp_path).self_test()
+def test_self_test_passes_on_healthy_store():
+    assert _cache_integrity(None) == (
+        True, "round-trip and corruption detection pass (no active cache)")
 
 
 def test_unreadable_active_cache_fails_the_integrity_line(tmp_path):
@@ -297,11 +298,11 @@ def test_one_store_and_fresh_stores_leave_the_same_file(tmp_path):
             == decision_sessions(tmp_path / "fresh", False))
 
 
-def test_self_test_parses_what_it_wrote(tmp_path, monkeypatch):
+def test_self_test_parses_what_it_wrote(monkeypatch):
     monkeypatch.setattr(cache.json, "loads",
                         lambda body: {"version": CACHE_VERSION, "rows": []})
-    with pytest.raises(CacheCorrupt):
-        CacheStore(tmp_path).self_test()
+    passed, detail = _cache_integrity(None)
+    assert not passed and "lost data" in detail
 
 
 def canonical(table) -> bytes:

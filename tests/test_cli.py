@@ -433,6 +433,14 @@ def test_import_locsol_loads_no_tooling_module():
     assert "locsol.solubility" in loaded
     assert not loaded & {"locsol.verification", "locsol.oracle",
                          "locsol.cli", "locsol.cache"}
+    # the benchmark worker's imports: the cache needs none of the checks
+    proc = child("-c", "import sys, locsol, locsol.cache; "
+                       "print(*sys.modules)")
+    assert proc.returncode == 0
+    loaded = set(proc.stdout.split())
+    assert "locsol.cache" in loaded
+    assert not loaded & {"locsol.verification", "locsol.oracle",
+                         "locsol.cli"}
 
 
 def test_import_starts_no_process_pool_machinery():

@@ -5,8 +5,7 @@ from math import comb
 import pytest
 
 from locsol import density
-from locsol.density import (cell_measure, generic_sum, kappa, power_ratio,
-                            rho_infinity, rho_p, rho_p_exact)
+from locsol.density import generic_sum, rho_infinity, rho_p, rho_p_exact
 from locsol.errors import (DegenerateInput, PreconditionViolated,
                            ResourceBound, UnsupportedPair)
 from locsol.padic import CoefficientVector, all_cells, class_count
@@ -15,7 +14,8 @@ from locsol.product import rho_loc_interval, tail_hypothesis
 from locsol.solubility import (clear_caches, decide_qp, dump_verdicts,
                                pathological_primes)
 from locsol.survey import survey_box
-from locsol.verification import rho_p_closed_form
+from locsol.verification import (cell_measure, kappa, power_ratio,
+                                 rho_p_closed_form)
 
 F = Fraction
 

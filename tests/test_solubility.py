@@ -10,12 +10,13 @@ from locsol.errors import (ClassificationMismatch, DegenerateInput,
                            OracleOverflow, PreconditionViolated,
                            ResourceBound)
 from locsol.oracle import decide_by_lifting
-from locsol.padic import (CoefficientVector, all_cells, cell_representative,
-                          classify_type, orbit_record, signature)
+from locsol.padic import (CoefficientVector, all_cells, classify_type,
+                          orbit_record, signature)
 from locsol.solubility import (clear_caches, decide_everywhere_local,
                                decide_qp, decide_real, dump_verdicts,
                                pathological_primes, relevant_primes)
-from locsol.verification import verify_classification
+from locsol.verification import (cell_orbit, cell_representative,
+                                 verify_classification)
 
 
 def vec(entries, k=2):
@@ -58,7 +59,7 @@ def test_witnesses_satisfy_their_certificates():
 
 def test_no_class_table_in_the_decision_path():
     from locsol.density import generic_sum, rho_p_exact
-    from locsol.padic import cell_orbit, class_reps
+    from locsol.padic import class_reps
     a = vec((3, -5, 7, 10_007 * 11))
     class_reps.cache_clear()
     orbit_record(a, 10_007)
@@ -240,7 +241,8 @@ def test_primality_checked_once_per_decision(monkeypatch):
         clear_caches()
         decide_qp(vec(entries, k), p)
     padic.class_reps(2, 2)
-    monkeypatch.setattr(solubility, "is_prime", counting)
+    # solubility imports no is_prime: a call through one re-added counts
+    monkeypatch.setattr(solubility, "is_prime", counting, raising=False)
     monkeypatch.setattr(padic, "is_prime", counting)
     monkeypatch.setattr(density, "is_prime", counting)
     for entries, k, p in cases:
@@ -468,7 +470,6 @@ def test_signature_determines_verdict():
 def test_cell_orbits_share_a_verdict_away_from_p_dividing_k():
     # global exponent shifts and class rescaling preserve solubility, so
     # each orbit of cells can be decided once
-    from locsol.padic import all_cells, cell_orbit, cell_representative
     for k in (3, 4, 6):
         for p in (5, 7, 11, 13, 17, 19, 23, 29):
             if k % p == 0:

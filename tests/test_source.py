@@ -1,0 +1,78 @@
+"""Source hygiene of the package, checked with the standard library's ast:
+no top-level import goes unused, and no line runs past 79 characters."""
+
+import ast
+from pathlib import Path
+
+import locsol
+
+SOURCES = sorted(Path(locsol.__file__).parent.glob("*.py"))
+MAX_LINE = 79
+
+
+def _top_level(statements):
+    """The module's own statements, those under a top-level if or try
+    included, but none inside a function or class."""
+    for node in statements:
+        yield node
+        if isinstance(node, (ast.If, ast.Try)):
+            yield from _top_level(node.body + node.orelse)
+        if isinstance(node, ast.Try):
+            yield from _top_level(node.finalbody)
+            for handler in node.handlers:
+                yield from _top_level(handler.body)
+
+
+def _exported(tree) -> set[str]:
+    """The names a literal __all__ lists."""
+    return {name for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name) and target.id == "__all__"
+            for name in ast.literal_eval(node.value)}
+
+
+def unused_imports(path: Path) -> list[str]:
+    """file:line name for each top-level import never read in its file;
+    a name in __all__ counts as read."""
+    tree = ast.parse(path.read_text(), str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= _exported(tree)
+    unused = []
+    for node in _top_level(tree.body):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    return unused
+
+
+def test_no_unused_top_level_import():
+    assert [bad for path in SOURCES for bad in unused_imports(path)] == []
+
+
+def test_no_line_over_79_characters():
+    long = [f"{path.name}:{number} ({len(line)} characters)"
+            for path in SOURCES
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if len(line) > MAX_LINE]
+    assert long == []
+
+
+def test_the_checks_see_what_they_look_for(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "from json import dumps as encode, loads\n"
+        "try:\n"
+        "    import fcntl\n"
+        "except ImportError:\n"
+        "    fcntl = None\n"
+        "__all__ = ['loads']\n"
+        "def f():\n"
+        "    import re\n"
+        "    return sys.argv, fcntl\n")
+    assert unused_imports(source) == ["probe.py:2 os", "probe.py:3 encode"]
