@@ -18,8 +18,10 @@ _FOUR_BASE_BOUND = 3_215_031_751
 
 _TRIAL_DIVISION_LIMIT = 10**12
 
-# Memo bound for factor(): a survey meets a new coefficient with almost
-# every draw, so an unbounded cache would grow with the run.
+# Memo bound for factor().  With four or more entries a survey draw
+# factors only its pairwise gcds, which are small and repeat; with two or
+# three it factors each entry, a new one with almost every draw, so an
+# unbounded cache would grow with the run.
 FACTOR_CACHE_SIZE = 65_536
 
 # Largest bound primes_below() sieves.  Its memory grows with the bound,

@@ -38,6 +38,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import gcd
 
 from .errors import DegenerateInput, PreconditionViolated, ResourceBound
@@ -504,8 +505,13 @@ def relevant_primes(a: CoefficientVector) -> list[int]:
     an entry and no class of v_p mod k holds three entries, the entries
     that p does not divide counting in class 0.  A prime that divides no
     entry and is not pathological finds n+1 units at valuation 0, so for
-    n >= 2 it is soluble.  For k = 2 and n >= 4, five or more entries
-    put three in one class at every prime, so only p = 2 is listed.
+    n >= 2 it is soluble.
+
+    A listed divisor leaves at most two entries in class 0, so with
+    n + 1 >= 4 entries it divides two of them and their gcd: only the
+    pairwise gcds are factored, never an entry.  With more than 2k
+    entries the k classes put three in one class at every prime, so
+    only pathological_primes(k) is listed (for k = 2 and n >= 4, p = 2).
 
     For n = 1 no class holds three entries and every divisor is listed:
     a zero at p makes -a_1/a_0 a k-th power in Q_p; so if the real place
@@ -520,21 +526,29 @@ def relevant_primes(a: CoefficientVector) -> list[int]:
 def _tested_primes(entries, k: int) -> list[int]:
     """relevant_primes of nonzero entries: the pathological primes of k
     and every divisor whose v_p mod k classes hold at most two entries.
-    Residues mod k are taken only at primes that divide enough entries
-    to be tested."""
+    Such a divisor divides all but at most two of the m entries, so from
+    m = 4 on only the pairwise gcds are factored, and for m > 2k no
+    divisor qualifies."""
     always = pathological_primes(k)
-    n = len(entries)
-    exponents: dict[int, list[int]] = {}
-    for x in entries:
-        for p, e in factor(abs(x)):
-            exponents.setdefault(p, []).append(e)
+    m = len(entries)
+    if m > 2 * k:
+        return list(always)
+    carriers = ({gcd(x, y) for x, y in combinations(entries, 2)} if m > 3
+                else {abs(x) for x in entries})
+    carriers.discard(1)
     more = []
-    for p, es in exponents.items():
-        # class 0 holds the n - len(es) entries that p does not divide;
-        # three of them settle p without counting the rest
-        if len(es) + 2 < n or p in always:
+    for p in {p for c in carriers for p, _ in factor(c)}:
+        if p in always:
             continue
-        rs = [e % k for e in es] + [0] * (n - len(es))
+        # v_p inline: a valuation() call per entry costs a warm survey
+        # draw more than this loop
+        rs = []
+        for x in entries:
+            e = 0
+            while x % p == 0:
+                x //= p
+                e += 1
+            rs.append(e % k)
         if max(map(rs.count, rs)) <= 2:
             more.append(p)
     return sorted(always + tuple(more)) if more else list(always)

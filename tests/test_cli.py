@@ -477,3 +477,24 @@ def test_witnesses_above_the_scan_limit_load_no_sympy():
     assert proc.returncode == 0 and "witness" in proc.stdout
     assert "locsol.solubility" in proc.stderr
     assert "sympy" not in proc.stderr
+
+
+def test_large_heights_factor_no_entry():
+    # from four entries on only pairwise gcds are factored, so neither a
+    # survey at H = 10^13 nor 30-digit coefficients reach sympy; the
+    # count 226 was recorded when every entry was factored
+    proc = child("-c", """if True:
+        import sys
+        from random import Random
+        from locsol import CoefficientVector, survey_box
+        from locsol.solubility import decide_everywhere_local
+        box = survey_box(3, 2, 10**13, mode="sample", sample_count=300,
+                         seed=3)
+        assert box.soluble == 226, box.soluble
+        rng = Random(30)
+        entries = tuple(rng.choice((-1, 1)) * rng.randrange(10**29, 10**30)
+                        for _ in range(4))
+        report = decide_everywhere_local(CoefficientVector(entries, 2))
+        assert (report.overall, report.tested_primes) == (False, (2, 5, 43))
+        print("sympy" in sys.modules)""")
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

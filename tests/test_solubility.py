@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locsol import solubility
 from locsol.errors import (ClassificationMismatch, DegenerateInput,
                            OracleOverflow, PreconditionViolated,
                            ResourceBound)
 from locsol.oracle import decide_by_lifting
 from locsol.padic import (CoefficientVector, all_cells, classify_type,
                           orbit_record, signature)
+from locsol.primes import factor
 from locsol.solubility import (clear_caches, decide_everywhere_local,
                                decide_qp, decide_real, dump_verdicts,
                                pathological_primes, relevant_primes)
@@ -584,6 +586,88 @@ def test_relevant_primes_complete_against_scan():
             if p not in listed:
                 assert decide_qp(a, p).is_soluble, (entries, k, p)
     assert dropped > 300
+
+
+# primes above 10^6 planted as shared divisors, so that a large prime
+# can divide enough entries to be tested
+PLANTED = (1_000_003, 1_000_033, 1_000_037, 1_000_039)
+
+
+def planted_entries(rng, m, bound=10**15):
+    """m nonzero entries of both signs, |x| <= bound, most of them
+    carrying powers of one or two shared primes, small or planted."""
+    shared = rng.sample(PLANTED + (2, 3, 5, 7, 13), rng.randint(1, 2))
+    entries = []
+    for _ in range(m):
+        x = 1
+        for q in shared:
+            power = q ** rng.randint(1, 3)
+            if rng.random() < 0.8 and x * power <= bound:
+                x *= power
+        x *= rng.randint(1, bound // x)
+        entries.append(rng.choice((-1, 1)) * x)
+    return tuple(entries)
+
+
+def reference_tested_primes(entries, k):
+    """The class rule on a full factorization of every entry by sympy:
+    the pathological primes of k and every prime divisor whose classes
+    of v_p mod k hold at most two entries."""
+    from sympy import factorint
+    valuations = {}
+    for i, x in enumerate(entries):
+        for p, e in factorint(abs(x)).items():
+            valuations.setdefault(int(p), [0] * len(entries))[i] = e
+    tested = set(pathological_primes(k))
+    for p, es in valuations.items():
+        rs = [e % k for e in es]
+        if max(map(rs.count, rs)) <= 2:
+            tested.add(p)
+    return sorted(tested)
+
+
+def test_tested_primes_match_a_full_factorization():
+    rng = Random(24)
+    planted = beyond = 0
+    for m in range(2, 8):
+        for k in range(2, 9):
+            for _ in range(6):
+                entries = planted_entries(rng, m)
+                got = solubility._tested_primes(entries, k)
+                assert got == reference_tested_primes(entries, k), (
+                    entries, k)
+                planted += m > 3 and any(p in PLANTED for p in got)
+                beyond += m > 2 * k
+    # from four entries on planted primes are tested, and the pigeonhole
+    # case is met
+    assert planted > 10 and beyond > 10
+
+
+def test_tested_primes_factor_only_shared_divisors(monkeypatch):
+    # from four entries on a tested prime divides two of them, so only
+    # pairwise gcds are factored; past 2k entries nothing is
+    calls = []
+
+    def recording(c):
+        calls.append(c)
+        return factor(c)
+
+    monkeypatch.setattr(solubility, "factor", recording)
+    rng = Random(25)
+    shared = 0
+    for m in range(4, 8):
+        for k in range(2, 9):
+            for _ in range(4):
+                entries = planted_entries(rng, m)
+                calls.clear()
+                solubility._tested_primes(entries, k)
+                if m > 2 * k:
+                    assert calls == [], (entries, k)
+                for c in calls:
+                    assert sum(x % c == 0 for x in entries) >= 2, (
+                        entries, c)
+                shared += len(calls)
+    assert shared > 50
 
 
 def test_everywhere_local_reports():
