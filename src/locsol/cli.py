@@ -210,37 +210,38 @@ def _cmd_survey(args, store) -> int:
     heights = [args.box] + (args.sweep or [])
     reports = convergence_sweep(
         args.n, args.k, heights, mode=args.mode,
-        sample_count=args.samples, seed=args.seed,
-        reference=reference, jobs=args.jobs)
-    streamed = False
-    if args.csv:
-        if args.csv == "-":
-            write_csv(reports, sys.stdout)
-            streamed = True
-        else:
+        sample_count=args.samples, seed=args.seed, jobs=args.jobs)
+    if args.csv and args.csv != "-":
+        try:
             with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-                write_csv(reports, fh)
-    if not streamed and args.format == "csv":
-        write_csv(reports, sys.stdout)
-    elif not streamed and args.format == "json":
+                write_csv(reports, fh, reference)
+        except OSError as exc:
+            print(f"error: cannot write {args.csv}: {exc.strerror}",
+                  file=sys.stderr)
+            return USAGE_EXIT
+    if args.csv == "-" or args.format == "csv":
+        write_csv(reports, sys.stdout, reference)
+    elif args.format == "json":
+        ref = {"ref_lo": None, "ref_hi": None}
+        if reference is not None:
+            ref = {"ref_lo": {"num": reference.lo.numerator,
+                              "den": reference.lo.denominator},
+                   "ref_hi": {"num": reference.hi.numerator,
+                              "den": reference.hi.denominator}}
         print(json.dumps([{
             "n": r.n, "k": r.k, "H": r.height, "mode": r.mode,
             "seed": r.seed, "total": r.total, "soluble": r.soluble,
             "proportion": {"num": r.proportion.numerator,
                            "den": r.proportion.denominator},
-            "ref_lo": None if r.ref_lo is None else
-            {"num": r.ref_lo.numerator, "den": r.ref_lo.denominator},
-            "ref_hi": None if r.ref_hi is None else
-            {"num": r.ref_hi.numerator, "den": r.ref_hi.denominator},
+            **ref,
         } for r in reports]))
-    elif not streamed and args.format == "text":
+    else:
+        vs = "" if reference is None else (
+            f"  vs certified [{_decimal(reference.lo, 6, False)}, "
+            f"{_decimal(reference.hi, 6, True)}]")
         for r in reports:
-            line = (f"H={r.height} ({r.mode}): {r.soluble}/{r.total} "
-                    f"soluble = {float(r.proportion):.6f}")
-            if r.ref_lo is not None:
-                line += (f"  vs certified [{_decimal(r.ref_lo, 6, False)}, "
-                         f"{_decimal(r.ref_hi, 6, True)}]")
-            print(line)
+            print(f"H={r.height} ({r.mode}): {r.soluble}/{r.total} "
+                  f"soluble = {float(r.proportion):.6f}{vs}")
     return 0
 
 

@@ -137,7 +137,12 @@ def layer_terms(n: int, k: int, counts: tuple[int, ...]
     past the end, and then skipped) is the chance that m units on one
     layer have no zero, d their number of unit classes.  Every C_w is
     an integer, and at x = 1/p the sum is d^(n+1) times the insoluble
-    mass over q^(n+1)."""
+    mass over q^(n+1).  Refuses with ResourceBound past
+    ENUMERATION_CELL_CAP steps: k layers, each over up to k(n+1) terms
+    and n + 2 counts, so the cost grows as k^2."""
+    steps = k * k * (n + 1) * (n + 2)
+    if steps > ENUMERATION_CELL_CAP:
+        raise ResourceBound(f"layer sum needs {steps} steps", required=steps)
     poly = {(0, 0): 1}
     for e in range(k):
         grown: dict[tuple[int, int], int] = defaultdict(int)

@@ -71,7 +71,10 @@ _BOX_TABLES = _BoxTables()
 
 
 def valuation(x: int, p: int) -> int:
-    """Exponent of p in x.  Exact; x = 0 has no finite valuation."""
+    """Exponent of p in x.  Exact; x = 0 has no finite valuation, and a
+    float or a string is refused (plain ints skip the conversion)."""
+    if type(x) is not int or type(p) is not int:
+        x, p = _integers((x, p))
     if x == 0:
         raise DegenerateInput("valuation of zero is undefined")
     if p < 2:

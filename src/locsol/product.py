@@ -205,6 +205,7 @@ def _decimal(value: Fraction, digits: int, round_up: bool) -> str:
 
 def decimalize(interval: CertifiedInterval, digits: int) -> tuple[str, str]:
     """Outward-rounded decimal rendering of the enclosure."""
+    digits, = _integers((digits,))
     if digits < 1:
         raise PreconditionViolated(f"need at least one digit, got {digits}")
     return (_decimal(interval.lo, digits, round_up=False),

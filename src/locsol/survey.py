@@ -13,6 +13,8 @@ A draw is the vector of n + 1 calls rng.randint(-(H-1), H-1): the survey
 runs randint's loop on getrandbits itself, and a test checks that the
 vectors are the same.  Only a worker process copies out the verdicts it
 added to the cache; a serial survey adds them to this process's cache.
+A report holds counts only: a caller with a certified interval hands it
+to write_csv or renders it itself.
 """
 
 from __future__ import annotations
@@ -43,8 +45,6 @@ class SurveyReport:
     seed: int | None
     total: int
     soluble: int
-    ref_lo: Fraction | None = None
-    ref_hi: Fraction | None = None
 
     @property
     def proportion(self) -> Fraction:
@@ -118,14 +118,14 @@ def _pooled_chunk(task) -> tuple[int, dict[tuple, str]]:
 
 def survey_box(n: int, k: int, height: int, *, mode: str = "exhaustive",
                sample_count: int | None = None, seed: int | None = None,
-               reference=None, jobs: int = 1) -> SurveyReport:
+               jobs: int = 1) -> SurveyReport:
     """Measure the soluble proportion of a coefficient box.
 
     mode "exhaustive" enumerates the whole box (guarded by a cap); mode
     "sample" draws sample_count vectors with the given seed.  Both run
-    in chunks, over up to `jobs` worker processes.  reference, if
-    provided, is a CertifiedInterval whose bounds are copied into the
-    report for side-by-side output.
+    in chunks, over up to `jobs` worker processes.  The report holds
+    counts only; write_csv takes a certified interval to print beside
+    them.
     """
     _integers([v for v in (n, k, height, sample_count, seed, jobs)
                if v is not None])
@@ -134,8 +134,6 @@ def survey_box(n: int, k: int, height: int, *, mode: str = "exhaustive",
             f"need n >= 1, k >= 2, height >= 1, got ({n}, {k}, {height})")
     if jobs < 1:
         raise PreconditionViolated(f"need jobs >= 1, got {jobs}")
-    ref_lo = reference.lo if reference is not None else None
-    ref_hi = reference.hi if reference is not None else None
     if mode == "exhaustive":
         side = 2 * height - 1
         total = side**(n + 1)
@@ -170,16 +168,15 @@ def survey_box(n: int, k: int, height: int, *, mode: str = "exhaustive",
     else:
         soluble = sum(_count_chunk(t) for t in tasks)
     return SurveyReport(n=n, k=k, height=height, mode=mode, seed=seed,
-                        total=total, soluble=soluble,
-                        ref_lo=ref_lo, ref_hi=ref_hi)
+                        total=total, soluble=soluble)
 
 
 def convergence_sweep(n: int, k: int, heights, *, mode: str = "exhaustive",
                       sample_count: int | None = None,
-                      seed: int | None = None, reference=None,
+                      seed: int | None = None,
                       jobs: int = 1) -> list[SurveyReport]:
     return [survey_box(n, k, h, mode=mode, sample_count=sample_count,
-                       seed=seed, reference=reference, jobs=jobs)
+                       seed=seed, jobs=jobs)
             for h in heights]
 
 
@@ -187,8 +184,13 @@ CSV_COLUMNS = ("n", "k", "H", "mode", "seed", "total", "soluble",
                "proportion_num", "proportion_den", "ref_lo", "ref_hi")
 
 
-def write_csv(reports, stream) -> None:
-    """Emit reports as CSV; rationals stay exact as num/den or p/q text."""
+def write_csv(reports, stream, reference=None) -> None:
+    """Emit reports as CSV; rationals stay exact as num/den or p/q text.
+    reference, a CertifiedInterval, fills the ref_lo and ref_hi columns
+    of every row; without it they are empty."""
+    refs = ["", ""] if reference is None else [
+        f"{end.numerator}/{end.denominator}"
+        for end in (reference.lo, reference.hi)]
     writer = csv.writer(stream)
     writer.writerow(CSV_COLUMNS)
     for r in reports:
@@ -196,9 +198,5 @@ def write_csv(reports, stream) -> None:
         writer.writerow([
             r.n, r.k, r.height, r.mode,
             "" if r.seed is None else r.seed,
-            r.total, r.soluble, prop.numerator, prop.denominator,
-            "" if r.ref_lo is None else f"{r.ref_lo.numerator}/"
-                                        f"{r.ref_lo.denominator}",
-            "" if r.ref_hi is None else f"{r.ref_hi.numerator}/"
-                                        f"{r.ref_hi.denominator}",
+            r.total, r.soluble, prop.numerator, prop.denominator, *refs,
         ])

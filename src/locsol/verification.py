@@ -128,17 +128,6 @@ INSOLUBLE_CELLS_2_2_3 = (
 )
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    p: int
-    k: int
-    n: int
-    cells_checked: int
-    soluble_cells: int
-    insoluble_cells: int
-    detail: str
-
-
 def _orbit_closure(vectors, p: int, k: int) -> set:
     closed = set()
     for entries in vectors:
@@ -172,38 +161,41 @@ def _valuation_pattern_3_3_3(cell) -> bool:
 
 
 def _recorded(p: int, k: int, n: int):
-    """The catalogue of a regime as (cell, recorded soluble) pairs, and
-    the detail line of its report."""
+    """The catalogue of a regime as (cell, recorded soluble) pairs.
+
+    n >= 4: every cell is soluble.  (2, 2, 2): the soluble set is the
+    orbit closure of the 8 recorded representatives.  (2, 2, 3): the
+    insoluble set is the orbit closure of the 7 recorded representatives.
+    (3, 3, 2): all four recorded unit-pattern clauses, for every unit
+    triple mod 27.  (3, 3, 3): the valuation-pattern clauses, for all 495
+    cells.
+    """
     if (p, k) not in ((2, 2), (3, 3)) or n < 2:
         raise PreconditionViolated(
             f"no recorded classification for (p={p}, k={k}, n={n})")
     cells = all_cells(p, k, n)
     if n >= 4:
-        return ((cell, True) for cell in cells), "every cell is soluble"
+        return ((cell, True) for cell in cells)
     if (p, n) == (2, 2):
         soluble = _orbit_closure(SOLUBLE_CELLS_2_2_2, 2, 2)
-        return (((cell, cell in soluble) for cell in cells),
-                "soluble set matches the 8 recorded orbit representatives")
+        return ((cell, cell in soluble) for cell in cells)
     if (p, n) == (2, 3):
         insoluble = _orbit_closure(INSOLUBLE_CELLS_2_2_3, 2, 2)
-        return (((cell, cell not in insoluble) for cell in cells),
-                "insoluble set matches the 7 recorded orbit representatives")
+        return ((cell, cell not in insoluble) for cell in cells)
     if n == 2:
-        return _unit_clauses_3_3_2(), ("all four recorded unit-pattern "
-                                       "clauses hold for every unit triple "
-                                       "mod 27")
-    return (((cell, _valuation_pattern_3_3_3(cell)) for cell in cells),
-            "valuation-pattern clauses hold for all 495 cells")
+        return _unit_clauses_3_3_2()
+    return ((cell, _valuation_pattern_3_3_3(cell)) for cell in cells)
 
 
-def verify_classification(p: int, k: int, n: int) -> ClassificationReport:
-    """Exhaustively compare decisions against the recorded catalogues.
+def verify_classification(p: int, k: int, n: int) -> int:
+    """Exhaustively compare decisions against the recorded catalogues,
+    and return the number of cells decided.
 
     Supported regimes: (p, k) = (2, 2) and (3, 3), each with n >= 2.
     Every cell is decided once through decide_qp; raises
     ClassificationMismatch on the first recorded pair that disagrees.
     """
-    recorded, detail = _recorded(p, k, n)
+    recorded = _recorded(p, k, n)
     decided = {cell: decide_qp(CoefficientVector(
                    cell_representative(cell, p, k), k), p).is_soluble
                for cell in all_cells(p, k, n)}
@@ -211,10 +203,7 @@ def verify_classification(p: int, k: int, n: int) -> ClassificationReport:
         if decided[cell] != soluble:
             raise ClassificationMismatch(
                 f"(p={p}, k={k}, n={n}) disagreement at {cell}", cell=cell)
-    count = sum(decided.values())
-    return ClassificationReport(
-        p=p, k=k, n=n, cells_checked=len(decided), soluble_cells=count,
-        insoluble_cells=len(decided) - count, detail=detail)
+    return len(decided)
 
 
 def _wants(k: int, subset: str) -> bool:
@@ -275,10 +264,10 @@ def criterion_classification(subset: str) -> tuple[bool, str]:
     details = []
     for p, k, n in regimes:
         try:
-            report = verify_classification(p, k, n)
+            cells = verify_classification(p, k, n)
         except ClassificationMismatch as exc:
             return False, str(exc)
-        details.append(f"(p={p},k={k},n={n}): {report.cells_checked} cells")
+        details.append(f"(p={p},k={k},n={n}): {cells} cells")
     return True, "; ".join(details)
 
 
@@ -407,7 +396,7 @@ def criterion_survey(subset: str) -> tuple[bool, str]:
         return True, "skipped: no quadratic content in this subset"
     interval = rho_loc_interval(3, 2)
     report = survey_box(3, 2, 200, mode="sample", sample_count=100_000,
-                        seed=SURVEY_SEED, reference=interval)
+                        seed=SURVEY_SEED)
     gap = abs(report.proportion - interval.midpoint)
     ok = gap <= Fraction(1, 50)
     return ok, (f"sampled {float(report.proportion):.4f} vs midpoint "

@@ -246,6 +246,58 @@ def test_survey_with_reference(capsys):
     assert Fraction(7, 10) < ref < Fraction(3, 4)
 
 
+# recorded before survey_box stopped carrying the certified interval: the
+# CLI now hands it to the renderers itself
+SURVEY_FORMS = {
+    "text": ("--reference", "--format", "text"),
+    "json": ("--reference", "--format", "json"),
+    "csv": ("--reference", "--format", "csv"),
+    "csv-stdout": ("--reference", "--csv", "-"),
+    "json-no-reference": ("--format", "json"),
+}
+SURVEY_PINS = {
+    "text": "b4f401ec203f5792758828fb497d94613562756554d04140d18c6cc0947f720c",
+    "json": "15c55b2130ebc8b624902d5048d1017939a32112829b08fc27a635219a1f630c",
+    "csv": "580943241fd39e556c2409b4d4b5b8f57ffdae3fb69e1bd518aee2facc9e161d",
+    "csv-stdout":
+        "580943241fd39e556c2409b4d4b5b8f57ffdae3fb69e1bd518aee2facc9e161d",
+    "json-no-reference":
+        "9b4b5e3c3dcbc1cfaacd305ccf3875035163d24a17c7ab3f3267b16f730ddf1a",
+}
+
+
+@pytest.mark.parametrize("form", list(SURVEY_FORMS))
+def test_survey_output_is_pinned(capsys, monkeypatch, form):
+    monkeypatch.delenv("LOCSOL_CACHE_DIR", raising=False)
+    code, out, _ = run(capsys, "survey", "-n", "3", "-k", "2", "--box", "2",
+                       "--sweep", "3", "--cutoff", "300", *SURVEY_FORMS[form])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SURVEY_PINS[form]
+
+
+def test_survey_csv_file_is_pinned(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("LOCSOL_CACHE_DIR", raising=False)
+    path = tmp_path / "survey.csv"
+    code, out, _ = run(capsys, "survey", "-n", "3", "-k", "2", "--box", "2",
+                       "--sweep", "3", "--cutoff", "300", "--reference",
+                       "--csv", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SURVEY_PINS["csv"]
+    # the rows still go to stdout in the requested format
+    assert hashlib.sha256(out.encode()).hexdigest() == SURVEY_PINS["text"]
+
+
+def test_survey_csv_to_an_unwritable_path_is_a_usage_error(capsys,
+                                                          tmp_path):
+    # used to end in a FileNotFoundError traceback and exit code 1
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "survey", "-n", "2", "-k", "2", "--box",
+                         "2", "--csv", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(path) in err
+    assert not path.exists()
+
+
 def test_survey_sample_needs_seed(capsys):
     code, _, err = run(capsys, "survey", "-n", "2", "-k", "2", "--box", "5",
                        "--mode", "sample", "--samples", "10")

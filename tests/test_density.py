@@ -1,6 +1,7 @@
 import hashlib
 from fractions import Fraction
 from math import comb
+from time import perf_counter
 
 import pytest
 
@@ -8,9 +9,10 @@ from locsol import density
 from locsol.density import generic_sum, rho_infinity, rho_p, rho_p_exact
 from locsol.errors import (DegenerateInput, PreconditionViolated,
                            ResourceBound, UnsupportedPair)
-from locsol.padic import CoefficientVector, all_cells, class_count
+from locsol.padic import (CoefficientVector, all_cells, class_count,
+                          valuation)
 from locsol.primes import primes_below
-from locsol.product import rho_loc_interval, tail_hypothesis
+from locsol.product import decimalize, rho_loc_interval, tail_hypothesis
 from locsol.solubility import (clear_caches, decide_qp, dump_verdicts,
                                pathological_primes)
 from locsol.survey import survey_box
@@ -106,6 +108,7 @@ def test_rho_p_proves_primality_once(monkeypatch):
 def test_non_integer_numbers_are_refused():
     # each used to end in a bare TypeError deep inside, or to answer
     # (rho_infinity(3, 2.0) read 7/8, tail_hypothesis(3.0, 2) a bound)
+    iv = rho_loc_interval(3, 2, 100)
     probes = (lambda: rho_p(3, 2, 5.0),
               lambda: rho_p(2.0, 2, 3),
               lambda: generic_sum(3, 2.0, 5),
@@ -117,11 +120,18 @@ def test_non_integer_numbers_are_refused():
                                  seed=1),
               lambda: rho_infinity(3, 2.0),
               lambda: tail_hypothesis(3.0, 2),
-              lambda: kappa(3, 2, 2.0))
+              lambda: kappa(3, 2, 2.0),
+              # a bare ValueError from a format spec, an answer of 0, and
+              # a bare TypeError
+              lambda: decimalize(iv, 2.5),
+              lambda: valuation(7.5, 5),
+              lambda: valuation("10", 5))
     for i, probe in enumerate(probes):
         with pytest.raises(PreconditionViolated):
             probe()
             pytest.fail(f"probe {i} answered")
+    # a bool is an int, as in _integers everywhere else
+    assert decimalize(iv, True) == decimalize(iv, 1)
 
 
 def test_rho_p_input_errors():
@@ -308,4 +318,13 @@ def test_enumeration_cell_cap():
     # the layer chances at a pathological prime count class multisets
     with pytest.raises(ResourceBound) as info:
         generic_sum(15, 12, 13)
+    assert info.value.required > 10**7
+
+
+def test_layer_sum_is_refused_before_it_runs():
+    # the layer sum grows as k^2: k = 10^5 used to run for hours
+    start = perf_counter()
+    with pytest.raises(ResourceBound) as info:
+        rho_p(2, 10**5, 3)
+    assert perf_counter() - start < 1
     assert info.value.required > 10**7

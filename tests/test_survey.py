@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import io
+from fractions import Fraction
 from itertools import product
 from random import Random
 
@@ -268,10 +269,9 @@ def test_exhaustive_boxes_run_in_chunks_on_the_pool(monkeypatch):
 def test_sample_proportion_lands_near_the_certified_interval():
     iv = rho_loc_interval(3, 2, cutoff=500)
     report = survey_box(3, 2, 100, mode="sample", sample_count=20_000,
-                        seed=20260815, reference=iv)
+                        seed=20260815)
     gap = abs(report.proportion - iv.midpoint)
     assert gap < 0.03
-    assert report.ref_lo == iv.lo and report.ref_hi == iv.hi
 
 
 def test_input_guards():
@@ -306,6 +306,21 @@ def test_convergence_sweep_and_csv_round_trip():
     num, den = int(first[7]), int(first[8])
     assert reports[0].proportion.numerator == num
     assert reports[0].proportion.denominator == den
+
+
+def test_csv_takes_the_certified_interval_for_its_ref_columns():
+    iv = rho_loc_interval(3, 2, cutoff=100)
+    reports = convergence_sweep(3, 2, (2, 3))
+    buf = io.StringIO()
+    write_csv(reports, buf, iv)
+    rows = buf.getvalue().strip().splitlines()[1:]
+    assert len(rows) == 2
+    for row in rows:
+        ref_lo, ref_hi = row.split(",")[-2:]
+        assert Fraction(ref_lo) == iv.lo and Fraction(ref_hi) == iv.hi
+    buf = io.StringIO()
+    write_csv(reports, buf)
+    assert buf.getvalue().strip().splitlines()[1].endswith(",,")
 
 
 def test_direct_calls_keep_typed_errors():
