@@ -11,6 +11,7 @@ survey proportions are rounded to nearest.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -203,7 +204,17 @@ def _cmd_rho(args, store) -> int:
     return 0
 
 
+def _cannot_write(path: str, reason: str) -> int:
+    print(f"error: cannot write {path}: {reason}", file=sys.stderr)
+    return USAGE_EXIT
+
+
 def _cmd_survey(args, store) -> int:
+    # refuse a missing directory before any work; the file itself is
+    # opened only after the survey, so a failed survey truncates nothing
+    if args.csv and args.csv != "-" and not os.path.isdir(
+            os.path.dirname(args.csv) or "."):
+        return _cannot_write(args.csv, os.strerror(errno.ENOENT))
     reference = None
     if args.reference:
         reference = rho_loc_interval(args.n, args.k, args.cutoff)
@@ -216,9 +227,7 @@ def _cmd_survey(args, store) -> int:
             with open(args.csv, "w", newline="", encoding="utf-8") as fh:
                 write_csv(reports, fh, reference)
         except OSError as exc:
-            print(f"error: cannot write {args.csv}: {exc.strerror}",
-                  file=sys.stderr)
-            return USAGE_EXIT
+            return _cannot_write(args.csv, exc.strerror)
     if args.csv == "-" or args.format == "csv":
         write_csv(reports, sys.stdout, reference)
     elif args.format == "json":

@@ -7,17 +7,21 @@ Equivalence tests pit it against the fast decision routes.
 A primitive vector x mod p^m with f(x) = sum a_i x_i^k congruent to 0 is
 kept in the frontier.  A node is accepted as soon as the one-variable
 Newton criterion v_p(f(x)) > 2 * min_i v_p(k a_i x_i^(k-1)) holds (or
-f(x) = 0 exactly); it then lifts to an exact zero.  Every node at depth
-2*(v_p(k) + max_i v_p(a_i)) + 1 passes the criterion, so the walk always
-terminates: either some node accepts, or the frontier empties and no
-nontrivial zero exists.
+f(x) = 0 exactly); it then lifts to an exact zero.  A node that is not
+accepted has no unit gradient, since a unit k a_i x_i^(k-1) would meet
+the criterion against v_p(f(x)) >= 1; so every lift of such a node by
+one digit per coordinate is a child once f(x) vanishes mod p^(m+1).
+Every node at depth 2*(v_p(k) + max_i v_p(a_i)) + 1 passes the
+criterion, so the walk always terminates: either some node accepts, or
+the frontier empties and no nontrivial zero exists.
 """
 
 from __future__ import annotations
 
+import operator
 from itertools import product
 
-from .errors import DegenerateInput, OracleOverflow
+from .errors import DegenerateInput, OracleOverflow, PreconditionViolated
 
 
 def _vp(x: int, p: int) -> int:
@@ -32,7 +36,12 @@ def _vp(x: int, p: int) -> int:
 def decide_by_lifting(entries: tuple[int, ...], k: int, p: int,
                       *, max_nodes: int = 500_000) -> bool:
     """True iff sum a_i x_i^k = 0 has a nontrivial zero over Z_p."""
-    entries = tuple(int(a) for a in entries)
+    try:
+        entries = tuple(operator.index(a) for a in entries)
+        k, p = operator.index(k), operator.index(p)
+    except TypeError as exc:
+        raise PreconditionViolated(
+            f"entries, degree and prime must be integers: {exc}") from None
     if len(entries) < 2 or k < 2 or p < 2:
         raise DegenerateInput("need >= 2 coefficients, degree >= 2, prime p")
     if all(a == 0 for a in entries):
@@ -64,39 +73,20 @@ def decide_by_lifting(entries: tuple[int, ...], k: int, p: int,
     seen = len(frontier)
     modulus = p
     for _ in range(1, depth_cap + 1):
-        for x in frontier:
-            if accepts(x, f(x)):
-                return True
-        next_modulus = modulus * p
         children = []
         for x in frontier:
             fx = f(x)
-            grads = [k * a * t**(k - 1) % p for a, t in zip(entries, x)]
-            target = (-(fx // modulus)) % p
-            pivot = next((i for i, g in enumerate(grads) if g), None)
-            if pivot is None:
-                if fx % next_modulus:
-                    continue
-                for d in product(range(p), repeat=width):
-                    children.append(tuple(t + modulus * di
-                                          for t, di in zip(x, d)))
-            else:
-                inv = pow(grads[pivot], -1, p)
-                free = [i for i in range(width) if i != pivot]
-                for d in product(range(p), repeat=width - 1):
-                    rest = sum(g * di for g, di in
-                               zip((grads[i] for i in free), d))
-                    dp = (target - rest) * inv % p
-                    child = list(x)
-                    for i, di in zip(free, d):
-                        child[i] += modulus * di
-                    child[pivot] += modulus * dp
-                    children.append(tuple(child))
+            if accepts(x, fx):
+                return True
+            if fx % (p * modulus) == 0:
+                children.extend(tuple(t + modulus * di
+                                      for t, di in zip(x, d))
+                                for d in product(range(p), repeat=width))
         seen += len(children)
         if seen > max_nodes:
             raise OracleOverflow(f"lifting tree exceeded {max_nodes} nodes")
         if not children:
             return False
         frontier = children
-        modulus = next_modulus
+        modulus *= p
     raise OracleOverflow("lifting walk failed to terminate")  # unreachable

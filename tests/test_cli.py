@@ -10,10 +10,11 @@ from random import Random
 import pytest
 
 import locsol
-from locsol import cache
+from locsol import cache, cli
 from locsol.cache import CacheStore, load_verdicts, save_verdicts
 from locsol.cli import main
 from locsol.solubility import clear_caches
+from locsol.verification import ItemResult
 
 
 def run(capsys, *argv):
@@ -298,6 +299,18 @@ def test_survey_csv_to_an_unwritable_path_is_a_usage_error(capsys,
     assert not path.exists()
 
 
+def test_survey_csv_to_a_missing_directory_fails_before_the_survey(
+        capsys, monkeypatch, tmp_path):
+    def no_survey(*args, **kwargs):
+        raise AssertionError("the survey ran before the path was checked")
+    monkeypatch.setattr(cli, "convergence_sweep", no_survey)
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "survey", "-n", "2", "-k", "2", "--box",
+                         "2", "--csv", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
 def test_survey_sample_needs_seed(capsys):
     code, _, err = run(capsys, "survey", "-n", "2", "-k", "2", "--box", "5",
                        "--mode", "sample", "--samples", "10")
@@ -459,6 +472,22 @@ def test_verify_paper_flags_a_corrupt_cache(capsys, tmp_path, monkeypatch):
     assert failing == ["cache-integrity"]
     assert "skipped" in next(l for l in lines if "survey-midpoint" in l)
     clear_caches()
+
+
+def test_verify_paper_json_reports_each_item(capsys, monkeypatch):
+    def suite(subset, cache_store=None):
+        assert subset == "quadratic"
+        return [ItemResult("first", True, "all agree", 1.23456),
+                ItemResult("second", False, "one differs", 0.987)]
+    monkeypatch.setattr(cli, "run_suite", suite)
+    code, out, _ = run(capsys, "verify-paper", "--subset", "quadratic",
+                       "--format", "json")
+    assert code == 1
+    assert json.loads(out) == [
+        {"name": "first", "passed": True, "detail": "all agree",
+         "elapsed": 1.23},
+        {"name": "second", "passed": False, "detail": "one differs",
+         "elapsed": 0.99}]
 
 
 def test_public_names_resolve():

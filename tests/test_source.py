@@ -1,7 +1,9 @@
 """Source hygiene of the package, checked with the standard library's ast:
-no top-level import goes unused, and no line runs past 79 characters."""
+no top-level import goes unused, no line runs past 79 characters, and
+the lifting oracle imports nothing of the package but its errors."""
 
 import ast
+import sys
 from pathlib import Path
 
 import locsol
@@ -49,6 +51,32 @@ def unused_imports(path: Path) -> list[str]:
     return unused
 
 
+def foreign_imports(path: Path) -> list[str]:
+    """file:line module for each import, at any depth, of a module that
+    is neither in the standard library nor the package's .errors."""
+    tree = ast.parse(path.read_text(), str(path))
+    foreign = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = ["." * node.level + (node.module or "")]
+        else:
+            continue
+        # a relative name splits to "", which is no standard module
+        foreign += [f"{path.name}:{node.lineno} {name}" for name in names
+                    if name != ".errors"
+                    and name.split(".")[0] not in sys.stdlib_module_names]
+    return foreign
+
+
+def test_the_oracle_is_independent_of_the_package():
+    # `import locsol.oracle` loads the whole package, so only the
+    # oracle's own source can show what it depends on
+    oracle = Path(locsol.__file__).parent / "oracle.py"
+    assert foreign_imports(oracle) == []
+
+
 def test_no_unused_top_level_import():
     assert [bad for path in SOURCES for bad in unused_imports(path)] == []
 
@@ -76,3 +104,19 @@ def test_the_checks_see_what_they_look_for(tmp_path):
         "    import re\n"
         "    return sys.argv, fcntl\n")
     assert unused_imports(source) == ["probe.py:2 os", "probe.py:3 encode"]
+
+
+def test_the_independence_check_sees_package_imports(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "import operator, sympy\n"
+        "from itertools import product\n"
+        "from .errors import DegenerateInput\n"
+        "from . import padic\n"
+        "from .. import errors\n"
+        "def f():\n"
+        "    from locsol.padic import normalize\n"
+        "    return product, operator, padic, normalize, errors\n")
+    assert foreign_imports(source) == [
+        "probe.py:1 sympy", "probe.py:4 .", "probe.py:5 ..",
+        "probe.py:7 locsol.padic"]
