@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import io
 import json
 import os
 import sys
@@ -52,8 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="decide at the real place only")
     p_decide.add_argument("--no-witness", action="store_true",
                           help="skip witness construction")
-    p_decide.add_argument("--format", default="text",
-                          choices=("text", "json"))
     p_decide.add_argument("coefficients", type=int, nargs="+")
 
     p_rho = sub.add_parser("rho", help="local density at a place, or a "
@@ -72,7 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="prime cutoff for --loc (default 10000)")
     p_rho.add_argument("--digits", type=int, default=6,
                        help="decimal digits for interval endpoints")
-    p_rho.add_argument("--format", default="text", choices=("text", "json"))
 
     p_survey = sub.add_parser(
         "survey", help="proportion of soluble vectors in a coefficient box")
@@ -101,15 +99,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="recompute the recorded reference values and invariants")
     p_verify.add_argument("--subset", default="all",
                           choices=("all", "quadratic", "cubic"))
-    p_verify.add_argument("--format", default="text",
-                          choices=("text", "json"))
 
     p_classify = sub.add_parser(
         "classify", help="pattern tag (I/II/III) of a vector at p")
     p_classify.add_argument("-k", type=int, required=True)
     p_classify.add_argument("-p", type=int, required=True)
-    p_classify.add_argument("--format", default="text",
-                            choices=("text", "json"))
     p_classify.add_argument("coefficients", type=int, nargs="+")
 
     p_orbit = sub.add_parser(
@@ -117,9 +111,12 @@ def _build_parser() -> argparse.ArgumentParser:
                       "element that achieves it")
     p_orbit.add_argument("-k", type=int, required=True)
     p_orbit.add_argument("-p", type=int, required=True)
-    p_orbit.add_argument("--format", default="text",
-                         choices=("text", "json"))
     p_orbit.add_argument("coefficients", type=int, nargs="+")
+    # after each command's own options, where its help lists it; survey
+    # declares its own, since it also takes csv
+    for p_cmd in (p_decide, p_rho, p_verify, p_classify, p_orbit):
+        p_cmd.add_argument("--format", default="text",
+                           choices=("text", "json"))
     return parser
 
 
@@ -135,89 +132,73 @@ def _verdict_record(v) -> dict:
     }
 
 
-def _print_verdict(v, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(_verdict_record(v)))
-        return
-    print(f"place {v.place}: {v.status}")
+def _verdict_lines(v) -> list[str]:
+    lines = [f"place {v.place}: {v.status}"]
     if v.witness is not None and v.place != "real":
-        print(f"  witness mod p^{v.certificate_level}: "
-              f"{list(v.witness)} on reduced form {list(v.witness_form)}")
+        lines.append(f"  witness mod p^{v.certificate_level}: "
+                     f"{list(v.witness)} on reduced form "
+                     f"{list(v.witness_form)}")
+    return lines
 
 
-def _cmd_decide(args, store) -> int:
+# Each handler returns (exit code, JSON record, text lines) and prints
+# nothing; main prints the one that --format asks for.
+
+def _cmd_decide(args):
     vec = CoefficientVector(tuple(args.coefficients), args.k)
-    want_witness = not args.no_witness
-    if args.real:
-        verdict = decide_real(vec)
-        _print_verdict(verdict, args.format)
-        return 0 if verdict.is_soluble else 1
-    if args.p is not None:
-        verdict = decide_qp(vec, args.p, with_witness=want_witness)
-        _print_verdict(verdict, args.format)
-        return 0 if verdict.is_soluble else 1
+    if args.real or args.p is not None:
+        verdict = decide_real(vec) if args.real else decide_qp(
+            vec, args.p, with_witness=not args.no_witness)
+        return (0 if verdict.is_soluble else 1, _verdict_record(verdict),
+                _verdict_lines(verdict))
     report = decide_everywhere_local(vec)
-    if args.format == "json":
-        print(json.dumps({
-            "coefficients": list(report.coefficients),
-            "k": report.k,
-            "overall": report.overall,
-            "tested_primes": list(report.tested_primes),
-            "note": report.note,
-            "verdicts": [_verdict_record(v) for v in report.verdicts],
-        }))
-    else:
-        for v in report.verdicts:
-            _print_verdict(v, "text")
-        print(f"overall: {'soluble' if report.overall else 'insoluble'} "
-              f"({report.note})")
-    return 0 if report.overall else 1
+    record = {
+        "coefficients": list(report.coefficients), "k": report.k,
+        "overall": report.overall,
+        "tested_primes": list(report.tested_primes), "note": report.note,
+        "verdicts": [_verdict_record(v) for v in report.verdicts]}
+    lines = [line for v in report.verdicts for line in _verdict_lines(v)]
+    lines.append(f"overall: {'soluble' if report.overall else 'insoluble'} "
+                 f"({report.note})")
+    return 0 if report.overall else 1, record, lines
 
 
-def _cmd_rho(args, store) -> int:
+def _cmd_rho(args):
     if args.loc:
         interval = rho_loc_interval(args.n, args.k, args.cutoff)
-        if args.format == "json":
-            print(json.dumps(interval.to_record(args.digits)))
-        else:
-            dec_lo, dec_hi = decimalize(interval, args.digits)
-            print(f"rho_loc({args.n}, {args.k}) in [{dec_lo}, {dec_hi}]  "
-                  f"(cutoff {interval.cutoff}; exact rational bounds in "
-                  f"--format json)")
-            print(f"finite-prime part in "
-                  f"[{_decimal(interval.finite_lo, args.digits, False)}, "
-                  f"{_decimal(interval.finite_hi, args.digits, True)}] "
-                  f"before the real factor "
-                  f"{interval.real_factor.numerator}/"
-                  f"{interval.real_factor.denominator}")
-        return 0
-    if args.infinity:
-        dens = rho_infinity(args.n, args.k)
-    else:
-        dens = rho_p(args.n, args.k, args.p)
-    if args.format == "json":
-        print(json.dumps(dens.to_record()))
-    else:
-        v = dens.value
-        print(f"rho(n={dens.n}, k={dens.k}, place={dens.place}) = "
-              f"{v.numerator}/{v.denominator}  [{dens.route}]")
-    return 0
+        dec_lo, dec_hi = decimalize(interval, args.digits)
+        return 0, interval.to_record(args.digits), [
+            f"rho_loc({args.n}, {args.k}) in [{dec_lo}, {dec_hi}]  (cutoff "
+            f"{interval.cutoff}; exact rational bounds in --format json)",
+            f"finite-prime part in "
+            f"[{_decimal(interval.finite_lo, args.digits, False)}, "
+            f"{_decimal(interval.finite_hi, args.digits, True)}] "
+            f"before the real factor {interval.real_factor.numerator}/"
+            f"{interval.real_factor.denominator}"]
+    dens = (rho_infinity(args.n, args.k) if args.infinity
+            else rho_p(args.n, args.k, args.p))
+    v = dens.value
+    return 0, dens.to_record(), [
+        f"rho(n={dens.n}, k={dens.k}, place={dens.place}) = "
+        f"{v.numerator}/{v.denominator}  [{dens.route}]"]
 
 
-def _cannot_write(path: str, reason: str) -> int:
+def _cannot_write(path: str, reason: str):
     print(f"error: cannot write {path}: {reason}", file=sys.stderr)
-    return USAGE_EXIT
+    return USAGE_EXIT, None, []
 
 
-def _cmd_survey(args, store) -> int:
-    # refuse a missing directory before any work; the file itself is
-    # opened only after the survey, so a failed survey truncates nothing
-    if args.csv and args.csv != "-" and not os.path.isdir(
-            os.path.dirname(args.csv) or "."):
-        return _cannot_write(args.csv, os.strerror(errno.ENOENT))
-    reference = None
-    if args.reference:
-        reference = rho_loc_interval(args.n, args.k, args.cutoff)
+def _cmd_survey(args):
+    # refuse a directory, or a path in a missing one, before any work;
+    # the file itself is opened only after the survey, so a failed
+    # survey truncates nothing
+    if args.csv and args.csv != "-":
+        if os.path.isdir(args.csv):
+            return _cannot_write(args.csv, os.strerror(errno.EISDIR))
+        if not os.path.isdir(os.path.dirname(args.csv) or "."):
+            return _cannot_write(args.csv, os.strerror(errno.ENOENT))
+    reference = (rho_loc_interval(args.n, args.k, args.cutoff)
+                 if args.reference else None)
     heights = [args.box] + (args.sweep or [])
     reports = convergence_sweep(
         args.n, args.k, heights, mode=args.mode,
@@ -229,72 +210,59 @@ def _cmd_survey(args, store) -> int:
         except OSError as exc:
             return _cannot_write(args.csv, exc.strerror)
     if args.csv == "-" or args.format == "csv":
-        write_csv(reports, sys.stdout, reference)
-    elif args.format == "json":
-        ref = {"ref_lo": None, "ref_hi": None}
-        if reference is not None:
-            ref = {"ref_lo": {"num": reference.lo.numerator,
-                              "den": reference.lo.denominator},
-                   "ref_hi": {"num": reference.hi.numerator,
-                              "den": reference.hi.denominator}}
-        print(json.dumps([{
-            "n": r.n, "k": r.k, "H": r.height, "mode": r.mode,
-            "seed": r.seed, "total": r.total, "soluble": r.soluble,
-            "proportion": {"num": r.proportion.numerator,
-                           "den": r.proportion.denominator},
-            **ref,
-        } for r in reports]))
-    else:
-        vs = "" if reference is None else (
-            f"  vs certified [{_decimal(reference.lo, 6, False)}, "
-            f"{_decimal(reference.hi, 6, True)}]")
-        for r in reports:
-            print(f"H={r.height} ({r.mode}): {r.soluble}/{r.total} "
-                  f"soluble = {float(r.proportion):.6f}{vs}")
-    return 0
+        rows = io.StringIO()
+        write_csv(reports, rows, reference)
+        # no record: the rows are the output; each ends in \r\n, and
+        # print puts back the \n that the split takes off
+        return 0, None, rows.getvalue().split("\n")[:-1]
+    ref = {"ref_lo": None, "ref_hi": None}
+    vs = ""
+    if reference is not None:
+        ref = {"ref_lo": {"num": reference.lo.numerator,
+                          "den": reference.lo.denominator},
+               "ref_hi": {"num": reference.hi.numerator,
+                          "den": reference.hi.denominator}}
+        vs = (f"  vs certified [{_decimal(reference.lo, 6, False)}, "
+              f"{_decimal(reference.hi, 6, True)}]")
+    record = [{
+        "n": r.n, "k": r.k, "H": r.height, "mode": r.mode,
+        "seed": r.seed, "total": r.total, "soluble": r.soluble,
+        "proportion": {"num": r.proportion.numerator,
+                       "den": r.proportion.denominator}, **ref}
+        for r in reports]
+    return 0, record, [f"H={r.height} ({r.mode}): {r.soluble}/{r.total} "
+                       f"soluble = {float(r.proportion):.6f}{vs}"
+                       for r in reports]
 
 
-def _cmd_verify(args, store) -> int:
+def _cmd_verify(args, store):
     results = run_suite(args.subset, cache_store=store)
-    if args.format == "json":
-        print(json.dumps([{
-            "name": r.name, "passed": r.passed,
-            "detail": r.detail, "elapsed": round(r.elapsed, 2),
-        } for r in results]))
-    else:
-        for r in results:
-            print(r.line())
-    return 0 if all(r.passed for r in results) else 1
+    return (0 if all(r.passed for r in results) else 1,
+            [{"name": r.name, "passed": r.passed, "detail": r.detail,
+              "elapsed": round(r.elapsed, 2)} for r in results],
+            [r.line() for r in results])
 
 
-def _cmd_classify(args, store) -> int:
+def _cmd_classify(args):
     vec = CoefficientVector(tuple(args.coefficients), args.k)
     tag = classify_type(vec, args.p)
-    if args.format == "json":
-        print(json.dumps({"p": args.p, "k": args.k,
-                          "coefficients": list(vec.entries), "type": tag}))
-    else:
-        print(tag)
-    return 0
+    return 0, {"p": args.p, "k": args.k, "coefficients": list(vec.entries),
+               "type": tag}, [tag]
 
 
-def _cmd_orbit(args, store) -> int:
+def _cmd_orbit(args):
     vec = CoefficientVector(tuple(args.coefficients), args.k)
     record = orbit_record(vec, args.p)
-    if args.format == "json":
-        print(json.dumps(record))
-    else:
-        w = record["witness"]
-        print(f"normal form at p={args.p}: exponents {record['exponents']}, "
-              f"unit residues {record['unit_residues']} "
-              f"(mod {args.p}^{record['certificate_exponent']}), "
-              f"classes {record['class_ids']}")
-        print(f"reduced entries (source order): "
-              f"{record['reduced_entries']}")
-        print(f"group element: scalar exponent {w['scalar_exponent']}, "
-              f"power shifts {w['power_shifts']}, permutation "
-              f"{w['permutation']}")
-    return 0
+    w = record["witness"]
+    return 0, record, [
+        f"normal form at p={args.p}: exponents {record['exponents']}, "
+        f"unit residues {record['unit_residues']} "
+        f"(mod {args.p}^{record['certificate_exponent']}), "
+        f"classes {record['class_ids']}",
+        f"reduced entries (source order): {record['reduced_entries']}",
+        f"group element: scalar exponent {w['scalar_exponent']}, "
+        f"power shifts {w['power_shifts']}, permutation "
+        f"{w['permutation']}"]
 
 
 def _load_cache(args):
@@ -322,7 +290,6 @@ _HANDLERS = {
     "decide": _cmd_decide,
     "rho": _cmd_rho,
     "survey": _cmd_survey,
-    "verify-paper": _cmd_verify,
     "classify": _cmd_classify,
     "orbit": _cmd_orbit,
 }
@@ -336,7 +303,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     store = _load_cache(args)
     try:
-        code = _HANDLERS[args.command](args, store)
+        if args.command == "verify-paper":  # the one reader of the store
+            code, record, lines = _cmd_verify(args, store)
+        else:
+            code, record, lines = _HANDLERS[args.command](args)
+        if args.format == "json" and record is not None:
+            lines = [json.dumps(record)]
+        for line in lines:
+            print(line)
     except LocsolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
@@ -344,7 +318,3 @@ def main(argv=None) -> int:
         return 0
     _save_cache(store)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -133,8 +133,11 @@ def class_label(u: int, p: int, k: int) -> int:
 
     Two units share a label exactly when their ratio is a k-th power in
     Z_p; the label is the closed formula of _labeller, at every (p, k).
+    A u or k that is not an integer is refused, not truncated.
     """
     _require_prime(p)
+    if type(u) is not int or type(k) is not int:
+        u, k = _integers((u, k))
     if k < 2:
         raise DegenerateInput(f"degree must be at least 2, got {k}")
     if u % p == 0:
@@ -176,6 +179,7 @@ def class_reps(p: int, k: int) -> MappingProxyType[int, int]:
     a scan u = 1, 2, ... over the units (multiples of p skipped) that
     stops once all class_count(p, k) labels are seen."""
     _require_prime(p)
+    k, = _integers((k,))
     if k < 2:
         raise DegenerateInput(f"degree must be at least 2, got {k}")
     (exponent, modulus), count = _labeller(p, k), class_count(p, k)

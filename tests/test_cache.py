@@ -210,6 +210,13 @@ def test_unreadable_active_cache_fails_the_integrity_line(tmp_path):
     (tmp_path / "verdicts.json").mkdir()
     passed, detail = _cache_integrity(CacheStore(tmp_path))
     assert not passed and "damaged" in detail
+    # and the line a readable active store gets, with its verdict count
+    healthy = tmp_path / "healthy"
+    healthy.mkdir()
+    save_verdicts(CacheStore(healthy), VERDICTS)
+    assert _cache_integrity(CacheStore(healthy)) == (
+        True, "round-trip and corruption detection pass; active cache "
+              "holds 2 verdicts")
 
 
 def test_a_save_after_a_load_parses_nothing(tmp_path, monkeypatch):

@@ -311,6 +311,18 @@ def test_survey_csv_to_a_missing_directory_fails_before_the_survey(
     assert err == f"error: cannot write {path}: No such file or directory\n"
 
 
+def test_survey_csv_to_a_directory_fails_before_the_survey(
+        capsys, monkeypatch, tmp_path):
+    # used to run the whole survey and fail only at the open
+    def no_survey(*args, **kwargs):
+        raise AssertionError("the survey ran before the path was checked")
+    monkeypatch.setattr(cli, "convergence_sweep", no_survey)
+    code, out, err = run(capsys, "survey", "-n", "2", "-k", "2", "--box",
+                         "2", "--csv", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+
 def test_survey_sample_needs_seed(capsys):
     code, _, err = run(capsys, "survey", "-n", "2", "-k", "2", "--box", "5",
                        "--mode", "sample", "--samples", "10")

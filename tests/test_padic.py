@@ -192,7 +192,11 @@ def test_a_prime_argument_that_is_not_an_int_is_refused():
               lambda: class_label(2, 5.0, 2),
               lambda: signature((1, 2, 3), 5.0, 2),
               lambda: classify_type(a, 5.0), lambda: orbit_record(a, 5.0),
-              lambda: decide_qp(a, "5"))
+              lambda: decide_qp(a, "5"),
+              # a unit or degree that is not an int: a bare TypeError
+              # from pow, a label 4 from the entry of k = 2, a TypeError
+              lambda: class_label(3.0, 5, 2), lambda: class_label(3, 5, 2.0),
+              lambda: class_reps(5, 2.0))
     for probe in probes:
         with pytest.raises(PreconditionViolated):
             probe()

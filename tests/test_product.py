@@ -163,6 +163,11 @@ def test_cutoff_guards():
         rho_loc_interval(3, 2, cutoff=2)
     with pytest.raises(PreconditionViolated):
         rho_loc_interval(3, 3, cutoff=3)
+    # n < 2 or a degree below 2 has no interval to enclose
+    with pytest.raises(DegenerateInput):
+        rho_loc_interval(1, 2)
+    with pytest.raises(DegenerateInput):
+        rho_loc_interval(3, 1)
 
 
 def test_huge_sieve_bounds_are_refused():

@@ -1,6 +1,7 @@
 """Source hygiene of the package, checked with the standard library's ast:
-no top-level import goes unused, no line runs past 79 characters, and
-the lifting oracle imports nothing of the package but its errors."""
+no top-level import goes unused, no line runs past 79 characters, the
+lifting oracle imports nothing of the package but its errors, and only
+the command line's main and its stderr helpers call print."""
 
 import ast
 import sys
@@ -10,6 +11,10 @@ import locsol
 
 SOURCES = sorted(Path(locsol.__file__).parent.glob("*.py"))
 MAX_LINE = 79
+# the functions, per file, that may call print: the command handlers
+# return their output and main prints it, so there is one output path
+PRINTERS = {"cli.py": {"main", "_cannot_write", "_load_cache",
+                       "_save_cache"}}
 
 
 def _top_level(statements):
@@ -70,6 +75,19 @@ def foreign_imports(path: Path) -> list[str]:
     return foreign
 
 
+def stray_prints(path: Path) -> list[str]:
+    """file:line for each print call outside the top-level functions
+    that PRINTERS allows for the file."""
+    tree = ast.parse(path.read_text(), str(path))
+    allowed = PRINTERS.get(path.name, set())
+    return [f"{path.name}:{node.lineno}" for statement in tree.body
+            if not (isinstance(statement, ast.FunctionDef)
+                    and statement.name in allowed)
+            for node in ast.walk(statement)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "print"]
+
+
 def test_the_oracle_is_independent_of_the_package():
     # `import locsol.oracle` loads the whole package, so only the
     # oracle's own source can show what it depends on
@@ -87,6 +105,31 @@ def test_no_line_over_79_characters():
             for number, line in enumerate(path.read_text().splitlines(), 1)
             if len(line) > MAX_LINE]
     assert long == []
+
+
+def test_only_main_and_the_stderr_helpers_print():
+    assert [bad for path in SOURCES for bad in stray_prints(path)] == []
+
+
+def test_the_print_check_sees_a_print_in_a_handler(tmp_path):
+    source = tmp_path / "cli.py"
+    source.write_text(
+        "import sys\n"
+        "def _cmd_decide(args):\n"
+        "    print(args)\n"
+        "    return 0, {}, []\n"
+        "def _cannot_write(path, reason):\n"
+        "    print(path, reason, file=sys.stderr)\n"
+        "def main(argv=None):\n"
+        "    def show(line):\n"
+        "        print(line)\n"
+        "    show(argv)\n"
+        "print('loaded')\n")
+    assert stray_prints(source) == ["cli.py:3", "cli.py:11"]
+    # outside cli.py no function may print
+    other = tmp_path / "padic.py"
+    other.write_text("def main():\n    print(1)\n")
+    assert stray_prints(other) == ["padic.py:2"]
 
 
 def test_the_checks_see_what_they_look_for(tmp_path):
