@@ -183,15 +183,22 @@ def _cmd_rho(args):
         f"{v.numerator}/{v.denominator}  [{dens.route}]"]
 
 
-def _cannot_write(path: str, reason: str):
-    print(f"error: cannot write {path}: {reason}", file=sys.stderr)
+def _usage_error(message: str):
+    print(f"error: {message}", file=sys.stderr)
     return USAGE_EXIT, None, []
 
 
+def _cannot_write(path: str, reason: str):
+    return _usage_error(f"cannot write {path}: {reason}")
+
+
 def _cmd_survey(args):
-    # refuse a directory, or a path in a missing one, before any work;
-    # the file itself is opened only after the survey, so a failed
-    # survey truncates nothing
+    # refuse conflicting output options, a directory, or a path in a
+    # missing one, before any work; the file itself is opened only after
+    # the survey, so a failed survey truncates nothing
+    if args.csv == "-" and args.format == "json":
+        return _usage_error("--csv - writes CSV to stdout; it cannot be "
+                            "combined with --format json")
     if args.csv and args.csv != "-":
         if os.path.isdir(args.csv):
             return _cannot_write(args.csv, os.strerror(errno.EISDIR))

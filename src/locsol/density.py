@@ -2,7 +2,7 @@
 
 The density at p of sum a_i x_i^k = 0 is the Haar measure of the set of
 coefficient vectors in Z_p^(n+1) that admit a nontrivial zero, after
-conditioning every coordinate to be nonzero (_density folds in the
+conditioning every coordinate to be nonzero (_factor folds in the
 normalizer kappa, which lives in verification with the cell measures).
 Coefficients matter only through their (valuation mod k, unit class)
 symbol, so the density is a finite exact sum of cell measures.
@@ -13,7 +13,7 @@ and direct cell enumeration when p | k.  rho_p dispatches between them.
 The paper's closed forms for k = 2, 3 are not used here; they are the
 reference in verification that both routes are checked against.
 
-Both routes sum integer weights under one normalisation (_density).
+Both routes sum integer weights under one normalisation (_factor).
 Enumeration decides signatures, not vectors: the cells of least exponent
 0, a prefix of all_cells, are each decided once, and each carries the
 weight of its shifts by s = 0 .. k-1-max e.  Neither route reads or
@@ -84,7 +84,7 @@ def rho_p_exact(n: int, k: int, p: int) -> Density:
     all_cells is lexicographic in (e, class), so the cells of least
     exponent 0 are a prefix of it; each is the signature of its shifts
     by s = 0 .. k-1-max e, of weight multinomial * p^(top - sum e -
-    (n+1)s) in the normalisation _density shares with the generic sum,
+    (n+1)s) in the normalisation _factor shares with the generic sum,
     and all weights must make mass 1.  Refuses with ResourceBound past
     ENUMERATION_CELL_CAP cells, shifts included.
     """
@@ -107,19 +107,50 @@ def rho_p_exact(n: int, k: int, p: int) -> Density:
                               False)[0]:
             insoluble += weight
     # every cell insoluble leaves density 0 exactly when the masses sum to 1
-    if _density(n, k, p, d, total, top, "enumeration").value:
+    if _factor(n, k, p, d, total, top)[0]:
         raise PreconditionViolated("cell masses failed to sum to 1")
-    return _density(n, k, p, d, insoluble, top, "enumeration")
+    return _density(n, k, p, _factor(n, k, p, d, insoluble, top),
+                    "enumeration")
 
 
-def _density(n: int, k: int, p: int, d: int, insoluble: int, top: int,
-             route: str) -> Density:
+def _factor(n: int, k: int, p: int, d: int, insoluble: int, top: int
+            ) -> tuple[int, int, int]:
     """1 minus the insoluble integer weight sum_w c_w p^(top-w) in units
     of (q / d)^(n+1) / p^top, q = (p-1) p^(k-1) / (p^k - 1), d the number
-    of unit classes: the normalisation both routes share."""
+    of unit classes: the normalisation both routes share.
+
+    Returns (num, den, bound), num/den reduced.  Both terms of the
+    unreduced numerator carry (p-1)^(n+1) p^top (top <= (k-1)(n+1)), so
+    den divides (S d)^(n+1), S = (p^k - 1) / (p - 1), and bound =
+    gcd(S d, den) holds every prime of den with den | bound^(n+1): the
+    product cancels through it (product._join).  No insoluble weight
+    is the density 1, returned as (1, 1, 1) with no big-integer work.
+    """
+    if not insoluble:
+        return 1, 1, 1
     den = ((p**k - 1) * d)**(n + 1) * p**top
     num = den - ((p - 1) * p**(k - 1))**(n + 1) * insoluble
-    return Density(n=n, k=k, place=p, value=Fraction(num, den), route=route)
+    g = gcd(num, den)
+    den //= g
+    return num // g, den, gcd((p**k - 1) // (p - 1) * d, den)
+
+
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """Fraction(num, den) for coprime num and den > 0, built without the
+    gcd the constructor runs: on a deep density product that one gcd of
+    the full numerator and denominator costs about as much as the whole
+    product tree.  Setting the two slots works on every supported
+    Python; Fraction._from_coprime_ints is 3.12 and later only."""
+    value = Fraction.__new__(Fraction)
+    value._numerator, value._denominator = num, den
+    return value
+
+
+def _density(n: int, k: int, p: int, factor: tuple[int, int, int],
+             route: str) -> Density:
+    num, den, _ = factor
+    return Density(n=n, k=k, place=p, value=_coprime_fraction(num, den),
+                   route=route)
 
 
 def rho_p_closed_form(n: int, k: int, p: int) -> Density:
@@ -187,17 +218,30 @@ def generic_sum(n: int, k: int, p: int) -> Density:
     _validate(n, k, p)
     if gcd(p, k) != 1:
         raise PreconditionViolated("generic sum requires gcd(p, k) = 1")
-    return _generic_sum(n, k, p)
+    return _density(n, k, p, _generic_factor(n, k, p), "generic-sum")
 
 
-def _generic_sum(n: int, k: int, p: int) -> Density:
-    """generic_sum at a p known to be a prime not dividing k, unchecked."""
+def _generic_factor(n: int, k: int, p: int) -> tuple[int, int, int]:
+    """generic_sum at a p known to be a prime not dividing k, unchecked,
+    as _factor's triple."""
     d = gcd(p - 1, k)
     insoluble, top = 0, 0
     for w, c in layer_terms(n, k, _insoluble_counts(n, k, p, d)):
         insoluble = insoluble * p**(w - top) + c
         top = w
-    return _density(n, k, p, d, insoluble, top, "generic-sum")
+    return _factor(n, k, p, d, insoluble, top)
+
+
+def _local_factor(n: int, k: int, p: int) -> tuple[int, int, int]:
+    """rho_p(n, k, p) at a p known to be prime, as _factor's reduced
+    (num, den, bound).  At p not dividing k the generic sum skips the
+    primality proof; at p | k the value comes through rho_p, so the
+    benchmark's trace (bench/spans.py) still counts the enumeration, and
+    den is its own bound."""
+    if k % p:
+        return _generic_factor(n, k, p)
+    value = rho_p(n, k, p).value
+    return value.numerator, value.denominator, value.denominator
 
 
 def rho_p(n: int, k: int, p: int) -> Density:

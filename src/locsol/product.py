@@ -18,12 +18,18 @@ zero, and the enclosure is the exact point [0, 0].
 
 The finite product is formed as a balanced tree over the primes in
 order (_balanced_product), streamed so that only about log2 of the
-partial products are held at once.  Every node is a reduced Fraction
-multiply, which cancels across the two operands, so the result is the
-same reduced rational as one serial product followed by one gcd, but no
-gcd ever runs on the full unreduced numerator and denominator.  At deep
-cutoffs the multiplies and gcds of the top nodes still dominate: the
-(3, 2) endpoints have about 1.45 M bits at cutoff 3 * 10^5.
+partial products are held at once.  Each factor arrives reduced, as
+density._local_factor's (num, den, bound): every prime of den divides
+bound, and den a power of it.  A node's bound is the product of its
+factors' bounds, a third to a half of its den's bits at the top of the
+(3, 2) and (3, 3) trees at cutoff 10^5.  A join cancels each numerator
+against the other side's den through that side's bound (_cancel), so
+no gcd ever takes two full-size operands, and every join leaves its
+node reduced; the result is built with no final gcd.  On a 2-core host
+(Python 3.11, best of 3 to 5 runs in one process) the (3, 2) enclosure
+takes 0.31 s at cutoff 10^5 and 2.1 s at 3 * 10^5, where its endpoints
+have about 486 k and 1.45 M bits; the sieve and the 25,997 factors take
+about 0.2 s of that and the joins the rest.
 """
 
 from __future__ import annotations
@@ -31,8 +37,10 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .density import _generic_sum, layer_terms, rho_infinity, rho_p
+from .density import (_coprime_fraction, _local_factor, layer_terms,
+                      rho_infinity)
 from .errors import DegenerateInput, DivergentTail, PreconditionViolated
 from .padic import _integers
 from .primes import next_prime, primes_below
@@ -157,11 +165,10 @@ def rho_loc_interval(n: int, k: int, cutoff: int = 10**4
     if penalty >= 1:
         raise PreconditionViolated(
             f"cutoff {cutoff} is too small for the tail constant")
-    # The sieve made every p prime, so a factor at p not dividing k (the
-    # generic sum, as in rho_p) skips the primality proof.
+    # The sieve made every p prime, so a factor at p not dividing k skips
+    # the primality proof.
     finite_hi = _balanced_product(
-        (_generic_sum(n, k, p) if k % p else rho_p(n, k, p)).value
-        for p in primes_below(cutoff))
+        _local_factor(n, k, p) for p in primes_below(cutoff))
     finite_lo = finite_hi * (1 - penalty)
     return CertifiedInterval(
         n=n, k=k, cutoff=cutoff, lo=real * finite_lo, hi=real * finite_hi,
@@ -169,26 +176,61 @@ def rho_loc_interval(n: int, k: int, cutoff: int = 10**4
         tail=tail)
 
 
-def _balanced_product(factors: Iterable[Fraction]) -> Fraction:
-    """The product of factors as a balanced tree, streamed.
+def _balanced_product(factors: Iterable[tuple[int, int, int]]
+                      ) -> Fraction:
+    """The product of reduced factors (num, den, bound) as a balanced
+    tree, streamed.
 
-    The stack is a binary counter of (size, partial product) pairs: a new
-    factor merges with the top while the two sizes are equal, so each
-    multiply joins operands of about the same length.  The empty product
-    is 1.
+    Every prime of a factor's den divides its bound, and den divides a
+    power of bound.  The stack is a binary counter of (size, node)
+    pairs: a new factor merges with the top while the two sizes are
+    equal, so each join meets operands of about the same length.  A node
+    is a reduced triple whose bound is the product of its factors'
+    bounds, so it keeps both properties.  Factors equal to 1 are
+    skipped, and the empty product is 1.
     """
-    stack: list[tuple[int, Fraction]] = []
+    stack: list[tuple[int, tuple[int, int, int]]] = []
     for factor in factors:
+        if factor[0] == factor[1]:
+            continue
         size = 1
         while stack and stack[-1][0] == size:
             top_size, top = stack.pop()
-            factor = top * factor
+            factor = _join(top, factor)
             size += top_size
         stack.append((size, factor))
-    product = Fraction(1)
+    product = (1, 1, 1)
     while stack:
-        product = stack.pop()[1] * product
-    return product
+        product = _join(stack.pop()[1], product)
+    # every join cancelled fully, so the ends are coprime already
+    return _coprime_fraction(product[0], product[1])
+
+
+def _join(left: tuple[int, int, int], right: tuple[int, int, int]
+          ) -> tuple[int, int, int]:
+    """The reduced product of two reduced triples: each numerator
+    cancels against the other side's den only, found through that
+    side's bound, never by a gcd of two full-size operands."""
+    num_l, den_l, bound_l = left
+    num_r, den_r, bound_r = right
+    num_l, den_r = _cancel(num_l, den_r, bound_r)
+    num_r, den_l = _cancel(num_r, den_l, bound_l)
+    return num_l * num_r, den_l * den_r, bound_l * bound_r
+
+
+def _cancel(num: int, den: int, bound: int) -> tuple[int, int]:
+    """num and den divided by their gcd, given that every prime of den
+    divides bound.  t starts as gcd(num, bound), which holds every prime
+    the two share; each pass divides out what t still has in common
+    with den.  t stays a divisor of bound, so every gcd has bound or a
+    divisor of it as one operand, and den | bound^m ends the loop after
+    at most m + 1 passes."""
+    t = gcd(num, bound)
+    while (t := gcd(t, den)) > 1:
+        num //= t
+        den //= t
+        t = gcd(num, t)
+    return num, den
 
 
 def _decimal(value: Fraction, digits: int, round_up: bool) -> str:

@@ -323,6 +323,18 @@ def test_survey_csv_to_a_directory_fails_before_the_survey(
     assert err == f"error: cannot write {tmp_path}: Is a directory\n"
 
 
+def test_survey_csv_stdout_with_json_is_refused_before_the_survey(
+        capsys, monkeypatch):
+    # used to exit 0 and print CSV, ignoring --format json
+    def no_survey(*args, **kwargs):
+        raise AssertionError("the survey ran before the options were checked")
+    monkeypatch.setattr(cli, "convergence_sweep", no_survey)
+    code, out, err = run(capsys, "survey", "-n", "2", "-k", "2", "--box",
+                         "2", "--csv", "-", "--format", "json")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "--format json" in err
+
+
 def test_survey_sample_needs_seed(capsys):
     code, _, err = run(capsys, "survey", "-n", "2", "-k", "2", "--box", "5",
                        "--mode", "sample", "--samples", "10")

@@ -1,16 +1,18 @@
 import hashlib
 from fractions import Fraction
 from functools import reduce
+from math import gcd, prod
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from locsol.density import rho_infinity, rho_p
+from locsol.density import (_coprime_fraction, _local_factor, rho_infinity,
+                            rho_p)
 from locsol.errors import (DegenerateInput, DivergentTail,
                            PreconditionViolated, ResourceBound)
-from locsol.primes import primes_below
+from locsol.primes import prime_divisors, primes_below
 from locsol.product import (CertifiedInterval, TailBound, _balanced_product,
                             decimalize, rho_loc_interval, tail_hypothesis)
 from locsol.padic import CoefficientVector
@@ -239,12 +241,66 @@ def test_endpoints_are_pinned(n, k):
         PINNED_ENDPOINTS[n, k]
 
 
+# the same, at cutoff 10^5, recorded before the product tree cancelled
+# through the factors' bounds
+DEEP_PINNED_ENDPOINTS = {
+    (3, 2): "ad51ad149d15eeb3731344329a054a3e1496b6f44236d78fed03f3e2645877f2",
+    (3, 3): "ac46e17f98c0a96175630e2aa6c2ad21d839c6be84b1bb5820837d9266e73540",
+}
+
+
+@pytest.mark.parametrize("n, k", sorted(DEEP_PINNED_ENDPOINTS))
+def test_deep_endpoints_are_pinned(n, k):
+    iv = rho_loc_interval(n, k, cutoff=10**5)
+    text = " ".join(f"{v.numerator:x}/{v.denominator:x}"
+                    for v in (iv.lo, iv.hi, iv.finite_lo, iv.finite_hi))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        DEEP_PINNED_ENDPOINTS[n, k]
+
+
+@pytest.mark.parametrize("n, k", [(3, 2), (3, 3), (4, 3), (3, 4), (4, 4),
+                                  (3, 5), (3, 6), (2, 7)])
+def test_every_factor_bound_covers_its_denominator(n, k):
+    # the product cancels each join through the bounds, which is exact
+    # only if every prime of den divides bound; p | k and the
+    # pathological primes (5 and 13 at k = 4) are included
+    for p in primes_below(3000):
+        num, den, bound = _local_factor(n, k, p)
+        assert gcd(num, den) == 1, (n, k, p)
+        assert pow(bound, n + 1, den) == 0, (n, k, p)
+
+
 _LENGTHS = (0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33)
+_EXTRA_PRIMES = st.lists(st.sampled_from((2, 3, 5, 7, 11, 13, 10007)),
+                         max_size=3)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(_LENGTHS).flatmap(
-    lambda size: st.lists(st.fractions(max_denominator=10**6),
+    lambda size: st.lists(st.tuples(st.fractions(max_denominator=10**6),
+                                    _EXTRA_PRIMES),
                           min_size=size, max_size=size)))
-def test_balanced_product_is_the_product(factors):
-    assert _balanced_product(iter(factors)) == reduce(mul, factors, F(1))
+def test_balanced_product_is_the_product(drawn):
+    # each factor's bound is its den, or the radical of den times up to
+    # three extra primes
+    factors = [value for value, _ in drawn]
+    for bounds in ([value.denominator for value in factors],
+                   [prod(prime_divisors(value.denominator)) * prod(extra)
+                    for value, extra in drawn]):
+        got = _balanced_product(
+            (value.numerator, value.denominator, bound)
+            for value, bound in zip(factors, bounds))
+        assert got == reduce(mul, factors, F(1))
+        assert gcd(got.numerator, got.denominator) == 1
+        assert got.denominator > 0
+
+
+@given(st.fractions())
+@example(F(0))
+@example(F(-5, 2**61 - 1))      # den a multiple of the hash modulus
+@example(F(3**200, 7**150))
+def test_coprime_fraction_is_the_fraction(value):
+    built = _coprime_fraction(value.numerator, value.denominator)
+    assert type(built) is Fraction
+    assert built == Fraction(value.numerator, value.denominator)
+    assert hash(built) == hash(value)

@@ -13,7 +13,7 @@ SOURCES = sorted(Path(locsol.__file__).parent.glob("*.py"))
 MAX_LINE = 79
 # the functions, per file, that may call print: the command handlers
 # return their output and main prints it, so there is one output path
-PRINTERS = {"cli.py": {"main", "_cannot_write", "_load_cache",
+PRINTERS = {"cli.py": {"main", "_usage_error", "_load_cache",
                        "_save_cache"}}
 
 
@@ -118,8 +118,8 @@ def test_the_print_check_sees_a_print_in_a_handler(tmp_path):
         "def _cmd_decide(args):\n"
         "    print(args)\n"
         "    return 0, {}, []\n"
-        "def _cannot_write(path, reason):\n"
-        "    print(path, reason, file=sys.stderr)\n"
+        "def _usage_error(message):\n"
+        "    print(message, file=sys.stderr)\n"
         "def main(argv=None):\n"
         "    def show(line):\n"
         "        print(line)\n"
