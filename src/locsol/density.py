@@ -121,18 +121,21 @@ def _factor(n: int, k: int, p: int, d: int, insoluble: int, top: int
 
     Returns (num, den, bound), num/den reduced.  Both terms of the
     unreduced numerator carry (p-1)^(n+1) p^top (top <= (k-1)(n+1)), so
-    den divides (S d)^(n+1), S = (p^k - 1) / (p - 1), and bound =
-    gcd(S d, den) holds every prime of den with den | bound^(n+1): the
-    product cancels through it (product._join).  No insoluble weight
-    is the density 1, returned as (1, 1, 1) with no big-integer work.
+    they are divided out before any gcd: with s = S d, S = (p^k - 1) /
+    (p - 1), the factor is (s^(n+1) - insoluble p^((k-1)(n+1) - top)) /
+    s^(n+1).  One gcd reduces it, and bound = gcd(s, den) holds every
+    prime of den with den | bound^(n+1): the product cancels through it
+    (product._join).  No insoluble weight is the density 1, returned as
+    (1, 1, 1) with no big-integer work.
     """
     if not insoluble:
         return 1, 1, 1
-    den = ((p**k - 1) * d)**(n + 1) * p**top
-    num = den - ((p - 1) * p**(k - 1))**(n + 1) * insoluble
+    s = (p**k - 1) // (p - 1) * d
+    den = s**(n + 1)
+    num = den - insoluble * p**((k - 1) * (n + 1) - top)
     g = gcd(num, den)
     den //= g
-    return num // g, den, gcd((p**k - 1) // (p - 1) * d, den)
+    return num // g, den, gcd(s, den)
 
 
 def _coprime_fraction(num: int, den: int) -> Fraction:

@@ -6,6 +6,8 @@ the common path dependency-free and fast to import.
 """
 
 from functools import lru_cache
+from itertools import compress
+from math import isqrt
 
 from .errors import ResourceBound
 
@@ -64,10 +66,10 @@ def primes_below(bound: int) -> list[int]:
         return []
     flags = bytearray([1]) * bound
     flags[0] = flags[1] = 0
-    for q in range(2, int(bound**0.5) + 1):
+    for q in range(2, isqrt(bound - 1) + 1):
         if flags[q]:
             flags[q * q :: q] = bytearray(len(range(q * q, bound, q)))
-    return [i for i in range(bound) if flags[i]]
+    return list(compress(range(bound), flags))
 
 
 def next_prime(m: int) -> int:

@@ -20,16 +20,19 @@ The finite product is formed as a balanced tree over the primes in
 order (_balanced_product), streamed so that only about log2 of the
 partial products are held at once.  Each factor arrives reduced, as
 density._local_factor's (num, den, bound): every prime of den divides
-bound, and den a power of it.  A node's bound is the product of its
-factors' bounds, a third to a half of its den's bits at the top of the
-(3, 2) and (3, 3) trees at cutoff 10^5.  A join cancels each numerator
-against the other side's den through that side's bound (_cancel), so
-no gcd ever takes two full-size operands, and every join leaves its
-node reduced; the result is built with no final gcd.  On a 2-core host
-(Python 3.11, best of 3 to 5 runs in one process) the (3, 2) enclosure
-takes 0.31 s at cutoff 10^5 and 2.1 s at 3 * 10^5, where its endpoints
-have about 486 k and 1.45 M bits; the sieve and the 25,997 factors take
-about 0.2 s of that and the joins the rest.
+bound.  A node's bound is the lcm of its sides' bounds, so it holds
+every small prime of S(p) d once, where their product held it once per
+factor: over the upper half of the (3, 2) factors at cutoff 10^5 the
+bound is 19,704 bits as an lcm against 82,107 as a product.  (3, 3)
+gains little, as its bounds hold large primes of p^2 + p + 1 that
+seldom repeat (52,809 against 80,956 bits).  A join cancels each
+numerator against the other side's den through that side's bound
+(_cancel), so no gcd ever takes two full-size operands, and every join
+leaves its node reduced; the result is built with no final gcd.  On a
+2-core host (Python 3.11, best of 3 to 5 runs in one process) the (3, 2)
+enclosure takes 0.19 s at cutoff 10^5 and 1.04 s at 3 * 10^5, where its
+endpoints have about 486 k and 1.45 M bits.  rho_loc_interval refuses a
+cutoff whose estimated endpoints pass PRODUCT_BITS_CAP before it sieves.
 """
 
 from __future__ import annotations
@@ -37,14 +40,21 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import e, gcd, lcm, log2
 
 from .density import (_coprime_fraction, _local_factor, layer_terms,
                       rho_infinity)
-from .errors import DegenerateInput, DivergentTail, PreconditionViolated
+from .errors import (DegenerateInput, DivergentTail, PreconditionViolated,
+                     ResourceBound)
 from .padic import _integers
 from .primes import next_prime, primes_below
 from .solubility import pathological_primes
+
+# Largest estimated endpoint size, in bits, that rho_loc_interval forms.
+# The joins' gcds grow about as the square of it: (3, 2) at cutoff 10^6
+# has endpoints of 4.8 M bits and takes 9.4 s (2-core host, Python
+# 3.11), and the cap admits it up to a cutoff of about 1.45 * 10^6.
+PRODUCT_BITS_CAP = 2**23
 
 
 @dataclass(frozen=True)
@@ -165,6 +175,14 @@ def rho_loc_interval(n: int, k: int, cutoff: int = 10**4
     if penalty >= 1:
         raise PreconditionViolated(
             f"cutoff {cutoff} is too small for the tail constant")
+    # Each factor's den divides s^(n+1), s about p^(k-1) (density._factor),
+    # and log2 p summed over p < P is about P log2 e; a product of
+    # factors all 1 past p_min (tail constant 0) stays small.
+    bits = int((n + 1) * (k - 1) * cutoff * log2(e)) if tail.constant else 0
+    if bits > PRODUCT_BITS_CAP:
+        raise ResourceBound(
+            f"the product to cutoff {cutoff} needs about {bits} bits, past "
+            f"the cap {PRODUCT_BITS_CAP}", required=bits)
     # The sieve made every p prime, so a factor at p not dividing k skips
     # the primality proof.
     finite_hi = _balanced_product(
@@ -181,13 +199,13 @@ def _balanced_product(factors: Iterable[tuple[int, int, int]]
     """The product of reduced factors (num, den, bound) as a balanced
     tree, streamed.
 
-    Every prime of a factor's den divides its bound, and den divides a
-    power of bound.  The stack is a binary counter of (size, node)
-    pairs: a new factor merges with the top while the two sizes are
-    equal, so each join meets operands of about the same length.  A node
-    is a reduced triple whose bound is the product of its factors'
-    bounds, so it keeps both properties.  Factors equal to 1 are
-    skipped, and the empty product is 1.
+    Every prime of a factor's den divides its bound.  The stack is a
+    binary counter of (size, node) pairs: a new factor merges with the
+    top while the two sizes are equal, so each join meets operands of
+    about the same length.  A node is a reduced triple whose bound is
+    the lcm of its factors' bounds, so every prime of its den still
+    divides its bound.  Factors equal to 1 are skipped, and the empty
+    product is 1.
     """
     stack: list[tuple[int, tuple[int, int, int]]] = []
     for factor in factors:
@@ -210,12 +228,14 @@ def _join(left: tuple[int, int, int], right: tuple[int, int, int]
           ) -> tuple[int, int, int]:
     """The reduced product of two reduced triples: each numerator
     cancels against the other side's den only, found through that
-    side's bound, never by a gcd of two full-size operands."""
+    side's bound, never by a gcd of two full-size operands.  The bound
+    is the lcm of the two: it has the same primes as their product, so
+    it still covers the den, at a fraction of the product's bits."""
     num_l, den_l, bound_l = left
     num_r, den_r, bound_r = right
     num_l, den_r = _cancel(num_l, den_r, bound_r)
     num_r, den_l = _cancel(num_r, den_l, bound_l)
-    return num_l * num_r, den_l * den_r, bound_l * bound_r
+    return num_l * num_r, den_l * den_r, lcm(bound_l, bound_r)
 
 
 def _cancel(num: int, den: int, bound: int) -> tuple[int, int]:
@@ -223,8 +243,13 @@ def _cancel(num: int, den: int, bound: int) -> tuple[int, int]:
     divides bound.  t starts as gcd(num, bound), which holds every prime
     the two share; each pass divides out what t still has in common
     with den.  t stays a divisor of bound, so every gcd has bound or a
-    divisor of it as one operand, and den | bound^m ends the loop after
-    at most m + 1 passes."""
+    divisor of it as one operand.  A prime that still divides num and
+    den divides t, so the loop ends only with the two coprime, and each
+    pass divides den by some t > 1, so it ends.  A node's bound holds a
+    shared prime about once, so a den with that prime to a high power
+    takes several passes: at most 12 for (3, 2) and 16 for (3, 3) at
+    cutoff 10^5, and 19 and 28 at 3 * 10^5, each with a divisor of
+    bound as one operand of its gcds."""
     t = gcd(num, bound)
     while (t := gcd(t, den)) > 1:
         num //= t

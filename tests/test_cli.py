@@ -10,7 +10,7 @@ from random import Random
 import pytest
 
 import locsol
-from locsol import cache, cli
+from locsol import cache, cli, product
 from locsol.cache import CacheStore, load_verdicts, save_verdicts
 from locsol.cli import main
 from locsol.solubility import clear_caches
@@ -185,6 +185,17 @@ def test_rho_loc_interval_json(capsys):
     assert hi - lo < Fraction(1, 100)
     assert rec["decimal"]["lo"].startswith("0.89")
     assert "local-global" in rec["note"]
+
+
+def test_rho_loc_past_the_product_cap_is_a_usage_error(capsys, monkeypatch):
+    def no_sieve(bound):
+        raise AssertionError(f"sieved to {bound} before refusing")
+
+    monkeypatch.setattr(product, "primes_below", no_sieve)
+    code, out, err = run(capsys, "rho", "-n", "3", "-k", "2", "--loc",
+                         "--cutoff", "10000000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "bits" in err
 
 
 def test_rho_loc_plane_case_is_zero(capsys):

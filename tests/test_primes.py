@@ -24,3 +24,14 @@ def test_is_prime_across_the_four_base_bound():
     assert is_prime(3215031767)
     assert not any(is_prime(m) for m in range(3215031750, 3215031767))
     assert next_prime(3215031749) == 3215031767
+
+
+def test_sieve_ends_exactly_at_its_bound():
+    # every small bound, and each side of a prime square, where the
+    # sieve's last crossing-out prime changes
+    bounds = set(range(301))
+    for q in (2, 3, 5, 7, 11, 13, 31, 97, 101, 997):
+        bounds |= {q * q - 1, q * q, q * q + 1}
+    for bound in sorted(bounds):
+        assert primes_below(bound) == \
+            [m for m in range(bound) if is_prime(m)], bound

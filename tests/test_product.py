@@ -1,4 +1,5 @@
 import hashlib
+import time
 from fractions import Fraction
 from functools import reduce
 from math import gcd, prod
@@ -8,13 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from locsol import product
 from locsol.density import (_coprime_fraction, _local_factor, rho_infinity,
                             rho_p)
 from locsol.errors import (DegenerateInput, DivergentTail,
                            PreconditionViolated, ResourceBound)
 from locsol.primes import prime_divisors, primes_below
-from locsol.product import (CertifiedInterval, TailBound, _balanced_product,
-                            decimalize, rho_loc_interval, tail_hypothesis)
+from locsol.product import (PRODUCT_BITS_CAP, CertifiedInterval, TailBound,
+                            _balanced_product, _join, decimalize,
+                            rho_loc_interval, tail_hypothesis)
 from locsol.padic import CoefficientVector
 from locsol.solubility import decide_everywhere_local, pathological_primes
 from locsol.verification import rho_p_closed_form
@@ -188,6 +191,33 @@ def test_huge_sieve_bounds_are_refused():
         decide_everywhere_local(CoefficientVector((1, 1, 1), 10**4))
 
 
+def _no_sieve(bound):
+    raise AssertionError(f"sieved to {bound} before refusing")
+
+
+def test_a_product_that_cannot_finish_is_refused_at_once(monkeypatch):
+    # (3, 2) at cutoff 10^7 would have endpoints of about 48 M bits, and
+    # the joins' cost grows as their square; the refusal comes before
+    # the sieve, so a broken estimate fails here instead of running
+    monkeypatch.setattr(product, "primes_below", _no_sieve)
+    start = time.monotonic()
+    with pytest.raises(ResourceBound) as caught:
+        rho_loc_interval(3, 2, cutoff=10**7)
+    assert time.monotonic() - start < 1
+    assert caught.value.required > PRODUCT_BITS_CAP
+
+
+def test_the_product_cap_admits_the_cutoffs_in_use(monkeypatch):
+    # the estimate is checked before the sieve, so with no primes sieved
+    # each of these answers at once unless it is refused
+    monkeypatch.setattr(product, "primes_below", lambda bound: [])
+    for n, k, cutoff in ((3, 2, 10**6), (3, 3, 3 * 10**5), (4, 3, 10**4),
+                         (5, 3, 10**4), (3, 4, 10**4), (3, 6, 10**4)):
+        assert rho_loc_interval(n, k, cutoff).finite_hi == 1
+    # a degree whose factors are all 1 past p_min has no large product
+    assert rho_loc_interval(4, 2, cutoff=10**7).finite_hi == 1
+
+
 def _serial_interval(n, k, cutoff):
     """The enclosure as one serial product and one final reduction."""
     num, den = 1, 1
@@ -273,26 +303,61 @@ def test_every_factor_bound_covers_its_denominator(n, k):
 _LENGTHS = (0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33)
 _EXTRA_PRIMES = st.lists(st.sampled_from((2, 3, 5, 7, 11, 13, 10007)),
                          max_size=3)
+# exponents of 2, 3 and 5 that scale a factor, so that dens and
+# numerators share high powers of a few primes that a join's bound holds
+# once: its cancel then takes many passes
+_SMOOTH = st.tuples(*[st.integers(-40, 40)] * 3)
+
+
+def _smooth(value, exponents):
+    a, b, c = exponents
+    return value * F(2)**a * F(3)**b * F(5)**c
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(_LENGTHS).flatmap(
     lambda size: st.lists(st.tuples(st.fractions(max_denominator=10**6),
-                                    _EXTRA_PRIMES),
+                                    _EXTRA_PRIMES, _SMOOTH),
                           min_size=size, max_size=size)))
+@example([(F(1), [], (-40, 40, -40)), (F(1), [], (40, -40, 40))])
 def test_balanced_product_is_the_product(drawn):
     # each factor's bound is its den, or the radical of den times up to
-    # three extra primes
-    factors = [value for value, _ in drawn]
-    for bounds in ([value.denominator for value in factors],
-                   [prod(prime_divisors(value.denominator)) * prod(extra)
-                    for value, extra in drawn]):
+    # three extra primes; the third family scales the factors by powers
+    # of 2, 3 and 5, and its bound is 30 times the radical of the rest
+    families = (
+        [(value, value.denominator) for value, _, _ in drawn],
+        [(value, prod(prime_divisors(value.denominator)) * prod(extra))
+         for value, extra, _ in drawn],
+        [(_smooth(value, exponents),
+          30 * prod(prime_divisors(value.denominator)))
+         for value, _, exponents in drawn],
+    )
+    for family in families:
         got = _balanced_product(
             (value.numerator, value.denominator, bound)
-            for value, bound in zip(factors, bounds))
-        assert got == reduce(mul, factors, F(1))
+            for value, bound in family)
+        assert got == reduce(mul, (value for value, _ in family), F(1))
         assert gcd(got.numerator, got.denominator) == 1
         assert got.denominator > 0
+
+
+@given(st.tuples(st.fractions(max_denominator=10**6), _SMOOTH),
+       st.tuples(st.fractions(max_denominator=10**6), _SMOOTH))
+@example((F(1), (-40, 40, -40)), (F(1), (40, -40, 40)))
+def test_join_is_reduced_and_its_bound_covers_its_den(left, right):
+    # a node's bound is the lcm of its sides' bounds: it must still hold
+    # every prime of the node's den, each exponent of which is below
+    # den's bit length
+    triples = []
+    for value, exponents in (left, right):
+        scaled = _smooth(value, exponents)
+        triples.append((scaled.numerator, scaled.denominator,
+                        30 * prod(prime_divisors(value.denominator))))
+    num, den, bound = _join(*triples)
+    assert F(num, den) == _smooth(*left) * _smooth(*right)
+    assert gcd(num, den) == 1
+    assert den > 0
+    assert pow(bound, den.bit_length(), den) == 0
 
 
 @given(st.fractions())
