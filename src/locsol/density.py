@@ -189,6 +189,18 @@ def layer_terms(n: int, k: int, counts: tuple[int, ...]
                         if used == n + 1))
 
 
+def _insoluble_work(n: int, k: int, p: int, d: int) -> int:
+    """An upper bound, in bit operations (the unit of
+    solubility.WALK_WORK_CAP), of the walks _insoluble_counts(n, k, p, d)
+    makes: at a pathological p each of the C(d+m-1, m) class multisets
+    of m = 3 .. n+1 units is a walk mod p over m steps of at most
+    (p-1)/d + 1 values; elsewhere it walks nothing."""
+    if n < 2 or not is_pathological(p, k):
+        return 0
+    return sum(comb(d + m - 1, m) * p * m * ((p - 1) // d + 1)
+               for m in range(3, n + 2))
+
+
 def _insoluble_counts(n: int, k: int, p: int, d: int) -> tuple[int, ...]:
     """The counts of layer_terms at p not dividing k, d = gcd(p-1, k):
     1, d, d(d-1) (-v/u is a k-th power), and past 2 none unless p is

@@ -38,7 +38,8 @@ from types import MappingProxyType
 from .errors import DegenerateInput, PreconditionViolated
 from .primes import is_prime
 
-# Memo bound for _labeller() and class_reps(), per (p, k).
+# Memo bound for _labeller(), class_reps() and solubility._root_setup(),
+# per (p, k), and for _proved_prime(), per p.
 CLASS_TABLE_CACHE_SIZE = 256
 # Most coefficients _split's tables (see _BoxTables) hold together.
 BOX_TABLE_SIZE = 1 << 15
@@ -256,13 +257,19 @@ def _integers(values) -> tuple[int, ...]:
 
 def _require_prime(p) -> None:
     """Refuse a p that is not a prime int (a float, a string, a composite)
-    with PreconditionViolated."""
+    with PreconditionViolated.  Each int is proved once, until
+    solubility.clear_caches()."""
     try:
-        prime = is_prime(index(p))
+        prime = _proved_prime(index(p))
     except TypeError:
         prime = False
     if not prime:
         raise PreconditionViolated(f"not a prime: {p!r}")
+
+
+@lru_cache(maxsize=CLASS_TABLE_CACHE_SIZE)
+def _proved_prime(p: int) -> bool:
+    return is_prime(p)
 
 
 def _checked(entries, k: int) -> tuple[int, ...]:

@@ -31,8 +31,10 @@ numerator against the other side's den through that side's bound
 leaves its node reduced; the result is built with no final gcd.  On a
 2-core host (Python 3.11, best of 3 to 5 runs in one process) the (3, 2)
 enclosure takes 0.19 s at cutoff 10^5 and 1.04 s at 3 * 10^5, where its
-endpoints have about 486 k and 1.45 M bits.  rho_loc_interval refuses a
-cutoff whose estimated endpoints pass PRODUCT_BITS_CAP before it sieves.
+endpoints have about 486 k and 1.45 M bits.  Before it sieves,
+rho_loc_interval refuses a degree whose walks at the pathological primes
+pass PATHOLOGICAL_WORK_CAP, and a cutoff whose estimated endpoints pass
+PRODUCT_BITS_CAP.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import e, gcd, lcm, log2
 
-from .density import (_coprime_fraction, _local_factor, layer_terms,
-                      rho_infinity)
+from .density import (_coprime_fraction, _insoluble_work, _local_factor,
+                      layer_terms, rho_infinity)
 from .errors import (DegenerateInput, DivergentTail, PreconditionViolated,
                      ResourceBound)
 from .padic import _integers
@@ -55,6 +57,13 @@ from .solubility import pathological_primes
 # has endpoints of 4.8 M bits and takes 9.4 s (2-core host, Python
 # 3.11), and the cap admits it up to a cutoff of about 1.45 * 10^6.
 PRODUCT_BITS_CAP = 2**23
+# Most walk work, in bit operations (the unit of
+# solubility.WALK_WORK_CAP), that the layer chances at the pathological
+# primes not dividing k may cost one interval (density._insoluble_work).
+# On a 2-core host (Python 3.11) (3, 8) estimates 1.25 * 10^10 and takes
+# 4.0 s, (4, 8) 4.2 * 10^10 and 3.6 s, (3, 9) 6.1 * 10^10 and 9.1 s;
+# (3, 12) estimates 8.5 * 10^12 and gave no answer in 320 s.
+PATHOLOGICAL_WORK_CAP = 10**11
 
 
 @dataclass(frozen=True)
@@ -175,10 +184,15 @@ def rho_loc_interval(n: int, k: int, cutoff: int = 10**4
     if penalty >= 1:
         raise PreconditionViolated(
             f"cutoff {cutoff} is too small for the tail constant")
-    # Each factor's den divides s^(n+1), s about p^(k-1) (density._factor),
-    # and log2 p summed over p < P is about P log2 e; a product of
-    # factors all 1 past p_min (tail constant 0) stays small.
-    bits = int((n + 1) * (k - 1) * cutoff * log2(e)) if tail.constant else 0
+    # the cutoff clears every pathological prime, so all are walked
+    work = sum(_insoluble_work(n, k, p, gcd(p - 1, k))
+               for p in pathological_primes(k) if k % p)
+    if work > PATHOLOGICAL_WORK_CAP:
+        raise ResourceBound(
+            f"the layer chances at the pathological primes of {k} need "
+            f"about {work} bit operations, past the cap "
+            f"{PATHOLOGICAL_WORK_CAP}", required=work)
+    bits = _product_bits(n, k, cutoff)
     if bits > PRODUCT_BITS_CAP:
         raise ResourceBound(
             f"the product to cutoff {cutoff} needs about {bits} bits, past "
@@ -192,6 +206,23 @@ def rho_loc_interval(n: int, k: int, cutoff: int = 10**4
         n=n, k=k, cutoff=cutoff, lo=real * finite_lo, hi=real * finite_hi,
         finite_lo=finite_lo, finite_hi=finite_hi, real_factor=real,
         tail=tail)
+
+
+def _product_bits(n: int, k: int, cutoff: int) -> int:
+    """Estimated size in bits of the product's endpoints to the cutoff.
+
+    Each factor's den divides s^(n+1), s about p^(k-1) (density._factor),
+    and log2 p summed over p < P is about P log2 e.  Only factors other
+    than 1 count: past the pathological primes the factor at p = a mod k
+    is 1 exactly when layer_terms(n, k, (1, d, d(d-1))), d = gcd(a-1, k)
+    = gcd(p-1, k), is empty, and the primes fall evenly on the units a
+    mod k.  So the estimate is scaled by the share of units whose terms
+    are not empty: 1 for (3, 2), 1/2 for (3, 3), and 0 when every factor
+    past p_min is 1.
+    """
+    ds = [gcd(a - 1, k) for a in range(1, k + 1) if gcd(a, k) == 1]
+    live = sum(1 for d in ds if layer_terms(n, k, (1, d, d * (d - 1))))
+    return int((n + 1) * (k - 1) * cutoff * log2(e)) * live // len(ds)
 
 
 def _balanced_product(factors: Iterable[tuple[int, int, int]]

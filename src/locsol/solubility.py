@@ -35,15 +35,16 @@ nothing.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
 from .errors import DegenerateInput, PreconditionViolated, ResourceBound
-from .padic import (_BOX_TABLES, CoefficientVector, _require_prime,
-                    _split, certificate_exponent, class_count, valuation)
+from .padic import (_BOX_TABLES, CLASS_TABLE_CACHE_SIZE, CoefficientVector,
+                    _proved_prime, _require_prime, _split,
+                    certificate_exponent, class_count, valuation)
 from .primes import factor, prime_divisors, primes_below
 
 # Most modulus x value-set entries one layer walk may cost.
@@ -61,9 +62,15 @@ VERDICT_CACHE_SIZE = 65_536
 # Memo bound for pathological_primes(), one entry per degree k.
 PATHOLOGICAL_CACHE_SIZE = 64
 
-# An OrderedDict pops its oldest entry in O(1); next(iter(d)) on a plain
-# dict skips every slot deleted since its last resize.
-_VERDICTS: OrderedDict[tuple, str] = OrderedDict()
+# The verdict memo is a plain dict, and _ORDER holds its keys oldest
+# first, so eviction pops one key in O(1) (next(iter(d)) on a dict would
+# skip every slot deleted since its last resize).  A key is removed only
+# by eviction, so _ORDER is always the dict's own order.  A plain dict
+# also copies into and out of another dict with the hashes it stored:
+# loading a session's table and dumping it hash no nested key again,
+# where an OrderedDict hashed every key on each.
+_VERDICTS: dict[tuple, str] = {}
+_ORDER: deque[tuple] = deque()
 
 
 @dataclass(frozen=True)
@@ -90,23 +97,32 @@ class SolubilityVerdict:
 
 
 def clear_caches() -> None:
-    """Drop all memoized verdicts, value tables and box tables (mainly
-    for tests)."""
+    """Drop all memoized verdicts, value tables, box tables, primality
+    proofs and root set-ups (mainly for tests)."""
     _VERDICTS.clear()
+    _ORDER.clear()
     _BOX_TABLES.clear()
     _value_sets.cache_clear()
     _value_count.cache_clear()
+    _proved_prime.cache_clear()
+    _root_setup.cache_clear()
 
 
 def _remember(key: tuple, status: str) -> None:
-    if key not in _VERDICTS and len(_VERDICTS) >= VERDICT_CACHE_SIZE:
-        _VERDICTS.popitem(last=False)
+    if key not in _VERDICTS:
+        if len(_VERDICTS) >= VERDICT_CACHE_SIZE:
+            del _VERDICTS[_ORDER.popleft()]
+        _ORDER.append(key)
     _VERDICTS[key] = status
 
 
 def load_verdicts(items: dict[tuple, str]) -> None:
     if len(_VERDICTS) + len(items) <= VERDICT_CACHE_SIZE:
-        _VERDICTS.update(items)  # nothing to evict: one C-level pass
+        # nothing to evict: C-level passes, and into an empty memo none
+        # hashes a key
+        _ORDER.extend(items if not _VERDICTS
+                      else [key for key in items if key not in _VERDICTS])
+        _VERDICTS.update(items)
         return
     for key, status in items.items():
         _remember(key, status)
@@ -176,12 +192,14 @@ def _walk(p: int, k: int, level: int, coeffs, layer, want_witness: bool):
     """
     q = p**level
     steps = [(i, c % q) for i, c in enumerate(coeffs) if c % q]
-    work = q * sum(_value_count(p, k, level - valuation(c, p))
-                   for _, c in steps)
-    if work > WALK_WORK_CAP:
-        raise ResourceBound(
-            f"walk mod {p}^{level} needs about {work} bit operations",
-            required=work)
+    # a step has at most q values, so below the cap no count is needed
+    if q * q * len(steps) > WALK_WORK_CAP:
+        work = q * sum(_value_count(p, k, level - valuation(c, p))
+                       for _, c in steps)
+        if work > WALK_WORK_CAP:
+            raise ResourceBound(
+                f"walk mod {p}^{level} needs about {work} bit operations",
+                required=work)
     mask = (1 << q) - 1
     memo = q <= VALUE_SETS_MEMO_MODULUS
     sets = _value_sets if memo else _value_sets.__wrapped__
@@ -256,7 +274,8 @@ def _kth_root_mod(value: int, k: int, p: int) -> int:
     order t prime to g, k is invertible mod t; on the q-Sylow subgroup,
     of order q^e and generated by zeta = c^((p-1)/q^e) for a q-th
     non-residue c, the discrete log of value's component is read one
-    base-q digit at a time and divided by k.  p - 1 is never factored.
+    base-q digit at a time and divided by k.  p - 1 is never factored,
+    and what does not depend on value is set up once per (p, k).
     """
     value %= p
     if p <= _ROOT_SCAN_LIMIT:
@@ -264,34 +283,47 @@ def _kth_root_mod(value: int, k: int, p: int) -> int:
             if pow(y, k, p) == value:
                 return y
         raise PreconditionViolated(f"no {k}-th root of {value} mod {p}")
+    exponent, sylow, unity = _root_setup(p, k)
+    y = pow(value, exponent, p)
+    for q, e, zeta, digits, project, f, divide in sylow:
+        h = pow(value, project, p)
+        log = 0
+        for i in range(e):
+            step = pow(h * pow(zeta, -log, p), q**(e - i - 1), p)
+            log += digits[step] * q**i
+        y = y * pow(zeta, log // q**f * divide, p) % p
+    if pow(y, k, p) != value:
+        raise PreconditionViolated(f"no {k}-th root of {value} mod {p}")
+    return min(y * u % p for u in unity)
+
+
+@lru_cache(maxsize=CLASS_TABLE_CACHE_SIZE)
+def _root_setup(p: int, k: int):
+    """_kth_root_mod's value-free part at (p, k): the exponent that takes
+    a k-th root on the part of order t prime to g = gcd(k, p-1); per
+    q-Sylow subgroup of order q^e, (q, e, zeta, base-q digit table, the
+    exponent projecting onto it, f = min(v_q(k), e), the inverse of
+    k / q^f mod q^(e-f)); and the g-th roots of unity."""
     order = t = p - 1
     sylow = []
+    unity = [1]
     for q in prime_divisors(gcd(k, order)):
         e = 0
         while t % q == 0:
             t, e = t // q, e + 1
-        sylow.append((q, e))
-    y = pow(value, order // t * pow(order // t, -1, t) * pow(k, -1, t), p)
-    unity = [1]
-    for q, e in sylow:
         size = q**e
         rest = order // size
         c = next(c for c in range(2, p) if pow(c, order // q, p) != 1)
         zeta = pow(c, rest, p)
         digits = {pow(zeta, j * size // q, p): j for j in range(q)}
-        h = pow(value, rest * pow(rest, -1, size), p)
-        log = 0
-        for i in range(e):
-            step = pow(h * pow(zeta, -log, p), size // q**(i + 1), p)
-            log += digits[step] * q**i
         f = min(valuation(k, q), e)
         free = q**(e - f)
-        y = y * pow(zeta, log // q**f * pow(k // q**f, -1, free), p) % p
+        sylow.append((q, e, zeta, digits, rest * pow(rest, -1, size), f,
+                      pow(k // q**f, -1, free)))
         gen = pow(zeta, free, p)
         unity = [u * pow(gen, j, p) % p for u in unity for j in range(q**f)]
-    if pow(y, k, p) != value:
-        raise PreconditionViolated(f"no {k}-th root of {value} mod {p}")
-    return min(y * u % p for u in unity)
+    exponent = order // t * pow(order // t, -1, t) * pow(k, -1, t)
+    return exponent, tuple(sylow), tuple(unity)
 
 
 def _power_pair(p: int, k: int, members):

@@ -530,3 +530,41 @@ def test_concurrent_saves_lose_no_rows(tmp_path):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads) and failures == []
     assert len(load_verdicts(CacheStore(tmp_path))) == 4 * 8 * 3
+
+
+def bounded_sessions(root, monkeypatch) -> bytes:
+    """Eight load/decide/save sessions under a 40-verdict memo, so loads
+    and decisions evict; every other session keeps the memo it had.  The
+    forms are decided with witnesses at p | k and at p above the root
+    scan, where Sylow roots are taken.  Returns the file they leave."""
+    from locsol import solubility
+    monkeypatch.setattr(solubility, "VERDICT_CACHE_SIZE", 40)
+    pairs = ((2, 2), (3, 3), (2, 4), (5, 2), (13, 3), (3001, 2),
+             (3001, 6), (7919, 3), (9973, 4), (9973, 6))
+    rng = random.Random(30)
+    store = CacheStore(root)
+    clear_caches()
+    for session in range(8):
+        if session % 2:
+            clear_caches()
+        load_live(load_verdicts(store))
+        for _ in range(30):
+            p, k = rng.choice(pairs)
+            entries = tuple(rng.choice((-1, 1)) * p**rng.randint(0, k)
+                            * rng.randrange(1, p) for _ in range(
+                                rng.choice((3, 4))))
+            decide_qp(CoefficientVector(entries, k), p, with_witness=True)
+        save_verdicts(store, dump_verdicts())
+    clear_caches()
+    return (root / "verdicts.json").read_bytes()
+
+
+# sha256 of the file bounded_sessions leaves, recorded before the memo
+# kept its keys in a dict and a deque rather than an OrderedDict
+BOUNDED_SESSIONS_FILE = (
+    "81b5dad490fe6d33d47293d89b1ec62885992c0f4b10639232d36c15d2db8f86")
+
+
+def test_bounded_sessions_leave_the_pinned_file(tmp_path, monkeypatch):
+    raw = bounded_sessions(tmp_path, monkeypatch)
+    assert hashlib.sha256(raw).hexdigest() == BOUNDED_SESSIONS_FILE

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -196,6 +197,16 @@ def test_rho_loc_past_the_product_cap_is_a_usage_error(capsys, monkeypatch):
                          "--cutoff", "10000000")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "bits" in err
+
+
+def test_rho_loc_past_the_walk_cap_is_refused_at_once(capsys):
+    # the cutoff just past the largest pathological prime of 12
+    start = time.monotonic()
+    code, out, err = run(capsys, "rho", "-n", "3", "-k", "12", "--loc",
+                         "--cutoff", "12107")
+    assert time.monotonic() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "bit operations" in err
 
 
 def test_rho_loc_plane_case_is_zero(capsys):

@@ -15,8 +15,9 @@ from locsol.density import (_coprime_fraction, _local_factor, rho_infinity,
 from locsol.errors import (DegenerateInput, DivergentTail,
                            PreconditionViolated, ResourceBound)
 from locsol.primes import prime_divisors, primes_below
-from locsol.product import (PRODUCT_BITS_CAP, CertifiedInterval, TailBound,
-                            _balanced_product, _join, decimalize,
+from locsol.product import (PATHOLOGICAL_WORK_CAP, PRODUCT_BITS_CAP,
+                            CertifiedInterval, TailBound, _balanced_product,
+                            _join, _product_bits, decimalize,
                             rho_loc_interval, tail_hypothesis)
 from locsol.padic import CoefficientVector
 from locsol.solubility import decide_everywhere_local, pathological_primes
@@ -216,6 +217,86 @@ def test_the_product_cap_admits_the_cutoffs_in_use(monkeypatch):
         assert rho_loc_interval(n, k, cutoff).finite_hi == 1
     # a degree whose factors are all 1 past p_min has no large product
     assert rho_loc_interval(4, 2, cutoff=10**7).finite_hi == 1
+
+
+def test_the_size_estimate_counts_the_factors_other_than_1():
+    # (3, 2) keeps the estimate of every factor, (n+1)(k-1) P log2 e
+    # bits; at (3, 3) the factors at p = 2 mod 3 are 1, so it is halved
+    for cutoff in (10**4, 3 * 10**5, 10**6, 10**7):
+        full = int(4 * cutoff * 1.4426950408889634)
+        assert _product_bits(3, 2, cutoff) == full
+        assert _product_bits(3, 3, cutoff) == int(8 * cutoff
+                                                  * 1.4426950408889634) // 2
+    assert _product_bits(3, 2, 10**7) > PRODUCT_BITS_CAP
+    for n, k in ((3, 2), (3, 3)):
+        assert _product_bits(n, k, 1_450_000) <= PRODUCT_BITS_CAP
+        assert _product_bits(n, k, 1_460_000) > PRODUCT_BITS_CAP
+    # every factor past p_min is 1 exactly where the estimate is 0
+    for n, k in ((4, 2), (6, 3)):
+        assert _product_bits(n, k, 10**6) == 0
+    assert _product_bits(4, 3, 10**6) > 0
+
+
+@pytest.mark.parametrize("n, k", [(3, 2), (3, 3), (4, 3), (5, 3), (6, 3),
+                                  (4, 2), (3, 4), (3, 5), (4, 5), (3, 6)])
+def test_a_factor_is_1_exactly_where_its_class_has_no_terms(n, k):
+    # the premise of _product_bits: past the pathological primes the
+    # factor at p is 1 iff layer_terms at d = gcd(p-1, k) is empty
+    from locsol.density import layer_terms
+    start = max(pathological_primes(k)) + 1
+    for p in primes_below(start + 1500)[len(primes_below(start)):]:
+        d = gcd(p - 1, k)
+        num, den, _ = _local_factor(n, k, p)
+        assert (num == den) == (not layer_terms(n, k, (1, d, d * (d - 1)))), p
+
+
+def test_walks_at_the_pathological_primes_are_estimated_first(monkeypatch):
+    # (3, 12) walks C(d+m-1, m) class multisets mod p at each of its 374
+    # pathological primes up to 12,097, for minutes; the estimate
+    # refuses it before any prime is decided or sieved
+    from locsol import density
+    monkeypatch.setattr(product, "primes_below", _no_sieve)
+    monkeypatch.setattr(density, "_insoluble_counts", _no_walk)
+    start = time.monotonic()
+    with pytest.raises(ResourceBound) as caught:
+        rho_loc_interval(3, 12, cutoff=12107)
+    assert time.monotonic() - start < 1
+    assert 8.4e12 < caught.value.required < 8.5e12
+    # degrees whose walks take seconds are still admitted
+    monkeypatch.setattr(product, "primes_below", lambda bound: [])
+    for n, k in ((3, 6), (4, 7), (3, 8), (4, 8), (3, 9)):
+        assert rho_loc_interval(n, k, 10**4).finite_hi == 1
+    with pytest.raises(ResourceBound):
+        rho_loc_interval(3, 10, 10**4)
+
+
+def _no_walk(*args):
+    raise AssertionError(f"walked {args} before refusing")
+
+
+def test_the_walk_estimate_bounds_the_walks(monkeypatch):
+    # every walk _insoluble_counts makes costs the modulus times its
+    # steps' value counts, which _insoluble_work must not undercount
+    from locsol import solubility
+    from locsol.density import _insoluble_counts, _insoluble_work
+    spent = []
+    walk = solubility._walk
+
+    def counting(p, k, level, coeffs, layer, want_witness):
+        q = p**level
+        spent.append(q * sum(len(solubility._value_sets.__wrapped__(
+            p, k, level, c % q)[2]) for c in coeffs if c % q))
+        return walk(p, k, level, coeffs, layer, want_witness)
+
+    monkeypatch.setattr(solubility, "_walk", counting)
+    for n, k in ((3, 4), (4, 4), (3, 6), (4, 6), (3, 7)):
+        for p in pathological_primes(k):
+            if k % p and p < 400:
+                spent.clear()
+                _insoluble_counts(n, k, p, gcd(p - 1, k))
+                assert sum(spent) <= _insoluble_work(n, k, p, gcd(p - 1, k))
+    assert _insoluble_work(3, 12, 12097, 12) > 0
+    assert _insoluble_work(3, 12, 12101, 2) == 0     # not pathological
 
 
 def _serial_interval(n, k, cutoff):

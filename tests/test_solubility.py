@@ -348,6 +348,103 @@ def test_kth_root_is_the_least_root():
         _kth_root_mod(7, 2, 3001)    # 7 is no square mod 3001
 
 
+@pytest.mark.parametrize("p", [3001, 7919, 9973])
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_kth_root_is_the_least_root_cold_and_warm(p, k):
+    # the first root at (p, k) builds the Sylow set-up, every later one
+    # reuses it; each is checked against a brute scan
+    from locsol.solubility import _ROOT_SCAN_LIMIT, _kth_root_mod, _root_setup
+    assert p > _ROOT_SCAN_LIMIT
+    least = {}
+    for y in range(1, p):
+        least.setdefault(pow(y, k, p), y)
+    values = list(least)
+    Random(p * k).shuffle(values)
+    clear_caches()
+    assert _root_setup.cache_info().currsize == 0
+    assert _kth_root_mod(values[0], k, p) == least[values[0]]    # cold
+    info = _root_setup.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)
+    assert all(_kth_root_mod(v, k, p) == least[v] for v in values)
+    assert _root_setup.cache_info().misses == 1                  # warm
+    if len(least) < p - 1:
+        missing = next(v for v in range(2, p) if v not in least)
+        with pytest.raises(PreconditionViolated):
+            _kth_root_mod(missing, k, p)
+
+
+def test_clear_caches_empties_the_prime_and_root_memos():
+    from locsol.padic import _proved_prime
+    from locsol.solubility import _root_setup
+    clear_caches()
+    # -1 is a cube, so the pair (1, 1) gives the witness, a cube root
+    verdict = decide_qp(vec((1, 1, 5), 3), 9973, with_witness=True)
+    check_witness(verdict, 9973, 3)
+    assert _proved_prime.cache_info().currsize == 1
+    assert _root_setup.cache_info().currsize == 1
+    clear_caches()
+    assert _proved_prime.cache_info().currsize == 0
+    assert _root_setup.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("bound", [None, 5, 6])
+def test_loaded_verdicts_dump_in_their_order(monkeypatch, bound):
+    # into a cleared memo a load keeps the table's own key order, up to
+    # a full memo; the next new key then evicts the first loaded one
+    from locsol.solubility import _remember, load_verdicts
+    if bound is not None:
+        monkeypatch.setattr(solubility, "VERDICT_CACHE_SIZE", bound)
+    table = {(p, 2, ((0, 1), (e, 3))): ("soluble" if e % 2 else "insoluble")
+             for p, e in ((7, 1), (3, 0), (5, 1), (2, 1), (11, 0))}
+    clear_caches()
+    load_verdicts(table)
+    dumped = dump_verdicts()
+    assert list(dumped.items()) == list(table.items())
+    assert dumped is not table
+    _remember((13, 2, ((0, 1),)), "soluble")
+    keys = list(dump_verdicts())
+    assert keys[:-1] == list(table)[(bound == 5):]
+    clear_caches()
+
+
+STATUS = st.sampled_from(("soluble", "insoluble"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(
+    st.dictionaries(st.integers(0, 12), STATUS, max_size=8),
+    st.tuples(st.integers(0, 12), STATUS)), max_size=12))
+def test_the_verdict_memo_evicts_like_an_ordered_dict(steps):
+    # loads (into an empty or a held memo, evicting or not) and single
+    # verdicts under a bound of 6; the memo, and the key queue behind
+    # its eviction, must match an OrderedDict that pops its oldest key
+    from collections import OrderedDict
+
+    from locsol.solubility import _remember, load_verdicts
+    bound, saved = 6, solubility.VERDICT_CACHE_SIZE
+    solubility.VERDICT_CACHE_SIZE = bound
+    try:
+        clear_caches()
+        model = OrderedDict()
+        for step in steps:
+            items = ({(2, 2, ((0, i),)): v for i, v in step.items()}
+                     if isinstance(step, dict)
+                     else {(2, 2, ((0, step[0]),)): step[1]})
+            for key, status in items.items():
+                if key not in model and len(model) >= bound:
+                    model.popitem(last=False)
+                model[key] = status
+            if isinstance(step, dict):
+                load_verdicts(items)
+            else:
+                _remember(*items.popitem())
+            assert list(dump_verdicts().items()) == list(model.items())
+            assert list(solubility._ORDER) == list(model)
+    finally:
+        solubility.VERDICT_CACHE_SIZE = saved
+        clear_caches()
+
+
 def test_kth_root_matches_sympy():
     from sympy.ntheory.residue_ntheory import nthroot_mod
 

@@ -1,7 +1,8 @@
 """Source hygiene of the package, checked with the standard library's ast:
 no top-level import goes unused, no line runs past 79 characters, the
-lifting oracle imports nothing of the package but its errors, and only
-the command line's main and its stderr helpers call print."""
+lifting oracle imports nothing of the package but its errors, only the
+command line's main and its stderr helpers call print, and every
+functools memo is bounded by a module-level constant."""
 
 import ast
 import sys
@@ -88,6 +89,63 @@ def stray_prints(path: Path) -> list[str]:
             and node.func.id == "print"]
 
 
+def _module_constants(tree) -> set[str]:
+    """Upper-case names the module binds at top level, by assignment or
+    by import."""
+    names = set()
+    for node in _top_level(tree.body):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.asname or alias.name for alias in node.names}
+    return {name for name in names if name.isupper()}
+
+
+def _memo_names(tree) -> dict[str, str]:
+    """The local names of functools.lru_cache and functools.cache that a
+    `from functools import ...` binds, mapped to the real name."""
+    return {alias.asname or alias.name: alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "functools"
+            for alias in node.names if alias.name in ("lru_cache", "cache")}
+
+
+def unbounded_memos(path: Path) -> list[str]:
+    """file:line for each functools cache or lru_cache that does not take
+    maxsize= from a module-level constant: a bare @lru_cache or @cache,
+    a positional or literal maxsize, or none at all."""
+    tree = ast.parse(path.read_text(), str(path))
+    constants = _module_constants(tree)
+    aliases = _memo_names(tree)
+
+    def memo(node) -> str | None:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            return aliases.get(node.id)
+        if (isinstance(node, ast.Attribute)
+                and node.attr in ("lru_cache", "cache")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "functools"):
+            return node.attr
+        return None
+
+    called = {id(node.func) for node in ast.walk(tree)
+              if isinstance(node, ast.Call)}
+    bad = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and memo(node.func):
+            maxsize = [kw.value for kw in node.keywords
+                       if kw.arg == "maxsize"]
+            if (memo(node.func) == "cache" or node.args or not maxsize
+                    or not isinstance(maxsize[0], ast.Name)
+                    or maxsize[0].id not in constants):
+                bad.append(f"{path.name}:{node.lineno}")
+        elif memo(node) and id(node) not in called:
+            bad.append(f"{path.name}:{node.lineno}")
+    return bad
+
+
 def test_the_oracle_is_independent_of_the_package():
     # `import locsol.oracle` loads the whole package, so only the
     # oracle's own source can show what it depends on
@@ -163,3 +221,44 @@ def test_the_independence_check_sees_package_imports(tmp_path):
     assert foreign_imports(source) == [
         "probe.py:1 sympy", "probe.py:4 .", "probe.py:5 ..",
         "probe.py:7 locsol.padic"]
+
+
+def test_every_memo_is_bounded_by_a_module_constant():
+    assert [bad for path in SOURCES for bad in unbounded_memos(path)] == []
+
+
+def test_the_memo_check_sees_unbounded_memos(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "from .padic import CLASS_TABLE_CACHE_SIZE\n"
+        "SIZE = 64\n"
+        "small = 8\n"
+        "@lru_cache\n"
+        "def a(x): return x\n"
+        "@cache\n"
+        "def b(x): return x\n"
+        "@lru_cache(maxsize=None)\n"
+        "def c(x): return x\n"
+        "@functools.lru_cache(maxsize=128)\n"
+        "def d(x): return x\n"
+        "@lru_cache(SIZE)\n"
+        "def e(x): return x\n"
+        "@lru_cache(maxsize=small)\n"
+        "def f(x): return x\n"
+        "g = lru_cache(maxsize=SIZE)(len)\n"
+        "@lru_cache(maxsize=SIZE, typed=True)\n"
+        "def h(x): return x\n"
+        "@functools.lru_cache(maxsize=CLASS_TABLE_CACHE_SIZE)\n"
+        "def i(x): return x\n"
+        "memo = functools.lru_cache\n")
+    assert unbounded_memos(source) == [
+        "probe.py:6", "probe.py:8", "probe.py:10", "probe.py:12",
+        "probe.py:14", "probe.py:16", "probe.py:23"]
+    # a name cache that functools did not bind is no memo
+    other = tmp_path / "cli.py"
+    other.write_text("from functools import lru_cache\n"
+                     "from . import cache\n"
+                     "cache.load_verdicts(lru_cache)\n")
+    assert unbounded_memos(other) == ["cli.py:3"]
