@@ -24,7 +24,7 @@ from .errors import LocsolError
 from .padic import CoefficientVector, classify_type, orbit_record
 from .product import _decimal, decimalize, rho_loc_interval
 from .solubility import decide_everywhere_local, decide_qp, decide_real
-from .survey import convergence_sweep, write_csv
+from .survey import check_sweep, convergence_sweep, write_csv
 from .verification import run_suite
 
 USAGE_EXIT = 2
@@ -97,8 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify-paper",
         help="recompute the recorded reference values and invariants")
-    p_verify.add_argument("--subset", default="all",
-                          choices=("all", "quadratic", "cubic"))
 
     p_classify = sub.add_parser(
         "classify", help="pattern tag (I/II/III) of a vector at p")
@@ -204,12 +202,14 @@ def _cmd_survey(args):
             return _cannot_write(args.csv, os.strerror(errno.EISDIR))
         if not os.path.isdir(os.path.dirname(args.csv) or "."):
             return _cannot_write(args.csv, os.strerror(errno.ENOENT))
+    heights = [args.box] + (args.sweep or [])
+    options = dict(mode=args.mode, sample_count=args.samples,
+                   seed=args.seed, jobs=args.jobs)
+    # a request the survey would refuse is refused before the interval
+    check_sweep(args.n, args.k, heights, **options)
     reference = (rho_loc_interval(args.n, args.k, args.cutoff)
                  if args.reference else None)
-    heights = [args.box] + (args.sweep or [])
-    reports = convergence_sweep(
-        args.n, args.k, heights, mode=args.mode,
-        sample_count=args.samples, seed=args.seed, jobs=args.jobs)
+    reports = convergence_sweep(args.n, args.k, heights, **options)
     if args.csv and args.csv != "-":
         try:
             with open(args.csv, "w", newline="", encoding="utf-8") as fh:
@@ -242,8 +242,8 @@ def _cmd_survey(args):
                        for r in reports]
 
 
-def _cmd_verify(args, store):
-    results = run_suite(args.subset, cache_store=store)
+def _cmd_verify(store):
+    results = run_suite(cache_store=store)
     return (0 if all(r.passed for r in results) else 1,
             [{"name": r.name, "passed": r.passed, "detail": r.detail,
               "elapsed": round(r.elapsed, 2)} for r in results],
@@ -311,7 +311,7 @@ def main(argv=None) -> int:
     store = _load_cache(args)
     try:
         if args.command == "verify-paper":  # the one reader of the store
-            code, record, lines = _cmd_verify(args, store)
+            code, record, lines = _cmd_verify(store)
         else:
             code, record, lines = _HANDLERS[args.command](args)
         if args.format == "json" and record is not None:

@@ -116,6 +116,32 @@ def _pooled_chunk(task) -> tuple[int, dict[tuple, str]]:
     return soluble, added
 
 
+def _checked_request(n: int, k: int, height: int, mode: str,
+                     sample_count: int | None, seed: int | None,
+                     jobs: int) -> int:
+    """Every check of a survey request, made before any work: the vectors
+    the survey will decide, or a LocsolError."""
+    _integers([v for v in (n, k, height, sample_count, seed, jobs)
+               if v is not None])
+    if n < 1 or k < 2 or height < 1:
+        raise DegenerateInput(
+            f"need n >= 1, k >= 2, height >= 1, got ({n}, {k}, {height})")
+    if jobs < 1:
+        raise PreconditionViolated(f"need jobs >= 1, got {jobs}")
+    if mode == "exhaustive":
+        total = (2 * height - 1)**(n + 1)
+        if total > EXHAUSTIVE_CAP:
+            raise ResourceBound(
+                f"box holds {total} vectors", required=total)
+        return total
+    if mode == "sample":
+        if sample_count is None or sample_count < 1 or seed is None:
+            raise PreconditionViolated(
+                "sample mode needs sample_count >= 1 and a seed")
+        return sample_count
+    raise PreconditionViolated(f"unknown mode: {mode}")
+
+
 def survey_box(n: int, k: int, height: int, *, mode: str = "exhaustive",
                sample_count: int | None = None, seed: int | None = None,
                jobs: int = 1) -> SurveyReport:
@@ -127,32 +153,16 @@ def survey_box(n: int, k: int, height: int, *, mode: str = "exhaustive",
     counts only; write_csv takes a certified interval to print beside
     them.
     """
-    _integers([v for v in (n, k, height, sample_count, seed, jobs)
-               if v is not None])
-    if n < 1 or k < 2 or height < 1:
-        raise DegenerateInput(
-            f"need n >= 1, k >= 2, height >= 1, got ({n}, {k}, {height})")
-    if jobs < 1:
-        raise PreconditionViolated(f"need jobs >= 1, got {jobs}")
+    total = _checked_request(n, k, height, mode, sample_count, seed, jobs)
     if mode == "exhaustive":
         side = 2 * height - 1
-        total = side**(n + 1)
-        if total > EXHAUSTIVE_CAP:
-            raise ResourceBound(
-                f"box holds {total} vectors", required=total)
         seed, rows = None, max(1, CHUNK // side**n)
         tasks = [(n, k, height, seed, first, min(rows, side - first))
                  for first in range(0, side, rows)]
-    elif mode == "sample":
-        if sample_count is None or sample_count < 1 or seed is None:
-            raise PreconditionViolated(
-                "sample mode needs sample_count >= 1 and a seed")
-        total = sample_count
+    else:
         tasks = [(n, k, height, seed, start // CHUNK,
                   min(CHUNK, total - start))
                  for start in range(0, total, CHUNK)]
-    else:
-        raise PreconditionViolated(f"unknown mode: {mode}")
     if jobs > 1 and len(tasks) > 1:
         # imported here: it pulls in multiprocessing, about a third of a
         # cold `import locsol`
@@ -171,13 +181,25 @@ def survey_box(n: int, k: int, height: int, *, mode: str = "exhaustive",
                         total=total, soluble=soluble)
 
 
+def check_sweep(n: int, k: int, heights, *, mode: str = "exhaustive",
+                sample_count: int | None = None, seed: int | None = None,
+                jobs: int = 1) -> None:
+    """Raise what convergence_sweep would raise for any of the heights,
+    without surveying one."""
+    for h in heights:
+        _checked_request(n, k, h, mode, sample_count, seed, jobs)
+
+
 def convergence_sweep(n: int, k: int, heights, *, mode: str = "exhaustive",
                       sample_count: int | None = None,
                       seed: int | None = None,
                       jobs: int = 1) -> list[SurveyReport]:
-    return [survey_box(n, k, h, mode=mode, sample_count=sample_count,
-                       seed=seed, jobs=jobs)
-            for h in heights]
+    """survey_box at each height, every height checked before the first
+    survey runs."""
+    options = dict(mode=mode, sample_count=sample_count, seed=seed,
+                   jobs=jobs)
+    check_sweep(n, k, heights, **options)
+    return [survey_box(n, k, h, **options) for h in heights]
 
 
 CSV_COLUMNS = ("n", "k", "H", "mode", "seed", "total", "soluble",

@@ -1,7 +1,9 @@
 """Recomputation suite for every recorded value the package relies on.
 
-Each criterion recomputes one family of recorded results from scratch
-and reports pass/fail with a short detail line.  The same registry backs
+There is one suite: each criterion takes no argument, recomputes one
+family of recorded results from scratch over its whole grid (both
+worked examples, the quadratic and the cubic, in every criterion) and
+reports pass/fail with a short detail line.  The same registry backs
 tests/test_acceptance.py and the `locsol verify-paper` subcommand, so a
 red line in one is a red line in the other.
 
@@ -206,20 +208,11 @@ def verify_classification(p: int, k: int, n: int) -> int:
     return len(decided)
 
 
-def _wants(k: int, subset: str) -> bool:
-    return (subset == "all" or (subset == "quadratic" and k == 2)
-            or (subset == "cubic" and k == 3))
-
-
-def criterion_pathological_densities(subset: str) -> tuple[bool, str]:
+def criterion_pathological_densities() -> tuple[bool, str]:
     """Exact enumeration reproduces the four recorded densities at p | k."""
     start = perf_counter()
     bad = []
-    ran = 0
     for (n, k, p), want in sorted(PATHOLOGICAL_TARGETS.items()):
-        if not _wants(k, subset):
-            continue
-        ran += 1
         got = rho_p_exact(n, k, p).value
         if got != want:
             bad.append(f"(n={n},k={k},p={p}) gave {got}, wanted {want}")
@@ -228,19 +221,16 @@ def criterion_pathological_densities(subset: str) -> tuple[bool, str]:
         return False, "; ".join(bad)
     if elapsed >= 60:
         return False, f"values matched but took {elapsed:.1f}s (limit 60s)"
-    return True, f"{ran} exact enumerations matched in {elapsed:.1f}s"
+    return True, (f"{len(PATHOLOGICAL_TARGETS)} exact enumerations matched "
+                  f"in {elapsed:.1f}s")
 
 
-def criterion_route_agreement(subset: str) -> tuple[bool, str]:
+def criterion_route_agreement() -> tuple[bool, str]:
     """Enumeration, the generic sum and the paper's formula agree exactly
     on a grid."""
-    grids = []
-    if _wants(2, subset):
-        grids.append((2, (2, 3, 4), (3, 5, 7, 11, 13)))
-    if _wants(3, subset):
-        grids.append((3, (2, 3, 4, 5), (2, 5, 7, 11, 13)))
     checked = 0
-    for k, ns, ps in grids:
+    for k, ns, ps in ((2, (2, 3, 4), (3, 5, 7, 11, 13)),
+                      (3, (2, 3, 4, 5), (2, 5, 7, 11, 13))):
         for n in ns:
             for p in ps:
                 exact = rho_p_exact(n, k, p).value
@@ -254,15 +244,11 @@ def criterion_route_agreement(subset: str) -> tuple[bool, str]:
     return True, f"three routes agreed exactly at {checked} grid points"
 
 
-def criterion_classification(subset: str) -> tuple[bool, str]:
+def criterion_classification() -> tuple[bool, str]:
     """Exhaustive cell decisions match the recorded catalogues."""
-    regimes = []
-    if _wants(2, subset):
-        regimes += [(2, 2, 2), (2, 2, 3), (2, 2, 4)]
-    if _wants(3, subset):
-        regimes += [(3, 3, 2), (3, 3, 3), (3, 3, 4)]
     details = []
-    for p, k, n in regimes:
+    for p, k, n in ((2, 2, 2), (2, 2, 3), (2, 2, 4),
+                    (3, 3, 2), (3, 3, 3), (3, 3, 4)):
         try:
             cells = verify_classification(p, k, n)
         except ClassificationMismatch as exc:
@@ -278,68 +264,61 @@ def _brackets(lo: Fraction, hi: Fraction, decimal_text: str) -> bool:
     return lo < target + Fraction(1, 10**digits) and hi > target
 
 
-def criterion_intervals(subset: str) -> tuple[bool, str]:
+def criterion_intervals() -> tuple[bool, str]:
     """Certified enclosures hit the catalogue decimals and exact points."""
     width_cap = Fraction(1, 1000)
     details = []
-    if _wants(2, subset):
+    start = perf_counter()
+    iv = rho_loc_interval(3, 2)
+    elapsed = perf_counter() - start
+    if elapsed >= 300:
+        return False, f"(3,2) interval took {elapsed:.0f}s (limit 300s)"
+    if iv.width >= width_cap:
+        return False, f"(3,2) width {float(iv.width):.2e} too wide"
+    if not _brackets(iv.finite_lo, iv.finite_hi, "0.8268"):
+        return False, (f"(3,2) finite product [{float(iv.finite_lo):.6f}, "
+                       f"{float(iv.finite_hi):.6f}] misses 0.8268")
+    if iv.hi != Fraction(7, 8) * iv.finite_hi:
+        return False, "(3,2) full enclosure is not 7/8 of finite part"
+    details.append(f"(3,2) finite {float(iv.finite_hi):.5f}, "
+                   f"full {float(iv.hi):.5f}")
+    for n, point in ((4, Fraction(15, 16)), (5, Fraction(31, 32))):
+        ivp = rho_loc_interval(n, 2)
+        if (ivp.lo, ivp.hi) != (point, point):
+            return False, f"({n},2) expected exact point {point}"
+    iv22 = rho_loc_interval(2, 2)
+    if (iv22.lo, iv22.hi) != (0, 0):
+        return False, "(2,2) expected the divergent point [0, 0]"
+    details.append("(4,2) (5,2) exact points, (2,2) zero")
+    for n, k, decimal_text in ((3, 3, "0.8964"), (4, 3, "0.9965")):
         start = perf_counter()
-        iv = rho_loc_interval(3, 2)
+        iv = rho_loc_interval(n, k)
         elapsed = perf_counter() - start
         if elapsed >= 300:
-            return False, f"(3,2) interval took {elapsed:.0f}s (limit 300s)"
+            return False, f"({n},{k}) took {elapsed:.0f}s (limit 300s)"
         if iv.width >= width_cap:
-            return False, f"(3,2) width {float(iv.width):.2e} too wide"
-        if not _brackets(iv.finite_lo, iv.finite_hi, "0.8268"):
-            return False, (f"(3,2) finite product "
-                           f"[{float(iv.finite_lo):.6f}, "
-                           f"{float(iv.finite_hi):.6f}] misses 0.8268")
-        if iv.hi != Fraction(7, 8) * iv.finite_hi:
-            return False, "(3,2) full enclosure is not 7/8 of finite part"
-        details.append(f"(3,2) finite {float(iv.finite_hi):.5f}, "
-                       f"full {float(iv.hi):.5f}")
-        for n, point in ((4, Fraction(15, 16)), (5, Fraction(31, 32))):
-            ivp = rho_loc_interval(n, 2)
-            if (ivp.lo, ivp.hi) != (point, point):
-                return False, f"({n},2) expected exact point {point}"
-        iv22 = rho_loc_interval(2, 2)
-        if (iv22.lo, iv22.hi) != (0, 0):
-            return False, "(2,2) expected the divergent point [0, 0]"
-        details.append("(4,2) (5,2) exact points, (2,2) zero")
-    if _wants(3, subset):
-        for n, k, decimal_text in ((3, 3, "0.8964"), (4, 3, "0.9965")):
-            start = perf_counter()
-            iv = rho_loc_interval(n, k)
-            elapsed = perf_counter() - start
-            if elapsed >= 300:
-                return False, f"({n},{k}) took {elapsed:.0f}s (limit 300s)"
-            if iv.width >= width_cap:
-                return False, f"({n},{k}) width too large: {float(iv.width)}"
-            if not _brackets(iv.lo, iv.hi, decimal_text):
-                return False, (f"({n},{k}) enclosure [{float(iv.lo):.6f}, "
-                               f"{float(iv.hi):.6f}] misses {decimal_text}")
-            details.append(f"({n},{k}) around {decimal_text}")
-        iv53 = rho_loc_interval(5, 3)
-        if decimalize(iv53, 4) != ("0.9999", "1.0000"):
-            return False, f"(5,3) rendered as {decimalize(iv53, 4)}"
-        iv63 = rho_loc_interval(6, 3)
-        if (iv63.lo, iv63.hi) != (1, 1):
-            return False, "(6,3) expected the exact point [1, 1]"
-        iv23 = rho_loc_interval(2, 3)
-        if (iv23.lo, iv23.hi) != (0, 0):
-            return False, "(2,3) expected the divergent point [0, 0]"
-        details.append("(5,3) brackets [0.9999, 1.0000], (6,3) one, "
-                       "(2,3) zero")
+            return False, f"({n},{k}) width too large: {float(iv.width)}"
+        if not _brackets(iv.lo, iv.hi, decimal_text):
+            return False, (f"({n},{k}) enclosure [{float(iv.lo):.6f}, "
+                           f"{float(iv.hi):.6f}] misses {decimal_text}")
+        details.append(f"({n},{k}) around {decimal_text}")
+    iv53 = rho_loc_interval(5, 3)
+    if decimalize(iv53, 4) != ("0.9999", "1.0000"):
+        return False, f"(5,3) rendered as {decimalize(iv53, 4)}"
+    iv63 = rho_loc_interval(6, 3)
+    if (iv63.lo, iv63.hi) != (1, 1):
+        return False, "(6,3) expected the exact point [1, 1]"
+    iv23 = rho_loc_interval(2, 3)
+    if (iv23.lo, iv23.hi) != (0, 0):
+        return False, "(2,3) expected the divergent point [0, 0]"
+    details.append("(5,3) brackets [0.9999, 1.0000], (6,3) one, (2,3) zero")
     return True, "; ".join(details)
 
 
-def criterion_oracle_agreement(subset: str) -> tuple[bool, str]:
+def criterion_oracle_agreement() -> tuple[bool, str]:
     """Fast decisions match breadth-first lifting on random instances."""
     rng = Random(SURVEY_SEED)
-    combos = [(p, k, n)
-              for p in (2, 3, 5, 7)
-              for k in (2, 3) if _wants(k, subset)
-              for n in (2, 3)]
+    combos = [(p, k, n) for p in (2, 3, 5, 7) for k in (2, 3) for n in (2, 3)]
     per_combo = ceil(2000 / len(combos))
     decided = 0
     overflows = 0
@@ -368,17 +347,13 @@ def criterion_oracle_agreement(subset: str) -> tuple[bool, str]:
                   f"({overflows} lifting overflows resampled)")
 
 
-def criterion_measures(subset: str) -> tuple[bool, str]:
+def criterion_measures() -> tuple[bool, str]:
     """Cell masses sum to one and the normalizers match."""
-    grid = []
-    kappa_targets = []
-    if _wants(2, subset):
-        grid += [(2, 2, 2), (2, 2, 3), (3, 2, 2), (5, 2, 2)]
-        kappa_targets += [(2, 2, 2, Fraction(2**6, 3**3)),
-                          (3, 2, 2, Fraction(2**8, 3**4))]
-    if _wants(3, subset):
-        grid += [(3, 3, 2), (3, 3, 3), (2, 3, 2)]
-        kappa_targets += [(2, 3, 3, Fraction(27, 26)**3)]
+    grid = ((2, 2, 2), (2, 2, 3), (3, 2, 2), (5, 2, 2),
+            (3, 3, 2), (3, 3, 3), (2, 3, 2))
+    kappa_targets = ((2, 2, 2, Fraction(2**6, 3**3)),
+                     (3, 2, 2, Fraction(2**8, 3**4)),
+                     (2, 3, 3, Fraction(27, 26)**3))
     for p, k, n in grid:
         total = sum(cell_measure(cell, p, k) for cell in all_cells(p, k, n))
         if total != 1:
@@ -390,10 +365,8 @@ def criterion_measures(subset: str) -> tuple[bool, str]:
                   f"{len(kappa_targets)} normalizers exact")
 
 
-def criterion_survey(subset: str) -> tuple[bool, str]:
+def criterion_survey() -> tuple[bool, str]:
     """A seeded sample survey lands near the certified enclosure."""
-    if not _wants(2, subset):
-        return True, "skipped: no quadratic content in this subset"
     interval = rho_loc_interval(3, 2)
     report = survey_box(3, 2, 200, mode="sample", sample_count=100_000,
                         seed=SURVEY_SEED)
@@ -460,15 +433,12 @@ def _cache_integrity(cache_store: CacheStore | None) -> tuple[bool, str]:
                   f"holds {len(loaded)} verdicts")
 
 
-def run_suite(subset: str = "all", cache_store: CacheStore | None = None
-              ) -> list[ItemResult]:
-    if subset not in ("all", "quadratic", "cubic"):
-        raise ValueError(f"unknown subset: {subset}")
+def run_suite(cache_store: CacheStore | None = None) -> list[ItemResult]:
     results = []
     for name, fn in CRITERIA:
         start = perf_counter()
         try:
-            passed, detail = fn(subset)
+            passed, detail = fn()
         except Exception as exc:  # a crash is a failure, not an abort
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append(ItemResult(name, passed, detail,

@@ -11,11 +11,11 @@ from random import Random
 import pytest
 
 import locsol
-from locsol import cache, cli, product
+from locsol import cache, cli, product, survey, verification
 from locsol.cache import CacheStore, load_verdicts, save_verdicts
 from locsol.cli import main
 from locsol.solubility import clear_caches
-from locsol.verification import ItemResult
+from locsol.verification import CRITERIA, ItemResult
 
 
 def run(capsys, *argv):
@@ -364,6 +364,28 @@ def test_survey_sample_needs_seed(capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, error", [
+    (("--box", "12", "--sweep", "100"),
+     "error: box holds 1568239201 vectors"),
+    (("--box", "12", "--sweep", "0"),
+     "error: need n >= 1, k >= 2, height >= 1, got (3, 2, 0)"),
+    (("--box", "200", "--mode", "sample", "--samples", "1000",
+      "--reference", "--cutoff", "300000"),
+     "error: sample mode needs sample_count >= 1 and a seed")],
+    ids=["past-the-cap", "height-0", "sample-without-seed"])
+def test_a_bad_survey_request_is_refused_before_any_work(capsys, monkeypatch,
+                                                         argv, error):
+    # each used to survey the first box, or compute the interval, first
+    calls = []
+    monkeypatch.setattr(survey, "_count_chunk",
+                        lambda task: calls.append(task) or 0)
+    monkeypatch.setattr(cli, "rho_loc_interval",
+                        lambda *args: calls.append(args))
+    code, out, err = run(capsys, "survey", "-n", "3", "-k", "2", *argv)
+    assert (code, out, err) == (2, "", error + "\n")
+    assert calls == []
+
+
 def test_survey_refuses_fewer_than_one_job(capsys):
     code, out, err = run(capsys, "survey", "-n", "2", "-k", "2", "--box",
                          "2", "--jobs", "-5")
@@ -506,34 +528,51 @@ def test_verify_paper_flags_a_corrupt_cache(capsys, tmp_path, monkeypatch):
     path = tmp_path / "verdicts.json"
     path.write_bytes(path.read_bytes().replace(b'"soluble"', b'"insoluble"'))
     clear_caches()
-    code, out, err = run(capsys, "verify-paper", "--subset", "cubic")
+    code, out, err = run(capsys, "verify-paper")
     assert code == 1
-    lines = out.strip().splitlines()
     statuses = {}
-    for line in lines:
+    for line in out.strip().splitlines():
         word, rest = line.split(" ", 1)
         statuses[rest.split(" ")[0]] = word
     assert statuses["cache-integrity"] == "FAIL"
     failing = [name for name, word in statuses.items() if word == "FAIL"]
     assert failing == ["cache-integrity"]
-    assert "skipped" in next(l for l in lines if "survey-midpoint" in l)
+    assert statuses["survey-midpoint"] == "PASS"
     clear_caches()
 
 
 def test_verify_paper_json_reports_each_item(capsys, monkeypatch):
-    def suite(subset, cache_store=None):
-        assert subset == "quadratic"
+    def suite(cache_store=None):
         return [ItemResult("first", True, "all agree", 1.23456),
                 ItemResult("second", False, "one differs", 0.987)]
     monkeypatch.setattr(cli, "run_suite", suite)
-    code, out, _ = run(capsys, "verify-paper", "--subset", "quadratic",
-                       "--format", "json")
+    code, out, _ = run(capsys, "verify-paper", "--format", "json")
     assert code == 1
     assert json.loads(out) == [
         {"name": "first", "passed": True, "detail": "all agree",
          "elapsed": 1.23},
         {"name": "second", "passed": False, "detail": "one differs",
          "elapsed": 0.99}]
+
+
+def test_verify_paper_has_no_subset_option(capsys):
+    code, out, err = run(capsys, "verify-paper", "--subset", "quadratic")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --subset quadratic" in err
+
+
+def test_verify_paper_reports_every_criterion_in_order(capsys, monkeypatch):
+    # the criteria are stubbed: the acceptance tests run the real ones
+    monkeypatch.delenv("LOCSOL_CACHE_DIR", raising=False)
+    monkeypatch.setattr(verification, "CRITERIA", tuple(
+        (name, lambda: (True, "stub")) for name, _ in CRITERIA))
+    names = [name for name, _ in CRITERIA] + ["cache-integrity"]
+    code, out, _ = run(capsys, "verify-paper")
+    assert code == 0
+    assert [line.split(" ")[1] for line in out.splitlines()] == names
+    code, out, _ = run(capsys, "verify-paper", "--format", "json")
+    assert code == 0
+    assert [item["name"] for item in json.loads(out)] == names
 
 
 def test_public_names_resolve():

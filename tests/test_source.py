@@ -1,8 +1,9 @@
 """Source hygiene of the package, checked with the standard library's ast:
 no top-level import goes unused, no line runs past 79 characters, the
 lifting oracle imports nothing of the package but its errors, only the
-command line's main and its stderr helpers call print, and every
-functools memo is bounded by a module-level constant."""
+command line's main and its stderr helpers call print, every
+functools memo is bounded by a module-level constant, and the command
+line reads every option its parser declares."""
 
 import ast
 import sys
@@ -146,6 +147,35 @@ def unbounded_memos(path: Path) -> list[str]:
     return bad
 
 
+def _dest(call) -> str:
+    """The dest argparse gives an add_argument call: its dest= keyword,
+    else its first long option, else its first name, with - as _."""
+    for keyword in call.keywords:
+        if keyword.arg == "dest":
+            return ast.literal_eval(keyword.value)
+    names = [ast.literal_eval(arg) for arg in call.args]
+    long = [name for name in names if name.startswith("--")]
+    return (long or names)[0].lstrip("-").replace("-", "_")
+
+
+def unread_options(path: Path) -> list[str]:
+    """file:line dest for each add_argument in the file's _build_parser
+    whose dest the file never reads as args.<dest>."""
+    tree = ast.parse(path.read_text(), str(path))
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+    parser = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "_build_parser")
+    return [f"{path.name}:{node.lineno} {_dest(node)}"
+            for node in ast.walk(parser)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_argument"
+            and _dest(node) not in read]
+
+
 def test_the_oracle_is_independent_of_the_package():
     # `import locsol.oracle` loads the whole package, so only the
     # oracle's own source can show what it depends on
@@ -262,3 +292,26 @@ def test_the_memo_check_sees_unbounded_memos(tmp_path):
                      "from . import cache\n"
                      "cache.load_verdicts(lru_cache)\n")
     assert unbounded_memos(other) == ["cli.py:3"]
+
+
+def test_the_command_line_reads_every_option_it_declares():
+    assert unread_options(Path(locsol.__file__).parent / "cli.py") == []
+
+
+def test_the_option_check_sees_an_unread_option(tmp_path):
+    source = tmp_path / "cli.py"
+    source.write_text(
+        "import argparse\n"
+        "def _build_parser():\n"
+        "    parser = argparse.ArgumentParser()\n"
+        "    parser.add_argument('-k', type=int)\n"
+        "    parser.add_argument('-s', '--subset', default='all')\n"
+        "    parser.add_argument('--cache-dir', dest='store')\n"
+        "    parser.add_argument('--no-witness', action='store_true')\n"
+        "    parser.add_argument('coefficients', nargs='+')\n"
+        "    return parser\n"
+        "def main(argv=None):\n"
+        "    args = _build_parser().parse_args(argv)\n"
+        "    return args.k, args.s, args.cache_dir, args.no_witness\n")
+    assert unread_options(source) == [
+        "cli.py:5 subset", "cli.py:6 store", "cli.py:8 coefficients"]
