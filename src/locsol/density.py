@@ -240,8 +240,19 @@ def _generic_factor(n: int, k: int, p: int) -> tuple[int, int, int]:
     """generic_sum at a p known to be a prime not dividing k, unchecked,
     as _factor's triple."""
     d = gcd(p - 1, k)
+    return _terms_factor(n, k, p, d,
+                         layer_terms(n, k, _insoluble_counts(n, k, p, d)))
+
+
+def _terms_factor(n: int, k: int, p: int, d: int,
+                  terms: tuple[tuple[int, int], ...]
+                  ) -> tuple[int, int, int]:
+    """_factor's triple for layer_terms' pairs at p, d = gcd(p-1, k):
+    the insoluble weight sum_w c_w p^(top-w) is summed by Horner over
+    integers.  Past the pathological primes the terms depend on p only
+    through d (product.rho_loc_interval reads them once per class)."""
     insoluble, top = 0, 0
-    for w, c in layer_terms(n, k, _insoluble_counts(n, k, p, d)):
+    for w, c in terms:
         insoluble = insoluble * p**(w - top) + c
         top = w
     return _factor(n, k, p, d, insoluble, top)

@@ -16,36 +16,46 @@ the integral from P-1, and the cruder P^(1-s)/(s-1) would be false
 For n = 2 the deficits 1 - rho_p decay like 1/p, the product diverges to
 zero, and the enclosure is the exact point [0, 0].
 
-The finite product is formed as a balanced tree over the primes in
-order (_balanced_product), streamed so that only about log2 of the
-partial products are held at once.  Each factor arrives reduced, as
-density._local_factor's (num, den, bound): every prime of den divides
-bound.  A node's bound is the lcm of its sides' bounds, so it holds
-every small prime of S(p) d once, where their product held it once per
-factor: over the upper half of the (3, 2) factors at cutoff 10^5 the
-bound is 19,704 bits as an lcm against 82,107 as a product.  (3, 3)
-gains little, as its bounds hold large primes of p^2 + p + 1 that
-seldom repeat (52,809 against 80,956 bits).  A join cancels each
+The finite product is one recursion over the sieved primes
+(_balanced_product).  A range splits at its midpoint, and a leaf
+computes its prime's factor only when the recursion reaches it, so no
+list of factors is built and about log2 of the partial products are
+held at once; a side equal to 1 is passed up without a join.  Past the
+last pathological prime of k (every p | k is one) the layer chances
+are (1, d, d(d-1)), d = gcd(p-1, k), so rho_loc_interval reads
+layer_terms once per divisor d of k, and such a leaf is one lookup, a
+Horner sum and density._factor (density._terms_factor).  Smaller primes
+go through density._local_factor, which walks the pathological primes
+and enumerates the cells at p | k.
+
+Each factor arrives reduced as (num, den, bound): every prime of den
+divides bound.  A node's bound is the lcm of its sides' bounds, so it
+holds every small prime of S(p) d once, where their product held it
+once per factor: over the upper half of the (3, 2) factors at cutoff
+10^5 the bound is 19,704 bits as an lcm against 82,107 as a product.
+(3, 3) gains little, as its bounds hold large primes of p^2 + p + 1
+that seldom repeat (52,809 against 80,956 bits).  A join cancels each
 numerator against the other side's den through that side's bound
 (_cancel), so no gcd ever takes two full-size operands, and every join
 leaves its node reduced; the result is built with no final gcd.  On a
 2-core host (Python 3.11, best of 3 to 5 runs in one process) the (3, 2)
-enclosure takes 0.19 s at cutoff 10^5 and 1.04 s at 3 * 10^5, where its
-endpoints have about 486 k and 1.45 M bits.  Before it sieves,
-rho_loc_interval refuses a degree whose walks at the pathological primes
-pass PATHOLOGICAL_WORK_CAP, and a cutoff whose estimated endpoints pass
+enclosure takes 0.18 s at cutoff 10^5 and 1.06 s at 3 * 10^5, where its
+endpoints have about 486 k and 1.45 M bits; at 3 * 10^5 the top joins'
+gcds set the time.  Before it sieves, rho_loc_interval refuses a
+degree whose walks at the pathological primes pass
+PATHOLOGICAL_WORK_CAP, and a cutoff whose estimated endpoints pass
 PRODUCT_BITS_CAP.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import e, gcd, lcm, log2
 
 from .density import (_coprime_fraction, _insoluble_work, _local_factor,
-                      layer_terms, rho_infinity)
+                      _terms_factor, layer_terms, rho_infinity)
 from .errors import (DegenerateInput, DivergentTail, PreconditionViolated,
                      ResourceBound)
 from .padic import _integers
@@ -164,11 +174,15 @@ def rho_loc_interval(n: int, k: int, cutoff: int = 10**4
 
     Primes below the cutoff contribute exact factors from rho_p; the
     tail past the cutoff is bounded by tail_hypothesis.  Requires
-    n >= 2; for n = 2 the result is the exact point [0, 0].
+    n >= 2 and a cutoff of at least 2; for n = 2 the result is the exact
+    point [0, 0].
     """
     _integers((n, k, cutoff))
     if n < 2 or k < 2:
         raise DegenerateInput(f"need n >= 2 and k >= 2, got ({n}, {k})")
+    if cutoff < 2:
+        raise PreconditionViolated(
+            f"need a cutoff of at least 2, got {cutoff}")
     real = rho_infinity(n, k).value
     if n == 2:
         zero = Fraction(0)
@@ -197,10 +211,20 @@ def rho_loc_interval(n: int, k: int, cutoff: int = 10**4
         raise ResourceBound(
             f"the product to cutoff {cutoff} needs about {bits} bits, past "
             f"the cap {PRODUCT_BITS_CAP}", required=bits)
-    # The sieve made every p prime, so a factor at p not dividing k skips
-    # the primality proof.
-    finite_hi = _balanced_product(
-        _local_factor(n, k, p) for p in primes_below(cutoff))
+    # Past the last pathological prime (every p | k is one) the layer
+    # chances are (1, d, d(d-1)), d = gcd(p-1, k), a divisor of k.  The
+    # sieve made every p prime, so no factor proves its p prime again.
+    last = max(pathological_primes(k))
+    classes = {d: layer_terms(n, k, (1, d, d * (d - 1)))
+               for d in range(1, k + 1) if k % d == 0}
+
+    def factor(p: int) -> tuple[int, int, int]:
+        if p <= last:
+            return _local_factor(n, k, p)
+        d = gcd(p - 1, k)
+        return _terms_factor(n, k, p, d, classes[d])
+
+    finite_hi = _balanced_product(primes_below(cutoff), factor)
     finite_lo = finite_hi * (1 - penalty)
     return CertifiedInterval(
         n=n, k=k, cutoff=cutoff, lo=real * finite_lo, hi=real * finite_hi,
@@ -225,34 +249,36 @@ def _product_bits(n: int, k: int, cutoff: int) -> int:
     return int((n + 1) * (k - 1) * cutoff * log2(e)) * live // len(ds)
 
 
-def _balanced_product(factors: Iterable[tuple[int, int, int]]
+def _balanced_product(items: Sequence[int],
+                      factor: Callable[[int], tuple[int, int, int]]
                       ) -> Fraction:
-    """The product of reduced factors (num, den, bound) as a balanced
-    tree, streamed.
+    """The product of the reduced triples factor(item) (num, den, bound)
+    over items, as a tree that splits each range at its midpoint.
 
-    Every prime of a factor's den divides its bound.  The stack is a
-    binary counter of (size, node) pairs: a new factor merges with the
-    top while the two sizes are equal, so each join meets operands of
-    about the same length.  A node is a reduced triple whose bound is
-    the lcm of its factors' bounds, so every prime of its den still
-    divides its bound.  Factors equal to 1 are skipped, and the empty
-    product is 1.
+    Every prime of a factor's den divides its bound.  A leaf computes
+    its factor only when the recursion reaches it, so at most one leaf
+    and one partial product per level, about log2 len(items), are held
+    at once.  A node is a reduced triple whose bound is the lcm of its
+    factors' bounds, so every prime of its den still divides its bound.
+    A side equal to 1 is returned as it is, without a join, and the
+    empty product is 1.
     """
-    stack: list[tuple[int, tuple[int, int, int]]] = []
-    for factor in factors:
-        if factor[0] == factor[1]:
-            continue
-        size = 1
-        while stack and stack[-1][0] == size:
-            top_size, top = stack.pop()
-            factor = _join(top, factor)
-            size += top_size
-        stack.append((size, factor))
-    product = (1, 1, 1)
-    while stack:
-        product = _join(stack.pop()[1], product)
+    def node(lo: int, hi: int) -> tuple[int, int, int]:
+        if hi - lo == 1:
+            return factor(items[lo])
+        mid = (lo + hi) // 2
+        left, right = node(lo, mid), node(mid, hi)
+        if left[0] == left[1]:
+            return right
+        if right[0] == right[1]:
+            return left
+        return _join(left, right)
+
+    if not items:
+        return Fraction(1)
+    num, den, _ = node(0, len(items))
     # every join cancelled fully, so the ends are coprime already
-    return _coprime_fraction(product[0], product[1])
+    return _coprime_fraction(num, den)
 
 
 def _join(left: tuple[int, int, int], right: tuple[int, int, int]

@@ -215,6 +215,15 @@ def test_rho_loc_plane_case_is_zero(capsys):
     assert "[0.000000, 0.000000]" in out
 
 
+def test_rho_loc_plane_case_refuses_a_cutoff_below_2(capsys):
+    # it used to answer the point [0, 0] and record "P": -5
+    for cutoff in ("-5", "0", "1"):
+        code, out, err = run(capsys, "rho", "-n", "2", "-k", "2", "--loc",
+                             "--cutoff", cutoff, "--format", "json")
+        assert code == 2 and out == "", cutoff
+        assert err.startswith("error: ") and "cutoff" in err
+
+
 def test_text_bounds_round_outward(capsys):
     # rounding to nearest gave 0.826758 and 0.720408, above the lower ends
     code, out, _ = run(capsys, "rho", "-n", "3", "-k", "2", "--loc")

@@ -192,6 +192,18 @@ def test_huge_sieve_bounds_are_refused():
         decide_everywhere_local(CoefficientVector((1, 1, 1), 10**4))
 
 
+def test_a_cutoff_below_2_is_refused_for_every_n():
+    # n = 2 is the point [0, 0] at any cutoff, but only once the cutoff
+    # is checked
+    for n, k in ((2, 2), (2, 3), (3, 2), (4, 3)):
+        for cutoff in (-5, 0, 1):
+            with pytest.raises(PreconditionViolated):
+                rho_loc_interval(n, k, cutoff=cutoff)
+    for cutoff in (2, 10**4):
+        iv = rho_loc_interval(2, 2, cutoff=cutoff)
+        assert iv.lo == iv.hi == 0 and iv.cutoff == cutoff
+
+
 def _no_sieve(bound):
     raise AssertionError(f"sieved to {bound} before refusing")
 
@@ -381,6 +393,74 @@ def test_every_factor_bound_covers_its_denominator(n, k):
         assert pow(bound, n + 1, den) == 0, (n, k, p)
 
 
+def _leaves(monkeypatch, n, k, cutoff):
+    """The primes rho_loc_interval(n, k, cutoff) multiplies and its leaf
+    function, caught at the product's entry point."""
+    caught = []
+
+    def catch(items, factor):
+        caught.append((items, factor))
+        return F(1)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(product, "_balanced_product", catch)
+        rho_loc_interval(n, k, cutoff)
+    return caught[0]
+
+
+@pytest.mark.parametrize("n, k", [(3, 2), (3, 3), (4, 3), (3, 4), (3, 5),
+                                  (3, 6)])
+def test_class_leaves_are_the_local_factors(monkeypatch, n, k):
+    # past the last pathological prime a leaf reads its class's terms,
+    # never _local_factor, and gives _local_factor's triple
+    last = max(pathological_primes(k))
+    primes, leaf = _leaves(monkeypatch, n, k, 3000)
+    assert list(primes) == primes_below(3000)
+
+    def only_pathological(n_, k_, p):
+        assert p <= last, p
+        return _local_factor(n_, k_, p)
+
+    monkeypatch.setattr(product, "_local_factor", only_pathological)
+    past = [p for p in primes if p > last]
+    assert past
+    for p in past:
+        assert leaf(p) == _local_factor(n, k, p), (n, k, p)
+
+
+def test_each_factor_is_computed_once_and_ones_pass_through(monkeypatch):
+    # (3, 3) at cutoff 2000: the factor at p = 2 mod 3 is 1, and no join
+    # sees a side equal to 1, so there is one join fewer than there are
+    # factors other than 1
+    factors = {}
+    joins = []
+
+    def counting(compute):
+        def stub(n, k, p, *rest):
+            assert p not in factors, p
+            factors[p] = compute(n, k, p, *rest)
+            return factors[p]
+        return stub
+
+    def join(left, right):
+        assert left[0] != left[1] and right[0] != right[1]
+        joins.append(1)
+        return _join(left, right)
+
+    monkeypatch.setattr(product, "_local_factor",
+                        counting(product._local_factor))
+    monkeypatch.setattr(product, "_terms_factor",
+                        counting(product._terms_factor))
+    monkeypatch.setattr(product, "_join", join)
+    iv = rho_loc_interval(3, 3, cutoff=2000)
+    assert sorted(factors) == primes_below(2000)
+    others = [f for f in factors.values() if f[0] != f[1]]
+    assert [p for p, f in factors.items() if f[0] == f[1]] == \
+        [p for p in primes_below(2000) if p % 3 == 2]
+    assert len(joins) == len(others) - 1
+    assert iv.finite_hi == reduce(mul, (F(num, den) for num, den, _ in others))
+
+
 _LENGTHS = (0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33)
 _EXTRA_PRIMES = st.lists(st.sampled_from((2, 3, 5, 7, 11, 13, 10007)),
                          max_size=3)
@@ -415,8 +495,8 @@ def test_balanced_product_is_the_product(drawn):
     )
     for family in families:
         got = _balanced_product(
-            (value.numerator, value.denominator, bound)
-            for value, bound in family)
+            family, lambda item: (item[0].numerator, item[0].denominator,
+                                  item[1]))
         assert got == reduce(mul, (value for value, _ in family), F(1))
         assert gcd(got.numerator, got.denominator) == 1
         assert got.denominator > 0
