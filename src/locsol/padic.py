@@ -307,11 +307,11 @@ class CoefficientVector:
 
     @property
     def has_zero_entry(self) -> bool:
-        return any(a == 0 for a in self.entries)
+        return 0 in self.entries
 
     @property
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
+        return not any(self.entries)
 
 
 def orbit_record(a: CoefficientVector, p: int) -> dict:

@@ -54,9 +54,17 @@ _ROOT_SCAN_LIMIT = 3000
 # and for _value_count().
 VALUE_SETS_CACHE_SIZE = 4_096
 # Only walks up to this modulus use the memo, which keeps it small.  A
-# larger set (p not dividing k on the walk mod p) is rebuilt: building it
-# costs about as much as walking it.
+# larger set is rebuilt for each walk from _powers' table, one
+# multiplication per distinct k-th power: 35-50 % of the walks' time in
+# rho_p_exact(2, 7, 7) and (2, 9, 3) and at the pathological primes of
+# k = 8 (2-core host, Python 3.11).
 VALUE_SETS_MEMO_MODULUS = 128
+# Memo bound for _powers(), one table per walk modulus (p, k, level).  The
+# largest table WALK_WORK_CAP admits has 11,543 entries, about 1.3 MB:
+# p = 288,551 and k = 25, a walk mod p over three units of 10^10 bit
+# operations, which peaks at 22.4 MB RSS; a full memo of such tables
+# would hold about 21 MB.
+POWERS_CACHE_SIZE = 16
 # Verdict memo bound; when full, the oldest entry in insertion order goes.
 VERDICT_CACHE_SIZE = 65_536
 # Memo bound for pathological_primes(), one entry per degree k.
@@ -97,11 +105,12 @@ class SolubilityVerdict:
 
 
 def clear_caches() -> None:
-    """Drop all memoized verdicts, value tables, box tables, primality
-    proofs and root set-ups (mainly for tests)."""
+    """Drop all memoized verdicts, k-th power tables, value tables, box
+    tables, primality proofs and root set-ups (mainly for tests)."""
     _VERDICTS.clear()
     _ORDER.clear()
     _BOX_TABLES.clear()
+    _powers.cache_clear()
     _value_sets.cache_clear()
     _value_count.cache_clear()
     _proved_prime.cache_clear()
@@ -135,19 +144,35 @@ def dump_verdicts() -> dict[tuple, str]:
 # --- the walk on one layer --------------------------------------------------
 
 
+@lru_cache(maxsize=POWERS_CACHE_SIZE)
+def _powers(p: int, k: int, level: int):
+    """The k-th powers mod p^level: (unit, nonunit) dicts mapping each
+    power v to the least unit, resp. non-unit, t with t^k = v, in
+    increasing t."""
+    modulus = p**level
+    units: dict[int, int] = {}
+    nonunits: dict[int, int] = {}
+    for t in range(modulus):
+        (nonunits if t % p == 0 else units).setdefault(pow(t, k, modulus), t)
+    return units, nonunits
+
+
 @lru_cache(maxsize=VALUE_SETS_CACHE_SIZE)
 def _value_sets(p: int, k: int, level: int, c: int):
     """Values c*t^k mod p^level, split by whether t is a unit.
 
     Returns (unit, nonunit, all) dicts mapping each attainable value to
-    a t attaining it, for witness recovery.
+    a t attaining it, for witness recovery; the first two hold the least
+    unit, resp. non-unit, t in increasing t.  Scaling _powers' tables
+    gives them: a t that is not the least for its power is not the
+    least for c times it.
     """
     modulus = p**level
     unit_vals: dict[int, int] = {}
     nonunit_vals: dict[int, int] = {}
-    for t in range(modulus):
-        val = c * pow(t, k, modulus) % modulus
-        (nonunit_vals if t % p == 0 else unit_vals).setdefault(val, t)
+    for vals, table in zip((unit_vals, nonunit_vals), _powers(p, k, level)):
+        for v, t in table.items():
+            vals.setdefault(c * v % modulus, t)
     return unit_vals, nonunit_vals, nonunit_vals | unit_vals
 
 
@@ -248,9 +273,9 @@ def _lift(p: int, k: int, tau: int, level: int, coeffs, y, lead: int):
     target = p**level
     shift = p**tau
     c = coeffs[lead]
-    # only y[lead] moves: the other terms are summed once
+    # only y[lead] moves: the other nonzero terms are summed once
     fixed = sum(ci * pow(t, k, q) for i, (ci, t) in enumerate(zip(coeffs, y))
-                if i != lead)
+                if t and i != lead)
     for _ in range(level + 2):
         t = y[lead]
         power = pow(t, k - 1, q)
@@ -389,29 +414,35 @@ def _decide_layers(p: int, k: int, exps, units, want_witness: bool):
     soluble layer, lifted until G_r(y) = 0 mod p^(m*-r) and mapped back
     to x with F(x) = p^r G_r(y).
     """
-    tau = valuation(k, p)
+    tau = valuation(k, p) if k % p == 0 else 0
     for r in sorted(set(exps)):
-        coeffs = [u * p**(e - r if e >= r else e - r + k)
-                  for e, u in zip(exps, units)]
         layer = [i for i, e in enumerate(exps) if e == r]
         decided = None
         if tau == 0:
+            # the shortcut reads the layer's units only: G_r's
+            # coefficients are built just for a walk or a lift
             decided = _shortcut(p, k, [(i, units[i]) for i in layer],
                                 want_witness)
+            if decided is not None and decided[1] is None:
+                if decided[0]:
+                    return True, None
+                continue
+        coeffs = [u * p**(e - r if e >= r else e - r + k)
+                  for e, u in zip(exps, units)]
         if decided is None:
             soluble, y = _walk(p, k, 2 * tau + 1, coeffs, set(layer),
                                want_witness)
+            if not soluble:
+                continue
+            if not want_witness:
+                return True, None
         else:
-            soluble, zero = decided
-            y = zero and [zero.get(i, 0) for i in range(len(exps))]
-        if not soluble:
-            continue
-        if not want_witness:
-            return True, None
+            y = [decided[1].get(i, 0) for i in range(len(exps))]
         lead = next(i for i in layer if y[i] % p)
         m_star = certificate_exponent(p, k)
         y = _lift(p, k, tau, m_star - r, coeffs, y, lead)
-        witness = tuple((t if e >= r else p * t) % p**m_star
+        modulus = p**m_star
+        witness = tuple((t if e >= r else p * t) % modulus
                         for e, t in zip(exps, y))
         _check_witness(p, k, exps, units, m_star, witness)
         return True, witness

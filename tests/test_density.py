@@ -277,6 +277,23 @@ def test_enumeration_values_are_pinned():
     assert digest == ENUMERATION_GRID_DIGEST
 
 
+# the same digest over rho_p_exact at (2, 7, 7) and (2, 9, 3), whose walks
+# mod 7^3 and 3^5 rebuild their value sets (the grid above walks moduli up
+# to 125, under solubility.VALUE_SETS_MEMO_MODULUS), recorded while each
+# set was built with one pow per residue
+REBUILT_SETS_DIGEST = (
+    "d0f903e89b62301a6ed34e7d28ee88a3da6c90090f8cadacd5166a4d12c0a073")
+
+
+def test_enumeration_through_rebuilt_value_sets_is_pinned():
+    lines = []
+    for n, k, p in ((2, 7, 7), (2, 9, 3)):
+        v = rho_p_exact(n, k, p).value
+        lines.append(f"{n} {k} {p} {v.numerator}/{v.denominator}\n")
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == REBUILT_SETS_DIGEST
+
+
 def test_cell_measures_sum_to_one():
     for p, k, n in ((3, 2, 2), (2, 3, 2), (5, 2, 3)):
         total = sum(cell_measure(c, p, k) for c in all_cells(p, k, n))

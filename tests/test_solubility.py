@@ -171,12 +171,14 @@ def test_memo_caches_are_bounded(monkeypatch):
     from locsol.density import layer_terms
     from locsol.padic import _labeller, class_reps
     from locsol.primes import factor
-    from locsol.solubility import _value_count, _value_sets, load_verdicts
+    from locsol.solubility import (_powers, _value_count, _value_sets,
+                                   load_verdicts)
     assert factor.cache_info().maxsize is not None
     assert _labeller.cache_info().maxsize is not None
     assert class_reps.cache_info().maxsize is not None
     assert pathological_primes.cache_info().maxsize is not None
     assert _value_sets.cache_info().maxsize is not None
+    assert _powers.cache_info().maxsize == solubility.POWERS_CACHE_SIZE
     assert _value_count.cache_info().maxsize is not None
     assert layer_terms.cache_info().maxsize is not None
     clear_caches()
@@ -194,10 +196,13 @@ def test_memo_caches_are_bounded(monkeypatch):
     assert len(dump_verdicts()) == 3
     clear_caches()
     # the walk mod 7^3 at k = p = 7 (above VALUE_SETS_MEMO_MODULUS)
-    # rebuilds its sets; the walk mod 8 at k = p = 2 memoizes them
+    # rebuilds its sets from one memoized power table; the walk mod 8 at
+    # k = p = 2 memoizes them
     assert decide_qp(vec((1, 1, 1), 7), 7).route == "dp"
     assert _value_sets.cache_info().currsize == 0
+    assert _powers.cache_info().currsize == 1
     clear_caches()
+    assert _powers.cache_info().currsize == 0
     assert decide_qp(vec((1, 1, 1)), 2).route == "dp"
     assert _value_sets.cache_info().currsize > 0
 
@@ -500,6 +505,36 @@ def test_walk_work_estimate_counts_value_sets():
                         room = level - valuation(c, p)
                         assert (_value_count(p, k, room)
                                 == len(_value_sets(p, k, level, c)[2]))
+
+
+def test_value_sets_match_one_pow_per_residue_in_order():
+    # the walk's witness recovery reads the dicts in insertion order, so
+    # the order is checked as well as the content, on both sides of
+    # VALUE_SETS_MEMO_MODULUS and through the memo and around it
+    from locsol.solubility import _value_sets
+    clear_caches()
+    for p in (2, 3, 5, 7, 11, 13):
+        # a unit that is not a square (mod 8 for p = 2)
+        nonresidue = 3 if p == 2 else next(
+            c for c in range(2, p) if pow(c, (p - 1) // 2, p) != 1)
+        for k in range(2, 10):
+            level = 1
+            while p**level <= 3000:
+                q = p**level
+                for c in {1, p, p * p, nonresidue, q - 1}:
+                    c %= q
+                    if not c:
+                        continue
+                    unit, nonunit = {}, {}
+                    for t in range(q):
+                        (nonunit if t % p == 0 else unit).setdefault(
+                            c * pow(t, k, q) % q, t)
+                    want = [list(unit.items()), list(nonunit.items()),
+                            list((nonunit | unit).items())]
+                    for build in (_value_sets, _value_sets.__wrapped__):
+                        got = [list(d.items()) for d in build(p, k, level, c)]
+                        assert got == want, (p, k, level, c)
+                level += 1
 
 
 def test_walk_at_pathological_primes_agrees_with_lifting(monkeypatch):
