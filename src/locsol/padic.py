@@ -21,9 +21,10 @@ _split is the one pass over the entries: it yields the reduced symbol
 x / p^v_p(x), per entry.  signature(entries, p, k) (the sorted symbols,
 which determine Q_p-solubility), classify_type, orbit_record and the
 decisions in locsol.solubility all start from it.  From its second
-time on, a coefficient's symbol and unit are read from a bounded table
-(_BoxTables) instead of reduced again, so a survey, whose entries take
-2H - 1 values, mostly reads them.
+time on, a coefficient's symbol and unit are read from a table
+(_BOX_TABLES) instead of reduced again, so a survey, whose entries take
+2H - 1 values, mostly reads them.  It is a _SizedMemo, a dict bounded by
+the items it holds, as solubility's walk tables are.
 """
 
 from __future__ import annotations
@@ -41,26 +42,21 @@ from .primes import is_prime
 # Memo bound for _labeller(), class_reps() and solubility._root_setup(),
 # per (p, k), and for _proved_prime(), per p.
 CLASS_TABLE_CACHE_SIZE = 256
-# Most coefficients _split's tables (see _BoxTables) hold together.
+# Most coefficients _split's tables (_BOX_TABLES) hold together.
 BOX_TABLE_SIZE = 1 << 15
 
 
-class _BoxTables(dict):
-    """_split's memo per (p, k): (table, exponent, modulus), the
-    _labeller pair and a table from x to its (v_p(x) mod k, label)
-    symbol and its unit x / p^v_p(x).  A box of height H has 2H - 1
-    values, and a survey meets each of them many times.  A value is
-    stored from its second time on; the first time leaves False, so a
-    coefficient that never repeats costs one lookup and one store.
-    grew() counts the coefficients stored: past BOX_TABLE_SIZE, every
-    table goes.
-    """
+class _SizedMemo(dict):
+    """A memo bounded by what it holds, not by its number of keys: each
+    store is counted with grew(count, limit), and once the count held
+    passes limit every entry goes.  solubility.clear_caches() empties
+    each instance."""
 
     entries = 0
 
-    def grew(self, count: int) -> None:
+    def grew(self, count: int, limit: int) -> None:
         self.entries += count
-        if self.entries > BOX_TABLE_SIZE:
+        if self.entries > limit:
             self.clear()
 
     def clear(self) -> None:
@@ -68,7 +64,14 @@ class _BoxTables(dict):
         self.entries = 0
 
 
-_BOX_TABLES = _BoxTables()
+# _split's memo per (p, k): (table, exponent, modulus), the _labeller
+# pair and a table from x to its (v_p(x) mod k, label) symbol and its
+# unit x / p^v_p(x), counted by the coefficients stored.  A box of
+# height H has 2H - 1 values, and a survey meets each of them many
+# times.  A value is stored from its second time on; the first time
+# leaves False, so a coefficient that never repeats costs one lookup
+# and one store.
+_BOX_TABLES = _SizedMemo()
 
 
 def valuation(x: int, p: int) -> int:
@@ -229,7 +232,7 @@ def _split(entries, p: int, k: int
             units.append(u)
     finally:
         if fresh:
-            _BOX_TABLES.grew(fresh)
+            _BOX_TABLES.grew(fresh, BOX_TABLE_SIZE)
     low = min(symbols)[0]
     if low:
         symbols = [(e - low, c) for e, c in symbols]

@@ -71,7 +71,7 @@ PRODUCT_BITS_CAP = 2**23
 # solubility.WALK_WORK_CAP), that the layer chances at the pathological
 # primes not dividing k may cost one interval (density._insoluble_work).
 # On a 2-core host (Python 3.11) (3, 8) estimates 1.25 * 10^10 and takes
-# 0.7 s, (4, 8) 4.2 * 10^10 and 0.7 s, (3, 9) 6.1 * 10^10 and 1.6 s;
+# 0.46 s, (4, 8) 4.2 * 10^10 and 0.48 s, (3, 9) 6.1 * 10^10 and 1.2 s;
 # (3, 12) estimates 8.5 * 10^12, 140 times (3, 9).
 PATHOLOGICAL_WORK_CAP = 10**11
 

@@ -43,28 +43,18 @@ from math import gcd
 
 from .errors import DegenerateInput, PreconditionViolated, ResourceBound
 from .padic import (_BOX_TABLES, CLASS_TABLE_CACHE_SIZE, CoefficientVector,
-                    _proved_prime, _require_prime, _split,
+                    _proved_prime, _require_prime, _SizedMemo, _split,
                     certificate_exponent, class_count, valuation)
 from .primes import factor, prime_divisors, primes_below
 
 # Most modulus x value-set entries one layer walk may cost.
 WALK_WORK_CAP = 10**10
 _ROOT_SCAN_LIMIT = 3000
-# Memo bound for _value_sets(), one entry per (p, k, coefficient residue),
-# and for _value_count().
-VALUE_SETS_CACHE_SIZE = 4_096
-# Only walks up to this modulus use the memo, which keeps it small.  A
-# larger set is rebuilt for each walk from _powers' table, one
-# multiplication per distinct k-th power: 35-50 % of the walks' time in
-# rho_p_exact(2, 7, 7) and (2, 9, 3) and at the pathological primes of
-# k = 8 (2-core host, Python 3.11).
-VALUE_SETS_MEMO_MODULUS = 128
-# Memo bound for _powers(), one table per walk modulus (p, k, level).  The
-# largest table WALK_WORK_CAP admits has 11,543 entries, about 1.3 MB:
-# p = 288,551 and k = 25, a walk mod p over three units of 10^10 bit
-# operations, which peaks at 22.4 MB RSS; a full memo of such tables
-# would hold about 21 MB.
-POWERS_CACHE_SIZE = 16
+# Most dict items the walk tables (_WALK_TABLES) hold together.  The
+# largest table WALK_WORK_CAP admits fits: p = 288,551, k = 25 (a walk
+# mod p over three units, 10^10 bit operations) has 11,543 power items
+# and 23,086 per value-set triple; that walk peaks at 22.4 MB RSS.
+WALK_TABLES_SIZE = 1 << 16
 # Verdict memo bound; when full, the oldest entry in insertion order goes.
 VERDICT_CACHE_SIZE = 65_536
 # Memo bound for pathological_primes(), one entry per degree k.
@@ -79,6 +69,9 @@ PATHOLOGICAL_CACHE_SIZE = 64
 # where an OrderedDict hashed every key on each.
 _VERDICTS: dict[tuple, str] = {}
 _ORDER: deque[tuple] = deque()
+# The walks' memo: _powers' tables under (p, k, level) and _value_sets'
+# triples under (p, k, level, c), each counted by the dict items it holds.
+_WALK_TABLES = _SizedMemo()
 
 
 @dataclass(frozen=True)
@@ -105,14 +98,12 @@ class SolubilityVerdict:
 
 
 def clear_caches() -> None:
-    """Drop all memoized verdicts, k-th power tables, value tables, box
-    tables, primality proofs and root set-ups (mainly for tests)."""
+    """Drop all memoized verdicts, walk tables, box tables, primality
+    proofs and root set-ups (mainly for tests)."""
     _VERDICTS.clear()
     _ORDER.clear()
     _BOX_TABLES.clear()
-    _powers.cache_clear()
-    _value_sets.cache_clear()
-    _value_count.cache_clear()
+    _WALK_TABLES.clear()
     _proved_prime.cache_clear()
     _root_setup.cache_clear()
 
@@ -144,20 +135,22 @@ def dump_verdicts() -> dict[tuple, str]:
 # --- the walk on one layer --------------------------------------------------
 
 
-@lru_cache(maxsize=POWERS_CACHE_SIZE)
 def _powers(p: int, k: int, level: int):
     """The k-th powers mod p^level: (unit, nonunit) dicts mapping each
     power v to the least unit, resp. non-unit, t with t^k = v, in
-    increasing t."""
-    modulus = p**level
-    units: dict[int, int] = {}
-    nonunits: dict[int, int] = {}
-    for t in range(modulus):
-        (nonunits if t % p == 0 else units).setdefault(pow(t, k, modulus), t)
-    return units, nonunits
+    increasing t.  Kept in _WALK_TABLES."""
+    tables = _WALK_TABLES.get((p, k, level))
+    if tables is None:
+        modulus = p**level
+        units: dict[int, int] = {}
+        nonunits: dict[int, int] = {}
+        for t in range(modulus):
+            (units if t % p else nonunits).setdefault(pow(t, k, modulus), t)
+        tables = _WALK_TABLES[p, k, level] = units, nonunits
+        _WALK_TABLES.grew(sum(map(len, tables)), WALK_TABLES_SIZE)
+    return tables
 
 
-@lru_cache(maxsize=VALUE_SETS_CACHE_SIZE)
 def _value_sets(p: int, k: int, level: int, c: int):
     """Values c*t^k mod p^level, split by whether t is a unit.
 
@@ -165,15 +158,21 @@ def _value_sets(p: int, k: int, level: int, c: int):
     a t attaining it, for witness recovery; the first two hold the least
     unit, resp. non-unit, t in increasing t.  Scaling _powers' tables
     gives them: a t that is not the least for its power is not the
-    least for c times it.
+    least for c times it.  Kept in _WALK_TABLES.
     """
-    modulus = p**level
-    unit_vals: dict[int, int] = {}
-    nonunit_vals: dict[int, int] = {}
-    for vals, table in zip((unit_vals, nonunit_vals), _powers(p, k, level)):
-        for v, t in table.items():
-            vals.setdefault(c * v % modulus, t)
-    return unit_vals, nonunit_vals, nonunit_vals | unit_vals
+    sets = _WALK_TABLES.get((p, k, level, c))
+    if sets is None:
+        modulus = p**level
+        unit_vals: dict[int, int] = {}
+        nonunit_vals: dict[int, int] = {}
+        for vals, table in zip((unit_vals, nonunit_vals),
+                               _powers(p, k, level)):
+            for v, t in table.items():
+                vals.setdefault(c * v % modulus, t)
+        sets = unit_vals, nonunit_vals, nonunit_vals | unit_vals
+        _WALK_TABLES[p, k, level, c] = sets
+        _WALK_TABLES.grew(sum(map(len, sets)), WALK_TABLES_SIZE)
+    return sets
 
 
 def _unit_power_count(p: int, k: int, c: int) -> int:
@@ -181,7 +180,6 @@ def _unit_power_count(p: int, k: int, c: int) -> int:
     return p**(c - 1) * (p - 1) // class_count(p, k, c)
 
 
-@lru_cache(maxsize=VALUE_SETS_CACHE_SIZE)
 def _value_count(p: int, k: int, room: int) -> int:
     """len(_value_sets(p, k, level, c)[2]) without building it.
 
@@ -226,9 +224,8 @@ def _walk(p: int, k: int, level: int, coeffs, layer, want_witness: bool):
                 f"walk mod {p}^{level} needs about {work} bit operations",
                 required=work)
     mask = (1 << q) - 1
-    memo = q <= VALUE_SETS_MEMO_MODULUS
-    sets = _value_sets if memo else _value_sets.__wrapped__
-    tables = [sets(p, k, level, c) for _, c in steps]
+    tables = [_WALK_TABLES.get((p, k, level, c))
+              or _value_sets(p, k, level, c) for _, c in steps]
     used, unused = 0, 1
     history = []
     for (i, _), (unit, nonunit, every) in zip(steps, tables):

@@ -1,6 +1,6 @@
 import hashlib
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from time import perf_counter
 
 import pytest
@@ -278,9 +278,9 @@ def test_enumeration_values_are_pinned():
 
 
 # the same digest over rho_p_exact at (2, 7, 7) and (2, 9, 3), whose walks
-# mod 7^3 and 3^5 rebuild their value sets (the grid above walks moduli up
-# to 125, under solubility.VALUE_SETS_MEMO_MODULUS), recorded while each
-# set was built with one pow per residue
+# mod 7^3 and 3^5 are larger than any of the grid above (moduli up to
+# 125), recorded while their value sets were rebuilt for every walk with
+# one pow per residue
 REBUILT_SETS_DIGEST = (
     "d0f903e89b62301a6ed34e7d28ee88a3da6c90090f8cadacd5166a4d12c0a073")
 
@@ -292,6 +292,22 @@ def test_enumeration_through_rebuilt_value_sets_is_pinned():
         lines.append(f"{n} {k} {p} {v.numerator}/{v.denominator}\n")
     digest = hashlib.sha256("".join(lines).encode()).hexdigest()
     assert digest == REBUILT_SETS_DIGEST
+
+
+# the layer chances of n = 3, k = 8 at its 65 pathological primes not
+# dividing 8, walked mod p (56 of the primes above 128, the largest 1,753)
+K8_LAYER_CHANCES_DIGEST = (
+    "c8f76c87a9e80a9d7f8c5cd4b9db46b73d36642a8ecd5362d7180f45f7c8671f")
+
+
+def test_layer_chances_at_the_pathological_primes_of_8_are_pinned():
+    primes = [p for p in pathological_primes(8) if 8 % p]
+    assert len(primes) == 65 and max(primes) == 1753
+    lines = "".join(
+        f"{p} {density._insoluble_counts(3, 8, p, gcd(p - 1, 8))}\n"
+        for p in primes)
+    digest = hashlib.sha256(lines.encode()).hexdigest()
+    assert digest == K8_LAYER_CHANCES_DIGEST
 
 
 def test_cell_measures_sum_to_one():

@@ -296,7 +296,7 @@ def test_the_walk_estimate_bounds_the_walks(monkeypatch):
 
     def counting(p, k, level, coeffs, layer, want_witness):
         q = p**level
-        spent.append(q * sum(len(solubility._value_sets.__wrapped__(
+        spent.append(q * sum(len(solubility._value_sets(
             p, k, level, c % q)[2]) for c in coeffs if c % q))
         return walk(p, k, level, coeffs, layer, want_witness)
 

@@ -171,15 +171,11 @@ def test_memo_caches_are_bounded(monkeypatch):
     from locsol.density import layer_terms
     from locsol.padic import _labeller, class_reps
     from locsol.primes import factor
-    from locsol.solubility import (_powers, _value_count, _value_sets,
-                                   load_verdicts)
+    from locsol.solubility import _WALK_TABLES, load_verdicts
     assert factor.cache_info().maxsize is not None
     assert _labeller.cache_info().maxsize is not None
     assert class_reps.cache_info().maxsize is not None
     assert pathological_primes.cache_info().maxsize is not None
-    assert _value_sets.cache_info().maxsize is not None
-    assert _powers.cache_info().maxsize == solubility.POWERS_CACHE_SIZE
-    assert _value_count.cache_info().maxsize is not None
     assert layer_terms.cache_info().maxsize is not None
     clear_caches()
     bound = solubility.VERDICT_CACHE_SIZE
@@ -194,17 +190,46 @@ def test_memo_caches_are_bounded(monkeypatch):
         decide_qp(vec(entries), 2)
         assert len(dump_verdicts()) <= 3
     assert len(dump_verdicts()) == 3
+    # the walks mod 7^3 at k = p = 7 and mod 8 at k = p = 2 both keep
+    # their power table and value sets in the one walk memo
+    for p in (7, 2):
+        clear_caches()
+        assert len(_WALK_TABLES) == _WALK_TABLES.entries == 0
+        assert decide_qp(vec((1, 1, 1), p), p).route == "dp"
+        assert (p, p, 3) in _WALK_TABLES and (p, p, 3, 1) in _WALK_TABLES
+        assert walk_items(_WALK_TABLES) == _WALK_TABLES.entries
+        assert _WALK_TABLES.entries <= solubility.WALK_TABLES_SIZE
     clear_caches()
-    # the walk mod 7^3 at k = p = 7 (above VALUE_SETS_MEMO_MODULUS)
-    # rebuilds its sets from one memoized power table; the walk mod 8 at
-    # k = p = 2 memoizes them
-    assert decide_qp(vec((1, 1, 1), 7), 7).route == "dp"
-    assert _value_sets.cache_info().currsize == 0
-    assert _powers.cache_info().currsize == 1
+    assert len(_WALK_TABLES) == _WALK_TABLES.entries == 0
+
+
+def walk_items(tables):
+    """Dict items the walk tables hold, over every key."""
+    return sum(len(table) for value in tables.values() for table in value)
+
+
+def test_walk_tables_hold_at_most_their_bound(monkeypatch):
+    # witnesses at p = 683 (not pathological for k = 2, so three units
+    # with no pair are walked mod p): the power table holds 342 items and
+    # each value-set triple 684, so under a bound of 6,000 the memo fills
+    # and is dropped
+    rng = Random(5)
+    forms = [vec(tuple(rng.choice((-1, 1)) * rng.randint(1, 682)
+                       for _ in range(3))) for _ in range(60)]
     clear_caches()
-    assert _powers.cache_info().currsize == 0
-    assert decide_qp(vec((1, 1, 1)), 2).route == "dp"
-    assert _value_sets.cache_info().currsize > 0
+    expected = [decide_qp(form, 683, with_witness=True) for form in forms]
+    assert sum(v.witness is not None for v in expected) > 40
+    tables = solubility._WALK_TABLES
+    assert 0 < walk_items(tables) == tables.entries
+    assert tables.entries <= solubility.WALK_TABLES_SIZE
+    monkeypatch.setattr(solubility, "WALK_TABLES_SIZE", 6000)
+    clear_caches()
+    seen = set()
+    for form, verdict in zip(forms, expected):
+        assert decide_qp(form, 683, with_witness=True) == verdict
+        assert walk_items(tables) == tables.entries <= 6000
+        seen.add(tables.entries)
+    assert max(seen) > 4000 and 0 in seen    # filled up and dropped
 
 
 @pytest.mark.parametrize("held", [0, 3, 8])
@@ -509,10 +534,9 @@ def test_walk_work_estimate_counts_value_sets():
 
 def test_value_sets_match_one_pow_per_residue_in_order():
     # the walk's witness recovery reads the dicts in insertion order, so
-    # the order is checked as well as the content, on both sides of
-    # VALUE_SETS_MEMO_MODULUS and through the memo and around it
+    # the order is checked as well as the content, of a cold build (the
+    # walk memo emptied first) and of a warm read from the memo
     from locsol.solubility import _value_sets
-    clear_caches()
     for p in (2, 3, 5, 7, 11, 13):
         # a unit that is not a square (mod 8 for p = 2)
         nonresidue = 3 if p == 2 else next(
@@ -531,8 +555,10 @@ def test_value_sets_match_one_pow_per_residue_in_order():
                             c * pow(t, k, q) % q, t)
                     want = [list(unit.items()), list(nonunit.items()),
                             list((nonunit | unit).items())]
-                    for build in (_value_sets, _value_sets.__wrapped__):
-                        got = [list(d.items()) for d in build(p, k, level, c)]
+                    clear_caches()
+                    for _ in range(2):
+                        got = [list(d.items())
+                               for d in _value_sets(p, k, level, c)]
                         assert got == want, (p, k, level, c)
                 level += 1
 

@@ -2,8 +2,9 @@
 no top-level import goes unused, no line runs past 79 characters, the
 lifting oracle imports nothing of the package but its errors, only the
 command line's main and its stderr helpers call print, every
-functools memo is bounded by a module-level constant, and the command
-line reads every option its parser declares."""
+functools memo is bounded by a module-level constant, every sized memo
+is emptied by solubility.clear_caches, and the command line reads every
+option its parser declares."""
 
 import ast
 import sys
@@ -145,6 +146,30 @@ def unbounded_memos(path: Path) -> list[str]:
         elif memo(node) and id(node) not in called:
             bad.append(f"{path.name}:{node.lineno}")
     return bad
+
+
+def sized_memos(path: Path) -> list[str]:
+    """The names the file binds at top level to a _SizedMemo() call."""
+    tree = ast.parse(path.read_text(), str(path))
+    return [target.id for node in _top_level(tree.body)
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Name)
+            and node.value.func.id == "_SizedMemo"
+            for target in node.targets if isinstance(target, ast.Name)]
+
+
+def cleared(path: Path, function: str) -> set[str]:
+    """The names whose .clear() the file's top-level function calls."""
+    tree = ast.parse(path.read_text(), str(path))
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == function)
+    return {node.func.value.id for node in ast.walk(body)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "clear"
+            and isinstance(node.func.value, ast.Name)}
 
 
 def _dest(call) -> str:
@@ -292,6 +317,31 @@ def test_the_memo_check_sees_unbounded_memos(tmp_path):
                      "from . import cache\n"
                      "cache.load_verdicts(lru_cache)\n")
     assert unbounded_memos(other) == ["cli.py:3"]
+
+
+def test_clear_caches_empties_every_sized_memo():
+    memos = {name for path in SOURCES for name in sized_memos(path)}
+    assert {"_BOX_TABLES", "_WALK_TABLES"} <= memos
+    solubility = Path(locsol.__file__).parent / "solubility.py"
+    assert memos - cleared(solubility, "clear_caches") == set()
+
+
+def test_the_sized_memo_check_sees_what_it_looks_for(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "from .padic import _SizedMemo\n"
+        "_A = _SizedMemo()\n"
+        "_B = _C = _SizedMemo()\n"
+        "_D = dict()\n"
+        "def f():\n"
+        "    _E = _SizedMemo()\n"
+        "    return _E\n"
+        "def clear_caches():\n"
+        "    _A.clear()\n"
+        "    _D.clear()\n"
+        "    _B.pop(1)\n")
+    assert sized_memos(source) == ["_A", "_B", "_C"]
+    assert cleared(source, "clear_caches") == {"_A", "_D"}
 
 
 def test_the_command_line_reads_every_option_it_declares():
