@@ -32,7 +32,7 @@ from math import comb, factorial, gcd
 from .errors import DegenerateInput, PreconditionViolated, ResourceBound
 from .padic import _integers, all_cells, class_count, class_reps
 from .primes import is_prime
-from .solubility import _decide_layers, is_pathological
+from .solubility import _decide_layers, _value_count, is_pathological
 
 ENUMERATION_CELL_CAP = 10**7
 # Memo bound for layer_terms(), one entry per (n, k, count table).
@@ -189,15 +189,22 @@ def layer_terms(n: int, k: int, counts: tuple[int, ...]
                         if used == n + 1))
 
 
+def class_terms(n: int, k: int) -> dict[int, tuple[tuple[int, int], ...]]:
+    """layer_terms of each divisor d of k at the chances (1, d, d(d-1)),
+    those of every p past the pathological primes, d = gcd(p-1, k)."""
+    return {d: layer_terms(n, k, (1, d, d * (d - 1)))
+            for d in range(1, k + 1) if k % d == 0}
+
+
 def _insoluble_work(n: int, k: int, p: int, d: int) -> int:
     """An upper bound, in bit operations (the unit of
     solubility.WALK_WORK_CAP), of the walks _insoluble_counts(n, k, p, d)
     makes: at a pathological p each of the C(d+m-1, m) class multisets
-    of m = 3 .. n+1 units is a walk mod p over m steps of at most
-    (p-1)/d + 1 values; elsewhere it walks nothing."""
+    of m = 3 .. n+1 units is a walk mod p over m steps of
+    _value_count(p, k, 1) values; elsewhere it walks nothing."""
     if n < 2 or not is_pathological(p, k):
         return 0
-    return sum(comb(d + m - 1, m) * p * m * ((p - 1) // d + 1)
+    return sum(comb(d + m - 1, m) * p * m * _value_count(p, k, 1)
                for m in range(3, n + 2))
 
 
@@ -249,8 +256,7 @@ def _terms_factor(n: int, k: int, p: int, d: int,
                   ) -> tuple[int, int, int]:
     """_factor's triple for layer_terms' pairs at p, d = gcd(p-1, k):
     the insoluble weight sum_w c_w p^(top-w) is summed by Horner over
-    integers.  Past the pathological primes the terms depend on p only
-    through d (product.rho_loc_interval reads them once per class)."""
+    integers."""
     insoluble, top = 0, 0
     for w, c in terms:
         insoluble = insoluble * p**(w - top) + c

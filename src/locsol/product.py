@@ -2,9 +2,10 @@
 
 The full local density rho_loc(n, k) is the real-place density times the
 product of rho_p over every prime.  Truncating at a cutoff P gives an
-exact upper bound; a tail hypothesis 1 - rho_p <= A p^-s (valid from
-p_min on, with s >= 2 once n >= 3) turns the truncation into a certified
-lower bound via
+exact upper bound; a tail hypothesis 1 - rho_p <= A p^-s past the
+pathological primes, derived per class d = gcd(p-1, k) for every k
+(tail_hypothesis, s >= 2 once n >= 3), turns the truncation into a
+certified lower bound via
 
     prod_{p >= P} rho_p >= 1 - A * sum_{p >= P} p^-s
                         >= 1 - A * (P-1)^(1-s) / (s-1).
@@ -21,10 +22,10 @@ The finite product is one recursion over the sieved primes
 computes its prime's factor only when the recursion reaches it, so no
 list of factors is built and about log2 of the partial products are
 held at once; a side equal to 1 is passed up without a join.  Past the
-last pathological prime of k (every p | k is one) the layer chances
-are (1, d, d(d-1)), d = gcd(p-1, k), so rho_loc_interval reads
-layer_terms once per divisor d of k, and such a leaf is one lookup, a
-Horner sum and density._factor (density._terms_factor).  Smaller primes
+last pathological prime of k (every p | k is one) a factor depends on p
+only through p and its class d = gcd(p-1, k), so rho_loc_interval reads
+density.class_terms once, and such a leaf is one lookup, a Horner sum
+and density._factor (density._terms_factor).  Smaller primes
 go through density._local_factor, which walks the pathological primes
 and enumerates the cells at p | k.
 
@@ -55,7 +56,8 @@ from fractions import Fraction
 from math import e, gcd, lcm, log2
 
 from .density import (_coprime_fraction, _insoluble_work, _local_factor,
-                      _terms_factor, layer_terms, rho_infinity)
+                      _terms_factor, class_terms, layer_terms,
+                      rho_infinity)
 from .errors import (DegenerateInput, DivergentTail, PreconditionViolated,
                      ResourceBound)
 from .padic import _integers
@@ -85,39 +87,35 @@ class TailBound:
     p_min: int
 
 
-_STORED_TAILS = {
-    (3, 2): TailBound(Fraction(3, 2), 2, 2),
-    (3, 3): TailBound(Fraction(8, 3), 2, 2),
-    (4, 3): TailBound(Fraction(40, 3), 4, 2),
-    (5, 3): TailBound(Fraction(80, 3), 6, 2),
-}
-
-
 def tail_hypothesis(n: int, k: int) -> TailBound:
-    """A proven coefficient for the tail of the density product.
+    """A proven 1 - rho_p <= constant * p^-exponent from p_min, the
+    prime after the last pathological prime of k.
 
-    k in {2, 3} uses constants read off the paper's closed forms (kept in
-    verification, where a test audits them).  Other k get a
-    coarse but sound bound from the generic sum from p_min on, the first
-    prime past the pathological primes of k: its layer chances there are
-    at most (1, 1, (k-1)/k) as d <= k, and each term c_w p^-w is split
-    off the minimal weight s, the remainder bounded at p_min.
-    """
+    There the deficit of class d = gcd(p-1, k) is, with x = 1/p,
+    sum_w c_w x^w / (d T)^(n+1), T = 1 + x + ... + x^(k-1), c_w from
+    density.class_terms.  If c_w <= c_s [x^(w-s)] T^(n+1) for all w,
+    (s, c_s) the first term, it is at most c_s / d^(n+1) p^-s, else the
+    class is refused.  The exponent is the least s, each constant is
+    carried to it at p_min, and no terms at all give the constant 0."""
     _integers((n, k))
     if n < 2 or k < 2:
         raise DegenerateInput(f"need n >= 2 and k >= 2, got ({n}, {k})")
     if n == 2:
         raise DivergentTail("deficits decay like 1/p for n = 2; "
                             "the density product diverges to zero")
-    if k in (2, 3):
-        return _STORED_TAILS.get((n, k), TailBound(Fraction(0), 2, 2))
     p_min = next_prime(max(pathological_primes(k)))
-    terms = layer_terms(n, k, (1, k, k * (k - 1)))
-    s = min((w for w, _ in terms), default=2)
+    # the layer sum at chances all 1 (units never have a zero) is T^(n+1)
+    whole = dict(layer_terms(n, k, (1,) * (n + 2)))
+    classes = class_terms(n, k)
+    leads = {d: terms[0] for d, terms in classes.items() if terms}
+    for d, (s, c_s) in leads.items():
+        if any(c > c_s * whole[w - s] for w, c in classes[d]):
+            raise PreconditionViolated(f"class {d} of ({n}, {k}) has no tail")
+    s = min((s_d for s_d, _ in leads.values()), default=2)
     if s < 2:
         raise DivergentTail(f"tail exponent {s} does not converge")
-    constant = sum((Fraction(c, k**(n + 1) * p_min**(w - s))
-                    for w, c in terms), Fraction(0))
+    constant = max((Fraction(c_s, d**(n + 1) * p_min**(s_d - s))
+                    for d, (s_d, c_s) in leads.items()), default=Fraction(0))
     return TailBound(constant, s, p_min)
 
 
@@ -189,10 +187,11 @@ def rho_loc_interval(n: int, k: int, cutoff: int = 10**4
         return CertifiedInterval(n=n, k=k, cutoff=cutoff, lo=zero, hi=zero,
                                  finite_lo=zero, finite_hi=zero,
                                  real_factor=real, tail=None)
-    tail = tail_hypothesis(n, k)
-    if cutoff <= max(*pathological_primes(k), tail.p_min, 2):
+    last = max(pathological_primes(k))     # the tail covers p > last
+    if cutoff <= last:
         raise PreconditionViolated(
             f"cutoff {cutoff} does not clear the pathological primes")
+    tail = tail_hypothesis(n, k)
     penalty = tail.constant * Fraction(
         1, (cutoff - 1)**(tail.exponent - 1) * (tail.exponent - 1))
     if penalty >= 1:
@@ -211,12 +210,8 @@ def rho_loc_interval(n: int, k: int, cutoff: int = 10**4
         raise ResourceBound(
             f"the product to cutoff {cutoff} needs about {bits} bits, past "
             f"the cap {PRODUCT_BITS_CAP}", required=bits)
-    # Past the last pathological prime (every p | k is one) the layer
-    # chances are (1, d, d(d-1)), d = gcd(p-1, k), a divisor of k.  The
-    # sieve made every p prime, so no factor proves its p prime again.
-    last = max(pathological_primes(k))
-    classes = {d: layer_terms(n, k, (1, d, d * (d - 1)))
-               for d in range(1, k + 1) if k % d == 0}
+    # the sieve made every p prime, so no factor proves it again
+    classes = class_terms(n, k)
 
     def factor(p: int) -> tuple[int, int, int]:
         if p <= last:
@@ -238,15 +233,14 @@ def _product_bits(n: int, k: int, cutoff: int) -> int:
     Each factor's den divides s^(n+1), s about p^(k-1) (density._factor),
     and log2 p summed over p < P is about P log2 e.  Only factors other
     than 1 count: past the pathological primes the factor at p = a mod k
-    is 1 exactly when layer_terms(n, k, (1, d, d(d-1))), d = gcd(a-1, k)
-    = gcd(p-1, k), is empty, and the primes fall evenly on the units a
-    mod k.  So the estimate is scaled by the share of units whose terms
-    are not empty: 1 for (3, 2), 1/2 for (3, 3), and 0 when every factor
-    past p_min is 1.
+    is 1 exactly when class_terms(n, k)[gcd(a-1, k)] is empty, and the
+    primes fall evenly on the units a mod k.  So the estimate is scaled
+    by the share of units whose class has terms: 1 for (3, 2), 1/2 for
+    (3, 3), and 0 when every factor past p_min is 1.
     """
-    ds = [gcd(a - 1, k) for a in range(1, k + 1) if gcd(a, k) == 1]
-    live = sum(1 for d in ds if layer_terms(n, k, (1, d, d * (d - 1))))
-    return int((n + 1) * (k - 1) * cutoff * log2(e)) * live // len(ds)
+    classes = class_terms(n, k)
+    live = [bool(classes[gcd(a - 1, k)]) for a in range(k) if gcd(a, k) == 1]
+    return int((n + 1) * (k - 1) * cutoff * log2(e)) * sum(live) // len(live)
 
 
 def _balanced_product(items: Sequence[int],

@@ -8,10 +8,10 @@ tests/test_acceptance.py and the `locsol verify-paper` subcommand, so a
 red line in one is a red line in the other.
 
 The recorded references live here: the paper's closed forms for rho_p
-at k = 2, 3 (its p | k densities among them), and the cell catalogues
-at (p, k) = (2, 2) and (3, 3), each catalogue stated as (cell, recorded
-verdict) pairs that one loop checks against decide_qp; and the helpers
-only the checks use: kappa, cell measures, cell representatives, orbits.
+at k = 2, 3 (its p | k densities among them; they audit the derived
+tail constants), the cell catalogues at (p, k) = (2, 2) and (3, 3) as
+(cell, verdict) pairs one loop checks against decide_qp, and the
+helpers only the checks use: kappa, cell measures, cell representatives.
 
 Criterion "certified-intervals" encodes one deliberate discrepancy: the
 reference catalogue prints 0.8268 for (n, k) = (3, 2), which matches the

@@ -14,7 +14,7 @@ from locsol.density import (_coprime_fraction, _local_factor, rho_infinity,
                             rho_p)
 from locsol.errors import (DegenerateInput, DivergentTail,
                            PreconditionViolated, ResourceBound)
-from locsol.primes import prime_divisors, primes_below
+from locsol.primes import next_prime, prime_divisors, primes_below
 from locsol.product import (PATHOLOGICAL_WORK_CAP, PRODUCT_BITS_CAP,
                             CertifiedInterval, TailBound, _balanced_product,
                             _join, _product_bits, decimalize,
@@ -27,10 +27,10 @@ F = Fraction
 
 
 def test_stored_tail_constants():
-    assert tail_hypothesis(3, 2) == TailBound(F(3, 2), 2, 2)
-    assert tail_hypothesis(3, 3) == TailBound(F(8, 3), 2, 2)
-    assert tail_hypothesis(4, 3) == TailBound(F(40, 3), 4, 2)
-    assert tail_hypothesis(5, 3) == TailBound(F(80, 3), 6, 2)
+    assert tail_hypothesis(3, 2) == TailBound(F(3, 2), 2, 3)
+    assert tail_hypothesis(3, 3) == TailBound(F(8, 3), 2, 5)
+    assert tail_hypothesis(4, 3) == TailBound(F(40, 3), 4, 5)
+    assert tail_hypothesis(5, 3) == TailBound(F(80, 3), 6, 5)
     # saturated dimensions have no deficit at all
     assert tail_hypothesis(4, 2).constant == 0
     assert tail_hypothesis(7, 2).constant == 0
@@ -53,16 +53,33 @@ def test_tail_constants_audit_against_closed_forms():
 def test_generic_tail_for_quartics():
     # a layer of three units always has a zero only past 29, the last
     # pathological prime, so the tail bound starts at 31
-    tail = tail_hypothesis(3, 4)
-    assert tail.exponent == 2
-    assert tail.p_min == 31
-    assert 1 < tail.constant < 40
-    tail = tail_hypothesis(4, 4)
-    assert tail.exponent == 4
-    assert tail.p_min == 31
-    assert tail.constant > 0
+    assert tail_hypothesis(3, 4) == TailBound(F(27, 8), 2, 31)
+    assert tail_hypothesis(4, 4) == TailBound(F(135, 8), 4, 31)
     for n in (3, 4):
         assert tail_hypothesis(n, 4).p_min > max(pathological_primes(4))
+
+
+@pytest.mark.parametrize("n, k", [(3, 4), (4, 4), (3, 5), (4, 5), (3, 6),
+                                  (4, 6), (3, 8), (5, 4)])
+def test_derived_tails_bound_the_deficits(n, k):
+    # no closed form checks these degrees, so the claimed
+    # 1 - rho_p <= A p^-s is checked against the factors themselves
+    tail = tail_hypothesis(n, k)
+    assert tail.p_min == next_prime(max(pathological_primes(k)))
+    primes = primes_below(3000)
+    assert tail.p_min in primes
+    for p in primes[primes.index(tail.p_min):]:
+        num, den, _ = _local_factor(n, k, p)
+        assert F(den - num, den) <= tail.constant * F(1, p**tail.exponent), \
+            (n, k, p)
+
+
+def test_every_degree_has_a_tail():
+    # the certificate of each class holds, so no degree is refused
+    for k in range(2, 13):
+        for n in range(3, 9):
+            tail = tail_hypothesis(n, k)
+            assert tail.exponent >= 2 and tail.constant >= 0, (n, k)
 
 
 def test_divergent_plane_case():
@@ -164,11 +181,18 @@ def test_sieved_primes_are_not_proved_prime_again(monkeypatch):
     assert counts[0] == counts[1]
 
 
-def test_cutoff_guards():
+def test_cutoff_guards(monkeypatch):
     with pytest.raises(PreconditionViolated):
         rho_loc_interval(3, 2, cutoff=2)
     with pytest.raises(PreconditionViolated):
         rho_loc_interval(3, 3, cutoff=3)
+    # the tail holds from the prime after the last pathological one, 31
+    # for k = 4, so every cutoff past 29 leaves out only covered primes
+    with pytest.raises(PreconditionViolated):
+        rho_loc_interval(3, 4, cutoff=29)
+    monkeypatch.setattr(product, "primes_below", lambda bound: [])
+    for cutoff in (30, 31):
+        assert rho_loc_interval(3, 4, cutoff).tail.p_min == 31
     # n < 2 or a degree below 2 has no interval to enclose
     with pytest.raises(DegenerateInput):
         rho_loc_interval(1, 2)
@@ -379,6 +403,25 @@ def test_deep_endpoints_are_pinned(n, k):
                     for v in (iv.lo, iv.hi, iv.finite_lo, iv.finite_hi))
     assert hashlib.sha256(text.encode()).hexdigest() == \
         DEEP_PINNED_ENDPOINTS[n, k]
+
+
+# (3, 4) at cutoff 10^4: the sha256 of hi alone, recorded while the
+# k >= 4 tail assumed the class d = k everywhere (lo was then below
+# 0.270817145495), and of all four endpoints with the tail derived per
+# class, whose constant 27/8 raises lo
+QUARTIC_HI = "08329ffea831b638bcd47455fc2d6732e28d2f1cc73234ae17994818bebe3807"
+QUARTIC_ENDPOINTS = \
+    "abdad13c6975fc9d826013513e67b741797f6a25d57126af0a1edf53eb113c2b"
+
+
+def test_quartic_endpoints_are_pinned():
+    iv = rho_loc_interval(3, 4, cutoff=10**4)
+    hi = f"{iv.hi.numerator:x}/{iv.hi.denominator:x}"
+    assert hashlib.sha256(hi.encode()).hexdigest() == QUARTIC_HI
+    assert iv.lo > F(270817145495, 10**12)
+    text = " ".join(f"{v.numerator:x}/{v.denominator:x}"
+                    for v in (iv.lo, iv.hi, iv.finite_lo, iv.finite_hi))
+    assert hashlib.sha256(text.encode()).hexdigest() == QUARTIC_ENDPOINTS
 
 
 @pytest.mark.parametrize("n, k", [(3, 2), (3, 3), (4, 3), (3, 4), (4, 4),

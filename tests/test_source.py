@@ -3,8 +3,9 @@ no top-level import goes unused, no line runs past 79 characters, the
 lifting oracle imports nothing of the package but its errors, only the
 command line's main and its stderr helpers call print, every
 functools memo is bounded by a module-level constant, every sized memo
-is emptied by solubility.clear_caches, and the command line reads every
-option its parser declares."""
+is emptied by solubility.clear_caches, every ResourceBound carries its
+work estimate, and the command line reads every option its parser
+declares."""
 
 import ast
 import sys
@@ -170,6 +171,17 @@ def cleared(path: Path, function: str) -> set[str]:
             and isinstance(node.func, ast.Attribute)
             and node.func.attr == "clear"
             and isinstance(node.func.value, ast.Name)}
+
+
+def unestimated_refusals(path: Path) -> list[str]:
+    """file:line for each ResourceBound call that does not pass
+    required=, the work estimate every refusal carries."""
+    tree = ast.parse(path.read_text(), str(path))
+    return [f"{path.name}:{line}" for line in sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "ResourceBound"
+        and "required" not in {kw.arg for kw in node.keywords})]
 
 
 def _dest(call) -> str:
@@ -342,6 +354,24 @@ def test_the_sized_memo_check_sees_what_it_looks_for(tmp_path):
         "    _B.pop(1)\n")
     assert sized_memos(source) == ["_A", "_B", "_C"]
     assert cleared(source, "clear_caches") == {"_A", "_D"}
+
+
+def test_every_refusal_carries_its_work_estimate():
+    assert [bad for path in SOURCES
+            for bad in unestimated_refusals(path)] == []
+
+
+def test_the_estimate_check_sees_a_refusal_without_one(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "from .errors import ResourceBound\n"
+        "def f(n):\n"
+        "    if n > 10:\n"
+        "        raise ResourceBound(f'{n} steps', required=n)\n"
+        "    if n < 0:\n"
+        "        raise ResourceBound('negative')\n"
+        "    return ResourceBound('n', n)\n")
+    assert unestimated_refusals(source) == ["probe.py:6", "probe.py:7"]
 
 
 def test_the_command_line_reads_every_option_it_declares():
